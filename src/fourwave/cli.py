@@ -29,8 +29,8 @@ from .kernels import KernelSpecError, parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
 from .measures import (DiscreteMeasure, load_measure_csv, moment,
                        save_measure_csv)
-from .particle import (MaxEventsError, ThinningError, init, simulate,
-                       simulate_truncated)
+from .particle import (AuditError, MaxEventsError, ThinningError, init,
+                       simulate, simulate_truncated)
 from .solver import (SolverConfig, SolverError, picard, solve_limit,
                      solve_truncated)
 from .trajectory import (Trajectory, load_moments_csv, save_events_jsonl,
@@ -132,17 +132,19 @@ def cmd_simulate(args) -> int:
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
     def run_one(stream: int) -> Trajectory:
+        precheck = stream == 0  # all replicas share ``state``: one check covers them
         if cfg["bound"] is not None:
             return simulate_truncated(state, cfg["bound"], cfg["lambda0"], kernel,
                                       weight, cfg["t_end"], seed=cfg["seed"],
                                       stream=stream, sample_times=times,
                                       record_events=cfg["events"],
-                                      record_snapshots=cfg["snapshots"])
+                                      record_snapshots=cfg["snapshots"],
+                                      precheck=precheck)
         return simulate(state, kernel, weight, cfg["t_end"], seed=cfg["seed"],
                         stream=stream, sample_times=times,
                         record_events=cfg["events"],
                         record_snapshots=cfg["snapshots"],
-                        max_events=cfg["max_events"])
+                        max_events=cfg["max_events"], precheck=precheck)
 
     streams = list(range(cfg["replicas"]))
     if cfg["threads"] > 1:
@@ -443,7 +445,7 @@ def main(argv=None) -> int:
     except (CliConfigError, KernelSpecError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except (ThinningError, SolverError, MaxEventsError) as exc:
+    except (ThinningError, SolverError, MaxEventsError, AuditError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
     except ValueError as exc:

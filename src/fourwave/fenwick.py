@@ -82,11 +82,3 @@ class FenwickTree:
             rem[ok] -= tval[ok]
             step >>= 1
         return pos
-
-    def rebuild(self) -> None:
-        """Recompute internal nodes from the leaves (clears float drift)."""
-        self.tree = np.concatenate([[0.0], self.leaf])
-        for j in range(1, self.n + 1):
-            p = j + (j & -j)
-            if p <= self.n:
-                self.tree[p] += self.tree[j]

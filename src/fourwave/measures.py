@@ -274,25 +274,37 @@ def save_measure_csv(mu: DiscreteMeasure, path) -> None:
 
 
 def load_measure_csv(path) -> DiscreteMeasure:
-    h = None
-    positions, weights = [], []
+    """Read the interchange format of :func:`save_measure_csv`.
+
+    Raises ValueError on a missing or foreign ``omega,weight`` header, on
+    a row that is not two numbers and, under ``# h=``, on a position that
+    is not exactly idx * h.  Blank lines and other ``#`` lines are skipped.
+    """
+    h, rows = None, None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            body = line.lstrip("#").strip()
+            if line.startswith("#") and body.startswith("h="):
+                h = float(body[2:])
+            elif not line or line.startswith("#"):
                 continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("h="):
-                    h = float(body[2:])
-                continue
-            if line.startswith("omega"):
-                continue
-            a, _, b = line.partition(",")
-            positions.append(float(a))
-            weights.append(float(b))
-    mu = DiscreteMeasure.from_points(positions, weights)
-    if h is not None:
-        idx = np.rint(np.asarray(positions) / h).astype(np.int64)
-        mu = DiscreteMeasure.from_grid(idx, np.asarray(weights, dtype=float), h)
-    return mu
+            elif rows is None:
+                if line != "omega,weight":
+                    raise ValueError(f"{path}:{lineno}: expected header 'omega,weight', got {line!r}")
+                rows = []
+            else:
+                fields = line.split(",")
+                if len(fields) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+                rows.append([float(x) for x in fields])
+    if rows is None:
+        raise ValueError(f"{path}: missing header 'omega,weight'")
+    pos, weights = np.asarray(rows, dtype=float).reshape(-1, 2).T
+    if h is None:
+        return DiscreteMeasure.from_points(pos, weights)
+    idx = np.rint(pos / h).astype(np.int64)
+    off = np.flatnonzero(idx * h != pos)
+    if len(off):
+        raise ValueError(f"{path}: position {pos[off[0]]!r} is not on the grid h={h!r}")
+    return DiscreteMeasure.from_grid(idx, weights, h)

@@ -39,6 +39,7 @@ __all__ = [
     "ParticleState",
     "ThinningError",
     "MaxEventsError",
+    "AuditError",
     "make_rng",
     "init",
     "simulate",
@@ -60,6 +61,10 @@ class ThinningError(RuntimeError):
 
 class MaxEventsError(RuntimeError):
     """Event log would exceed the configured cap."""
+
+
+class AuditError(RuntimeError):
+    """A cached sum of the particle state diverged from recomputation."""
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -140,14 +145,14 @@ class ParticleState:
     def audit(self) -> None:
         """Verify the cached sums against recomputation."""
         live = self.idx[self.alive]
-        assert int(live.sum()) == self.sum_idx, "cached frequency sum diverged"
+        if int(live.sum()) != self.sum_idx:
+            raise AuditError("cached frequency sum diverged")
         phi = np.zeros(self.n)
         phi[self.alive] = np.asarray(self.weight(live * self.h), dtype=float)
-        if self.weight.is_affine:
-            assert self.fenwick.total == float(phi.sum()), "phi table diverged"
-        else:
-            assert math.isclose(self.fenwick.total, float(phi.sum()),
-                                rel_tol=1e-9), "phi table diverged"
+        total = float(phi.sum())
+        if (self.fenwick.total != total if self.weight.is_affine
+                else not math.isclose(self.fenwick.total, total, rel_tol=1e-9)):
+            raise AuditError("phi table diverged")
 
 
 def init(n: int, mu0: DiscreteMeasure, h: float, seed: int,
@@ -406,11 +411,10 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
 
     def drift_now():
         active = counts[: top + 1]
-        # convolution route for large supports on manageable grid extents;
-        # the direct route keeps the bracket cancellations bit-exact on
-        # small supports
+        # convolution route for large supports; the direct route keeps the
+        # bracket cancellations bit-exact on small supports
         m_active = int(np.count_nonzero(active))
-        if fast and m_active > 32 and top <= 4096:
+        if fast and m_active > 32:
             return grid_q_counting(active / n, h, kernel, fvec, n)
         if m_active > 300:
             raise ValueError(

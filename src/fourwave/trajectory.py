@@ -118,8 +118,11 @@ class MomentRecorder:
         )
 
 
+_MOMENTS_HEADER = "t,W,E,phi,phi2,Lambda"
+
+
 def save_moments_csv(traj: Trajectory, path) -> None:
-    lines = ["t,W,E,phi,phi2,Lambda"]
+    lines = [_MOMENTS_HEADER]
     for t, w, e, p, p2, lam in traj.moment_rows():
         lam_txt = "" if lam is None else f"{lam:.17g}"
         lines.append(f"{t:.17g},{w:.17g},{e:.17g},{p:.17g},{p2:.17g},{lam_txt}")
@@ -128,15 +131,21 @@ def save_moments_csv(traj: Trajectory, path) -> None:
 
 
 def load_moments_csv(path) -> Trajectory:
+    """Read a moment trace written by :func:`save_moments_csv`.
+
+    Raises ValueError on a foreign header or on a row that does not have
+    exactly six fields.
+    """
     rows, lams = [], []
     truncated = False
     with open(path) as fh:
-        header = fh.readline()
-        assert header.strip().startswith("t,")
-        for line in fh:
+        header = fh.readline().strip()
+        if header != _MOMENTS_HEADER:
+            raise ValueError(f"{path}: expected header {_MOMENTS_HEADER!r}, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) < 6:
-                continue
+            if len(parts) != 6:
+                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
             rows.append([float(x) for x in parts[:5]])
             if parts[5]:
                 truncated = True

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from fourwave import collision
 from fourwave.collision import (
     DOMAIN,
     TruncatedState,
     counting_correction,
+    grid_interaction_parts,
+    grid_q_counting,
     grid_q_pairing,
     l_b_pairing,
     q_counting,
@@ -273,3 +276,45 @@ class TestPowerMomentCrossCheck:
         mu = DiscreteMeasure.from_points([1.0, 5.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             q_pairing_powermoment(mu, PROD1, 2)
+
+
+class TestFftBackend:
+    """The rfft convolution backend against the exact np.convolve one."""
+
+    KERNELS = ["product:lambda=1", "sum:lambda=2", "mixed:p=1,q=0.5,r=0.25"]
+
+    @staticmethod
+    def window(m):
+        rng = np.random.default_rng(m)
+        h = 4.0 / (m - 1)
+        return rng.random(m) * np.exp(-np.arange(m) * h), h
+
+    @pytest.mark.parametrize("m", [collision._FFT_CROSSOVER - 1, collision._FFT_CROSSOVER, 4097])
+    @pytest.mark.parametrize("spec", KERNELS)
+    def test_parts_and_counting_match_np_convolve(self, monkeypatch, m, spec):
+        k = parse_kernel(spec)
+        w, h = self.window(m)
+        fvec = np.cos(np.arange(2 * m - 1) * h)
+        runs = {}
+        for backend, crossover in (("auto", collision._FFT_CROSSOVER), ("exact", 10 ** 9)):
+            monkeypatch.setattr(collision, "_FFT_CROSSOVER", crossover)
+            runs[backend] = ([grid_interaction_parts(w, h, k, bound_idx=b) for b in (m - 1, None)],
+                             grid_q_counting(w, h, k, fvec, 1000))
+        (got_parts, got_count), (ref_parts, ref_count) = runs["auto"], runs["exact"]
+        for got, ref in zip(got_parts, ref_parts):
+            for a, b in ((got.gain, ref.gain), (got.loss_rate, ref.loss_rate)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            assert abs(got.escape_rate - ref.escape_rate) <= 1e-13 * abs(ref.escape_rate)
+        assert abs(got_count - ref_count) <= 1e-13 * abs(ref_count)
+
+    def test_two_atom_gain_exactly_zero_outside_hull(self):
+        m = 2049
+        assert m >= collision._FFT_CROSSOVER
+        w = np.zeros(m)
+        w[[1000, 1200]] = [0.3, 0.7]
+        # outputs i + j - l over the two atoms span [2*1000-1200, 2*1200-1000]
+        for bound_idx in (m - 1, None):
+            parts = grid_interaction_parts(w, 2.0 ** -9, PROD1, bound_idx=bound_idx)
+            assert np.all(parts.gain[:800] == 0.0) and np.all(parts.gain[1401:] == 0.0)
+            assert parts.gain[800] > 0.0 and parts.gain[1400] > 0.0
+            assert parts.escape_rate == 0.0

@@ -183,6 +183,37 @@ class TestCsv:
         assert np.array_equal(back.idx, mu.idx)
         assert np.array_equal(back.weights, mu.weights)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                              st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)),
+                    min_size=1, max_size=20),
+           st.one_of(st.none(), st.floats(1e-9, 1e3, allow_subnormal=False)))
+    def test_round_trip_property(self, tmp_path_factory, atoms, h):
+        idx, w = (np.asarray(col) for col in zip(*atoms))
+        mu = (DiscreteMeasure.from_points(idx * 0.37, w) if h is None
+              else DiscreteMeasure.from_grid(idx, w, h))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        save_measure_csv(mu, path)
+        back = load_measure_csv(path)
+        assert back.h == mu.h
+        assert np.array_equal(back.positions, mu.positions)
+        assert np.array_equal(back.weights, mu.weights)
+        if h is not None:
+            assert np.array_equal(back.idx, mu.idx)
+
+    @pytest.mark.parametrize("text, match", [
+        ("0.5,1.0\n", "header"),
+        ("omega,mass\n0.5,1.0\n", "header"),
+        ("# h=0.5\n", "missing header"),
+        ("omega,weight\n0.5,1.0,2.0\n", "2 fields"),
+        ("# h=0.5\nomega,weight\n1.0,0.5\n1.25,0.5\n", "not on the grid"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, match):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_measure_csv(path)
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.csv"
         save_measure_csv(DiscreteMeasure.from_grid([1], [1.0], 0.5), path)

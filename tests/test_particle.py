@@ -7,6 +7,7 @@ from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, quantize
 from fourwave.particle import (
+    AuditError,
     MaxEventsError,
     ParticleState,
     ThinningError,
@@ -118,6 +119,18 @@ class TestJumpArithmetic:
         st.audit()
         phis = np.asarray(AFFINE(st.idx * st.h), dtype=float)
         assert st.fenwick.total == float(phis.sum())  # bit-exact for affine
+
+    def test_audit_raises_on_diverged_frequency_sum(self):
+        st = init(32, exp_measure(), 2.0 ** -8, seed=12)
+        st.sum_idx += 1
+        with pytest.raises(AuditError, match="frequency sum"):
+            st.audit()
+
+    def test_audit_raises_on_diverged_phi_table(self):
+        st = init(32, exp_measure(), 2.0 ** -8, seed=12)
+        st.fenwick.set(0, st.fenwick.leaf[0] + 1.0)
+        with pytest.raises(AuditError, match="phi table"):
+            st.audit()
 
 
 class TestSimulate:
@@ -252,6 +265,17 @@ class TestMartingale:
         assert len(traj.events) > 0
         _, m = extract_martingale(traj, lambda x: 1.0 + np.asarray(x), PROD1)
         assert np.all(m == 0.0)
+
+    def test_wide_grid_drift(self):
+        # over 300 occupied sites beyond index 4096: the drift can only
+        # come from the (rfft-backed) convolution route
+        h = 2.0 ** -10
+        st = init(1000, exp_measure(m=1000, h=h), h, seed=4)
+        assert st.idx.max() > 4096 and len(np.unique(st.idx)) > 300
+        traj = simulate(st, PROD1, AFFINE, 0.01, seed=1, record_events=True, precheck=False)
+        assert len(traj.events) > 0
+        _, m = extract_martingale(traj, lambda x: 1.0 + np.asarray(x), PROD1)
+        assert np.max(np.abs(m)) <= 1e-12
 
     def test_ensemble_mean_zero(self):
         st = init(20, exp_measure(), 2.0 ** -4, seed=5)

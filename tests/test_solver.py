@@ -43,6 +43,19 @@ class TestSolveTruncated:
         drift = np.max(np.abs(traj.conserved_phi - traj.conserved_phi[0]))
         assert drift <= 1e-10 * traj.conserved_phi[0]
 
+    def test_rk4_conservation_on_fft_backed_window(self):
+        # M = 4097 grid points: every right-hand side runs through rfft
+        h = 2.0 ** -10
+        rng = np.random.default_rng(5)
+        idx = np.rint(rng.exponential(1.0, size=3000) / h).astype(np.int64)
+        idx = idx[idx <= 4096]
+        mu0 = DiscreteMeasure.from_grid(idx, np.full(len(idx), 1.0 / len(idx)), h).compact()
+        cfg = SolverConfig(method="rk4", t_end=1.0 / 16, bound=4.0, h=h,
+                           sample_times=np.linspace(0.0, 1.0 / 16, 3))
+        traj = solve_truncated(mu0, 0.1, PROD1, cfg)
+        assert traj.meta["conservation_residual"] <= 1e-12 * traj.meta["conserved_start"]
+        assert np.all(np.diff(traj.overflow) >= 0.0)
+
     def test_mass_energy_constant_when_window_large(self):
         cfg = SolverConfig(method="rk4", dt=0.01, t_end=0.5, bound=8.0, h=2.0 ** -4)
         mu0 = DiscreteMeasure.from_grid([8, 16], [0.5, 0.5], 2.0 ** -4)
