@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,8 @@ from . import __version__
 from .analysis import conservation_report, mean_field_convergence
 from .kernels import KernelSpecError, parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
-from .measures import (DiscreteMeasure, load_measure_csv, moment,
-                       save_measure_csv)
+from .measures import (DiscreteMeasure, load_measure_csv, moment, quantize,
+                       save_measure_csv, tv_norm)
 from .particle import (AuditError, MaxEventsError, ThinningError, init,
                        simulate, simulate_truncated)
 from .solver import (SolverConfig, SolverError, picard, solve_limit,
@@ -63,15 +62,19 @@ def _load_manifest_config(path: str | None) -> dict:
     return data.get("config", {})
 
 
-def _merge_config(args: argparse.Namespace, manifest_cfg: dict, keys: list[str]) -> dict:
-    """Manifest supplies defaults; explicitly passed flags override."""
+def _merge_config(args: argparse.Namespace, manifest_cfg: dict, keys: list[str],
+                  defaults: dict) -> dict:
+    """Explicitly passed flags override the manifest, which overrides
+    ``defaults``; a null value counts as unset."""
     unknown = set(manifest_cfg) - set(keys)
     if unknown:
         raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
     cfg = {}
     for key in keys:
-        flag_val = getattr(args, key)
-        cfg[key] = flag_val if flag_val is not None else manifest_cfg.get(key)
+        val = getattr(args, key)
+        if val is None:
+            val = manifest_cfg.get(key)
+        cfg[key] = defaults.get(key) if val is None else val
     return cfg
 
 
@@ -91,7 +94,6 @@ def _resolve_initial(cfg_initial: str | None, h: float) -> DiscreteMeasure:
         return default_initial_measure(h)
     mu = load_measure_csv(cfg_initial)
     if not mu.is_grid or mu.h != h:
-        from .measures import quantize
         mu = quantize(mu, h)
     return mu
 
@@ -110,14 +112,11 @@ _SIM_KEYS = ["kernel", "weight", "n", "seed", "h", "t_end", "samples", "replicas
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SIM_KEYS)
     defaults = {"weight": "affine", "n": 1000, "seed": 0, "h": 2.0 ** -20,
                 "t_end": 1.0, "samples": 17, "replicas": 1, "lambda0": None,
                 "events": False, "max_events": 10_000_000, "snapshots": False,
                 "threads": 1}
-    for key, val in defaults.items():
-        if cfg.get(key) is None:
-            cfg[key] = val
+    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SIM_KEYS, defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
     if cfg["n"] < 2:
@@ -146,14 +145,9 @@ def cmd_simulate(args) -> int:
                         record_snapshots=cfg["snapshots"],
                         max_events=cfg["max_events"], precheck=precheck)
 
-    streams = list(range(cfg["replicas"]))
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            trajs = list(pool.map(run_one, streams))
-    else:
-        trajs = [run_one(s) for s in streams]
-
-    for stream, traj in zip(streams, trajs):  # aggregation order fixed by stream id
+    streams = range(cfg["replicas"])
+    for stream in streams:
+        traj = run_one(stream)
         save_moments_csv(traj, outdir / f"moments_r{stream:03d}.csv")
         if cfg["events"]:
             save_events_jsonl(traj, outdir / f"events_r{stream:03d}.jsonl")
@@ -174,12 +168,9 @@ _SOLVE_KEYS = ["kernel", "h", "bound", "dt", "method", "t_end", "samples",
 
 
 def cmd_solve(args) -> int:
-    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SOLVE_KEYS)
     defaults = {"h": 2.0 ** -6, "bound": 4.0, "method": "rk4", "t_end": 1.0,
                 "samples": 17, "lambda0": 0.0, "richardson": False}
-    for key, val in defaults.items():
-        if cfg.get(key) is None:
-            cfg[key] = val
+    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SOLVE_KEYS, defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
     kernel = parse_kernel(cfg["kernel"])
@@ -224,7 +215,6 @@ def cmd_solve(args) -> int:
         finals = []
         for dt in [dt0, dt0 / 2.0, dt0 / 4.0]:
             finals.append(run(dt, sample=ends).snapshots[-1])
-        from .measures import tv_norm
         e1 = tv_norm(finals[0] - finals[1])
         e2 = tv_norm(finals[1] - finals[2])
         table = {"schema": 1, "report": "richardson", "dt": dt0,
@@ -388,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-events", dest="max_events", type=int)
     sim.add_argument("--snapshots", action="store_const", const=True, default=None)
     sim.add_argument("--initial", help="initial measure CSV")
-    sim.add_argument("--threads", type=int)
+    sim.add_argument("--threads", type=int,
+                     help="no effect: replicas run one after another (kept for "
+                          "manifest compatibility)")
     sim.add_argument("--manifest", help="replay configuration from a manifest")
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)

@@ -183,7 +183,8 @@ def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeas
     mu = mu.compact()
     if len(mu) == 0:
         return DiscreteMeasure.zero(mu.h)
-    if method == "grid" or (method == "auto" and _grid_eligible(mu, kernel)):
+    if method == "grid" or (method == "auto"
+                            and _grid_eligible(mu, kernel, _MEASURE_TRIPLE_COST)):
         w, h = _dense_vector(mu)
         parts = grid_interaction_parts(w, h, kernel, bound_idx=None)
         dw = parts.gain
@@ -298,8 +299,19 @@ def q_pairing_powermoment(mu: DiscreteMeasure, kernel: Kernel, p: int) -> float:
 _FFT_CROSSOVER = 640
 
 
-def _grid_eligible(mu: DiscreteMeasure, kernel) -> bool:
-    return mu.is_grid and hasattr(kernel, "rank_one_terms") and len(mu) > _DIRECT_BLOCK
+# The grid route costs about _GRID_COST * M log2 M against the direct
+# route's m^3 (m atoms, grid extent M), in units of one ordered triple of
+# q_pairing: its break-even measured 0.5-1.2 (product) and 1-3.5 (sum,
+# mixed) for m = 50-120, M = 257-131073 on a 2-core x86-64 host.
+# q_measure's direct route costs _MEASURE_TRIPLE_COST times more per triple.
+_GRID_COST, _MEASURE_TRIPLE_COST = 1.5, 10.0
+
+
+def _grid_eligible(mu: DiscreteMeasure, kernel, triple_cost: float = 1.0) -> bool:
+    if not (mu.is_grid and hasattr(kernel, "rank_one_terms") and len(mu) > _DIRECT_BLOCK):
+        return False
+    extent = int(mu.idx.max()) + 1
+    return _GRID_COST * extent * math.log2(extent) < triple_cost * len(mu) ** 3
 
 
 def _dense_vector(mu: DiscreteMeasure) -> tuple[np.ndarray, float]:

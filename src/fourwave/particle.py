@@ -33,7 +33,7 @@ from .collision import grid_q_counting, q_counting
 from .fenwick import FenwickTree
 from .kernels import AFFINE, WeightFunction, check_submultiplicative
 from .measures import DiscreteMeasure
-from .trajectory import JumpEvent, MomentRecorder, Trajectory
+from .trajectory import EVENT_DTYPE, MomentRecorder, Trajectory
 
 __all__ = [
     "ParticleState",
@@ -84,6 +84,10 @@ class ParticleState:
     ``idx`` holds int64 grid indices per slot; dead slots (truncated runs
     only) are flagged in ``alive`` and carry zero table weight.  Cached
     ``sum_idx`` equals the alive integer frequency total at all times.
+    With the affine weight and a dyadic h every phi value is a multiple of
+    min(h, 1), so the Fenwick sums are exact while the phi total in those
+    units (sum(idx) + n/h for h <= 1) stays below 2^53; ``build`` refuses
+    any other configuration.
     """
 
     idx: np.ndarray
@@ -100,6 +104,13 @@ class ParticleState:
             raise ValueError("grid resolution h must be positive")
         if idx.min(initial=0) < 0:
             raise ValueError("frequencies must be nonnegative")
+        if weight.is_affine:
+            if math.frexp(h)[0] != 0.5:
+                raise ValueError(f"grid resolution h={h!r} is not a power of two: "
+                                 "affine phi sums would not be exact")
+            if (int(idx.sum()) * h + len(idx)) / min(h, 1.0) >= 2.0 ** 53:
+                raise ValueError("phi total in grid units, sum(idx) + n/h, reaches "
+                                 "2^53: affine phi sums would not be exact")
         phi = np.asarray(weight(idx * h), dtype=float)
         return ParticleState(idx.copy(), h, weight, FenwickTree(phi),
                              np.ones(len(idx), dtype=bool), int(idx.sum()))
@@ -112,19 +123,11 @@ class ParticleState:
     def phi_total(self) -> float:
         return self.fenwick.total
 
-    def positions(self) -> np.ndarray:
-        return self.idx[self.alive] * self.h
-
-    def measure(self) -> DiscreteMeasure:
-        """Empirical measure (weight 1/n per particle), compacted."""
-        live = self.idx[self.alive]
-        return DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / self.n), self.h).compact()
-
     def copy(self) -> "ParticleState":
         return ParticleState(self.idx.copy(), self.h, self.weight,
                              FenwickTree(self.fenwick.leaf), self.alive.copy(), self.sum_idx)
 
-    def apply_jump(self, i: int, j: int, l: int, time: float = 0.0) -> JumpEvent:
+    def apply_jump(self, i: int, j: int, l: int) -> None:
         """Apply the interior jump (i, j | l): slot i takes the output
         frequency, slot j the catalyst copy.  Count and sum are conserved
         exactly; the phi table is updated in place."""
@@ -134,13 +137,10 @@ class ParticleState:
         out = vi + vj - vl
         if out < 0:
             raise ValueError("inadmissible triple: w_i + w_j < w_l")
-        h = self.h
-        before = (vi * h, vj * h, vl * h)
         self.idx[i] = out
         self.idx[j] = vl
-        self.fenwick.set(i, float(self.weight(out * h)))
-        self.fenwick.set(j, float(self.weight(vl * h)))
-        return JumpEvent(time, i, j, l, before, (out * h, vl * h), "interior")
+        self.fenwick.set(i, float(self.weight(out * self.h)))
+        self.fenwick.set(j, float(self.weight(vl * self.h)))
 
     def audit(self) -> None:
         """Verify the cached sums against recomputation."""
@@ -188,15 +188,14 @@ def _check_majorant(state: ParticleState, kernel, weight: WeightFunction) -> Non
 def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
                 rng: np.random.Generator, *, bound_idx: int | None = None,
                 lam_scaled: float = 0.0, sample_times=None, record_events: bool = False,
-                record_snapshots: bool = False, max_events: int = 10_000_000,
-                audit: bool = True) -> Trajectory:
+                record_snapshots: bool = False, max_events: int = 10_000_000) -> Trajectory:
     n = state.n
     h = state.h
     kv = kernel.eval if hasattr(kernel, "eval") else kernel
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 17)
-    recorder = MomentRecorder(sample_times, snapshots=record_snapshots)
-    events: list[JumpEvent] | None = [] if record_events else None
+    recorder = MomentRecorder(sample_times, n, h, weight, snapshots=record_snapshots)
+    events: list[tuple] | None = [] if record_events else None
     initial_idx = state.idx.copy() if record_events else None
 
     fw = state.fenwick
@@ -206,16 +205,8 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
     affine = weight.is_affine
     inv2n2 = 1.0 / (2.0 * n * n)
 
-    def observe():
-        live = state.alive
-        count = int(live.sum())
-        phi_vals = np.asarray(weight(state.idx[live] * h), dtype=float)
-        return (count / n, state.sum_idx * h / n, fw.total / n,
-                float(np.sum(phi_vals * phi_vals)) / n,
-                lam_scaled / n if truncated else np.nan,
-                (fw.total + lam_scaled) / n,
-                state.sum_idx,
-                state.measure() if record_snapshots else None)
+    def read():
+        return state.idx[state.alive], fw.total, lam_scaled if truncated else None
 
     t = 0.0
     n_events = 0
@@ -257,7 +248,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         if t_ev >= t_end:
             t = t_end
             break
-        recorder.advance(t_ev, observe)
+        recorder.advance(t_ev, read)
         t = t_ev
         if kill_mask[c]:
             victim = fw.sample(float(rng.random() * s1))
@@ -266,11 +257,10 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
             state.alive[victim] = False
             state.sum_idx -= v
             fw.set(victim, 0.0)
-            ev = JumpEvent(t_ev, victim, -1, -1, (v * h,), (), "kill")
+            i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
             i, j, l = int(si[c]), int(sj[c]), int(sl[c])
             o, v3 = int(out[c]), int(vl[c])
-            before = (float(vi[c]) * h, float(vj[c]) * h, v3 * h)
             if truncated and o > bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
                 lam_scaled += float(weight(o * h))
@@ -279,26 +269,23 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
                 state.alive[j] = False
                 state.sum_idx -= int(vi[c]) + int(vj[c]) - v3
                 fw.set(j, 0.0)
-                ev = JumpEvent(t_ev, i, j, l, before, (v3 * h,), "escape")
+                w_new, branch = v3 * h, "escape"
             else:
-                state.idx[i] = o
-                state.idx[j] = v3
-                fw.set(i, float(weight(o * h)))
-                fw.set(j, float(weight(v3 * h)))
-                ev = JumpEvent(t_ev, i, j, l, before, (o * h, v3 * h), "interior")
+                state.apply_jump(i, j, l)
+                w_new, branch = o * h, "interior"
         n_events += 1
         if events is not None:
             if n_events > max_events:
                 raise MaxEventsError(f"event log exceeded the cap of {max_events} records")
-            events.append(ev)
-        if audit and n_events % _AUDIT_EVERY == 0:
+            events.append((t_ev, i, j, l, w_new, branch))
+        if n_events % _AUDIT_EVERY == 0:
             state.audit()
-        if not affine or ev.branch != "interior":
+        if not affine or branch != "interior":
             s1 = fw.total
             r_pair = s1 * s1 * s1 * inv2n2
-    recorder.finish(observe)
-    traj = recorder.build(truncated, events=events, initial_idx=initial_idx, n=n, h=h,
-                          count=None)
+    recorder.finish(read)
+    traj = recorder.build(truncated, initial_idx=initial_idx, events=None if events is None
+                          else np.array(events, dtype=EVENT_DTYPE).view(np.recarray))
     traj.meta = {"t_end": t_end, "weight": weight.spec_string(),
                  "kernel": kernel.spec_string() if hasattr(kernel, "spec_string") else "custom"}
     return traj
@@ -381,8 +368,11 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     exact because X is piecewise constant between jumps.  Returns the pair
     (times, M) evaluated at 0, both sides of every jump, and t_end.
     """
-    if traj.events is None or traj.initial_idx is None:
+    ev = traj.events
+    if ev is None or traj.initial_idx is None:
         raise ValueError("trajectory must carry a full event log")
+    if np.any(ev.branch != "interior"):
+        raise ValueError("martingale extraction is defined for the untruncated process")
     n, h = traj.n, traj.h
     idx = traj.initial_idx.copy()
     t_end = float(traj.meta["t_end"])
@@ -436,14 +426,11 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     drift = drift_now()
     integral = 0.0
     t_prev = 0.0
-    for ev in traj.events:
-        if ev.branch != "interior":
-            raise ValueError("martingale extraction is defined for the untruncated process")
-        integral += (ev.time - t_prev) * drift
+    for t_ev, i, j, l in zip(ev.time.tolist(), ev.i.tolist(), ev.j.tolist(), ev.l.tolist()):
+        integral += (t_ev - t_prev) * drift
         # left limit of M at the jump
-        times.append(ev.time)
+        times.append(t_ev)
         mvals.append(f_now - f0 - integral)
-        i, j, l = ev.i, ev.j, ev.l
         vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
         out = vi + vj - vl
         idx[i] = out
@@ -455,10 +442,10 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
         counts[vl] += 1.0
         f_scaled += (fvec[out] + fvec[vl]) - (fvec[vi] + fvec[vj])
         f_now = f_scaled / n
-        times.append(ev.time)
+        times.append(t_ev)
         mvals.append(f_now - f0 - integral)
         drift = drift_now()
-        t_prev = ev.time
+        t_prev = t_ev
     integral += (t_end - t_prev) * drift
     times.append(t_end)
     mvals.append(f_now - f0 - integral)
@@ -474,8 +461,7 @@ _DEAD, _UPPER_ONLY, _BOTH = 0, 1, 2
 
 def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, kernel,
                      weight: WeightFunction, t_end: float, *, seed: int = 0,
-                     stream: int = 0, sample_times=None,
-                     check_domination: bool = True) -> tuple[Trajectory, Trajectory]:
+                     stream: int = 0, sample_times=None) -> tuple[Trajectory, Trajectory]:
     """Both truncated processes for nested windows B in B' on one clock
     stream, so the lower process is dominated by the upper one pathwise.
 
@@ -514,26 +500,21 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     lam_lo_s = float(np.sum(phi_all[status != _BOTH]))
     lam_hi_s = float(np.sum(phi_all[status == _DEAD]))
 
-    rec_lo = MomentRecorder(sample_times, snapshots=True)
-    rec_hi = MomentRecorder(sample_times, snapshots=True)
+    rec_lo = MomentRecorder(sample_times, n, h, weight, snapshots=True)
+    rec_hi = MomentRecorder(sample_times, n, h, weight, snapshots=True)
 
-    def observe(level):
-        sel = status == _BOTH if level == 0 else status >= _UPPER_ONLY
-        lam_s = lam_lo_s if level == 0 else lam_hi_s
-        live = idx[sel]
-        phis = np.asarray(weight(live * h), dtype=float)
-        meas = DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), h).compact()
-        return (len(live) / n, float(live.sum()) * h / n, float(phis.sum()) / n,
-                float(np.sum(phis * phis)) / n, lam_s / n,
-                (float(phis.sum()) + lam_s) / n, int(live.sum()), meas)
+    def read_lo():
+        return idx[status == _BOTH], None, lam_lo_s
+
+    def read_hi():
+        return idx[status >= _UPPER_ONLY], None, lam_hi_s
 
     inv_n2 = 1.0 / (n * n)
     t = 0.0
     while t < t_end:
-        phi_vec = np.asarray(weight(idx * h), dtype=float)
-        phi_vec[status == _DEAD] = 0.0
-        phi_hi = phi_vec.copy()
-        phi_lo = np.where(status == _BOTH, phi_vec, 0.0)
+        phi_hi = np.asarray(weight(idx * h), dtype=float)
+        phi_hi[status == _DEAD] = 0.0
+        phi_lo = np.where(status == _BOTH, phi_hi, 0.0)
         s1_hi = float(phi_hi.sum())
         s1_lo = float(phi_lo.sum())
         delta = (s1_hi - s1_lo) / n
@@ -548,8 +529,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         if t_ev >= t_end:
             t = t_end
             break
-        rec_lo.advance(t_ev, lambda: observe(0))
-        rec_hi.advance(t_ev, lambda: observe(1))
+        rec_lo.advance(t_ev, read_lo)
+        rec_hi.advance(t_ev, read_hi)
         t = t_ev
         u_class = float(rng.random()) * r_total
         if u_class < r_pair:
@@ -567,15 +548,18 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
                 raise ThinningError(
                     f"acceptance probability {acc:.6g} > 1 at triple "
                     f"({vi * h:.17g}, {vj * h:.17g}, {vl * h:.17g})")
+            # unless the whole triple lives in the lower window, the lower
+            # level loses its pair members to the overflow: on the
+            # interaction clock and on its complement (null for the upper
+            # window) alike
+            all_in_lo = status[i] == _BOTH and status[j] == _BOTH and status[l] == _BOTH
+            if not all_in_lo:
+                for s in (i, j):
+                    if status[s] == _BOTH:
+                        lam_lo_s += phi_of(int(idx[s]))
+                        status[s] = _UPPER_ONLY
             if float(rng.random()) < acc:
                 # interaction clock fires for the upper window
-                pair_in_lo = status[i] == _BOTH and status[j] == _BOTH
-                all_in_lo = pair_in_lo and status[l] == _BOTH
-                if not all_in_lo:
-                    # lower level loses its pair members to the overflow
-                    for s in (i, j):
-                        if status[s] == _BOTH:
-                            lam_lo_s += phi_of(int(idx[s]))
                 new_status = _BOTH if all_in_lo else _UPPER_ONLY
                 # catalyst copy replaces slot j
                 idx[j] = vl
@@ -594,15 +578,6 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
                     if all_in_lo:
                         lam_lo_s += phi_of(out)
                     status[i] = _DEAD
-            else:
-                # complement clock: null for the upper window, truncation
-                # kill of the lower window's pair members unless the whole
-                # triple lives inside it
-                if not (status[i] == _BOTH and status[j] == _BOTH and status[l] == _BOTH):
-                    for s in (i, j):
-                        if status[s] == _BOTH:
-                            lam_lo_s += phi_of(int(idx[s]))
-                            status[s] = _UPPER_ONLY
         elif u_class < r_pair + r_kill_hi:
             cum = np.cumsum(phi_hi)
             victim = int(np.searchsorted(cum, float(rng.random()) * s1_hi, side="right"))
@@ -617,12 +592,11 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             victim = int(np.searchsorted(cum, float(rng.random()) * cum[-1], side="right"))
             lam_lo_s += phi_of(int(idx[victim]))
             status[victim] = _UPPER_ONLY
-        if check_domination:
-            _assert_dominated(idx, status)
-    rec_lo.finish(lambda: observe(0))
-    rec_hi.finish(lambda: observe(1))
-    traj_lo = rec_lo.build(True, n=n, h=h)
-    traj_hi = rec_hi.build(True, n=n, h=h)
+        _assert_dominated(idx, status)
+    rec_lo.finish(read_lo)
+    rec_hi.finish(read_hi)
+    traj_lo = rec_lo.build(True)
+    traj_hi = rec_hi.build(True)
     for tr, b in ((traj_lo, bound_lo), (traj_hi, bound_hi)):
         tr.meta = {"t_end": t_end, "bound": b, "weight": weight.spec_string()}
     return traj_lo, traj_hi
@@ -655,14 +629,10 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     n, h = work.n, work.h
     kv = kernel.eval if hasattr(kernel, "eval") else kernel
     rng = make_rng(seed, stream)
-    recorder = MomentRecorder(sample_times, snapshots=record_snapshots)
+    recorder = MomentRecorder(sample_times, n, h, weight, snapshots=record_snapshots)
 
-    def observe():
-        phis = np.asarray(weight(work.idx * h), dtype=float)
-        return (1.0, work.sum_idx * h / n, float(phis.sum()) / n,
-                float(np.sum(phis * phis)) / n, np.nan, float(phis.sum()) / n,
-                work.sum_idx,
-                work.measure() if record_snapshots else None)
+    def read():
+        return work.idx, None, None
 
     iu, ju = np.triu_indices(n, k=1)
     t = 0.0
@@ -678,12 +648,12 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
         t_ev = t - math.log1p(-float(rng.random())) / total
         if t_ev >= t_end:
             break
-        recorder.advance(t_ev, observe)
+        recorder.advance(t_ev, read)
         t = t_ev
         pick = int(np.searchsorted(np.cumsum(flat), float(rng.random()) * total, side="right"))
         pair, l = divmod(pick, n)
-        work.apply_jump(int(iu[pair]), int(ju[pair]), int(l), t_ev)
-    recorder.finish(observe)
-    traj = recorder.build(False, n=n, h=h)
+        work.apply_jump(int(iu[pair]), int(ju[pair]), int(l))
+    recorder.finish(read)
+    traj = recorder.build(False)
     traj.meta = {"t_end": t_end}
     return traj

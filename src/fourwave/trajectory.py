@@ -2,9 +2,13 @@
 deterministic solver, plus their on-disk formats.
 
 Moment traces are CSV with header ``t,W,E,phi,phi2,Lambda`` (Lambda column
-empty for untruncated runs).  Particle event logs are JSONL, one record per
-accepted jump.  All floats are written with 17 significant digits so files
-round-trip exactly.
+empty for untruncated runs).  A particle run's accepted jumps are held in
+memory as columns: a numpy record array with fields ``time``, ``i``, ``j``,
+``l``, ``w_new`` and ``branch`` ("interior", "escape" or "kill"; kill rows
+carry ``j = l = -1`` and ``w_new = nan``).  On disk the event log is JSONL,
+one record ``{"t", "i", "j", "l", "w_new"}`` per accepted jump, ``w_new``
+null for kills.  CSV floats carry 17 significant digits and JSONL floats
+Python's shortest round-trip repr, so files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -16,32 +20,13 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
-__all__ = ["JumpEvent", "Trajectory", "MomentRecorder",
+__all__ = ["EVENT_DTYPE", "Trajectory", "MomentRecorder",
            "save_moments_csv", "load_moments_csv", "save_events_jsonl"]
 
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One accepted jump: the interacting pair (i, j) and catalyst l.
-
-    ``branch`` is "interior" (output stays in the window), "escape"
-    (output credited to the overflow) or "kill" (single particle removed
-    by a truncation clock).  ``before`` holds the three input frequencies,
-    ``after`` the surviving outputs.
-    """
-
-    time: float
-    i: int
-    j: int
-    l: int
-    before: tuple
-    after: tuple
-    branch: str = "interior"
-
-    def json_record(self) -> str:
-        w_new = self.after[0] if self.after else None
-        return json.dumps({"t": self.time, "i": self.i, "j": self.j,
-                           "l": self.l, "w_new": w_new})
+# one row per accepted jump; w_new is the surviving output frequency (the
+# catalyst copy for an escape), nan for a kill
+EVENT_DTYPE = np.dtype([("time", "f8"), ("i", "i8"), ("j", "i8"), ("l", "i8"),
+                        ("w_new", "f8"), ("branch", "U8")])
 
 
 @dataclass
@@ -56,9 +41,8 @@ class Trajectory:
     overflow: np.ndarray | None          # None for untruncated runs
     conserved_phi: np.ndarray | None = None  # <phi, X> + Lambda, single rounding
     energy_idx: np.ndarray | None = None  # exact integer energy (grid particle runs)
-    count: np.ndarray | None = None
     snapshots: list[DiscreteMeasure] | None = None
-    events: list[JumpEvent] | None = None
+    events: np.recarray | None = None     # EVENT_DTYPE columns
     initial_idx: np.ndarray | None = None  # slot values for event replay
     n: int | None = None
     h: float | None = None
@@ -68,41 +52,50 @@ class Trajectory:
     def truncated(self) -> bool:
         return self.overflow is not None
 
-    def moment_rows(self):
-        lam = self.overflow if self.truncated else [None] * len(self.sample_times)
-        return zip(self.sample_times, self.W, self.E, self.phi, self.phi2, lam)
-
 
 class MomentRecorder:
     """Collects moment rows (and optional snapshots) at fixed sample times
-    from a piecewise-constant evolution."""
+    from a piecewise-constant evolution of n unit-weight particles on the
+    h-grid.
 
-    def __init__(self, sample_times, snapshots: bool = False):
+    The state is supplied by ``read()``, which returns the live grid
+    indices, the phi total (None: sum it over the live particles) and the
+    scaled overflow n * Lambda (None for an untruncated run).
+    """
+
+    def __init__(self, sample_times, n: int, h: float, weight, snapshots: bool = False):
         self.times = np.asarray(sample_times, dtype=float)
+        self.n, self.h, self.weight = n, h, weight
         self._ptr = 0
-        self._rows = []
-        self._idx_rows = []
+        self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)
+        self._idx_rows = []  # exact integer energy
         self._snaps = [] if snapshots else None
-        # observe() rows: (W, E, phi, phi2, lam, conserved, energy_idx, snapshot)
 
-    def advance(self, t_next: float, observe) -> None:
+    def advance(self, t_next: float, read) -> None:
         """Record every sample time strictly before ``t_next`` using the
-        current (pre-event) state supplied by ``observe()``."""
+        current (pre-event) state supplied by ``read()``."""
         while self._ptr < len(self.times) and self.times[self._ptr] < t_next:
-            self._record(observe)
+            self._record(read)
             self._ptr += 1
 
-    def finish(self, observe) -> None:
-        while self._ptr < len(self.times):
-            self._record(observe)
-            self._ptr += 1
+    def finish(self, read) -> None:
+        self.advance(np.inf, read)
 
-    def _record(self, observe) -> None:
-        row = observe()
-        self._rows.append(row[:6])
-        self._idx_rows.append(row[6])
+    def _record(self, read) -> None:
+        live, phi_total, lam_scaled = read()
+        n, h = self.n, self.h
+        phis = np.asarray(self.weight(live * h), dtype=float)
+        if phi_total is None:
+            phi_total = float(phis.sum())
+        energy = int(live.sum())
+        self._rows.append((len(live) / n, energy * h / n, phi_total / n,
+                           float(np.sum(phis * phis)) / n,
+                           np.nan if lam_scaled is None else lam_scaled / n,
+                           (phi_total + (lam_scaled or 0.0)) / n))
+        self._idx_rows.append(energy)
         if self._snaps is not None:
-            self._snaps.append(row[7])
+            self._snaps.append(
+                DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), h).compact())
 
     def build(self, truncated: bool, **kw) -> Trajectory:
         arr = np.asarray(self._rows, dtype=float).reshape(-1, 6)
@@ -113,7 +106,7 @@ class MomentRecorder:
             overflow=arr[:, 4].copy() if truncated else None,
             conserved_phi=arr[:, 5].copy(),
             energy_idx=idx if idx.dtype != object else None,
-            snapshots=self._snaps,
+            snapshots=self._snaps, n=self.n, h=self.h,
             **kw,
         )
 
@@ -122,8 +115,9 @@ _MOMENTS_HEADER = "t,W,E,phi,phi2,Lambda"
 
 
 def save_moments_csv(traj: Trajectory, path) -> None:
+    lams = traj.overflow if traj.truncated else [None] * len(traj.sample_times)
     lines = [_MOMENTS_HEADER]
-    for t, w, e, p, p2, lam in traj.moment_rows():
+    for t, w, e, p, p2, lam in zip(traj.sample_times, traj.W, traj.E, traj.phi, traj.phi2, lams):
         lam_txt = "" if lam is None else f"{lam:.17g}"
         lines.append(f"{t:.17g},{w:.17g},{e:.17g},{p:.17g},{p2:.17g},{lam_txt}")
     with open(path, "w") as fh:
@@ -159,8 +153,12 @@ def load_moments_csv(path) -> Trajectory:
 
 
 def save_events_jsonl(traj: Trajectory, path) -> None:
-    if traj.events is None:
+    ev = traj.events
+    if ev is None:
         raise ValueError("trajectory carries no event log")
+    kill = (ev.branch == "kill").tolist()
     with open(path, "w") as fh:
-        for ev in traj.events:
-            fh.write(ev.json_record() + "\n")
+        for t, i, j, l, w, k in zip(ev.time.tolist(), ev.i.tolist(), ev.j.tolist(),
+                                    ev.l.tolist(), ev.w_new.tolist(), kill):
+            fh.write(json.dumps({"t": t, "i": i, "j": j, "l": l,
+                                 "w_new": None if k else w}) + "\n")

@@ -245,6 +245,20 @@ class TestGridRoute:
             fast = q_pairing(mu, k, f, method="grid")
             assert fast == pytest.approx(direct, rel=1e-11, abs=1e-12)
 
+    def test_auto_route_judges_cost_by_extent(self):
+        # 60 atoms spread over grid extent 65537: the m^3 direct sum is
+        # cheaper than convolutions over M, so auto must take it
+        rng = np.random.default_rng(5)
+        f = lambda x: np.cos(0.7 * np.asarray(x))
+        idx = np.append(np.sort(rng.choice(np.arange(1, 65536), size=59, replace=False)), 65536)
+        sparse = DiscreteMeasure.from_grid(idx, rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
+        assert q_pairing(sparse, PROD1, f) == q_pairing(sparse, PROD1, f, method="direct")
+        # q_measure's direct route costs ~10x more per triple: grid there
+        auto, grid = q_measure(sparse, PROD1), q_measure(sparse, PROD1, method="grid")
+        assert np.array_equal(auto.idx, grid.idx) and np.array_equal(auto.weights, grid.weights)
+        dense = DiscreteMeasure.from_grid(np.arange(60), rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
+        assert q_pairing(dense, PROD1, f) == q_pairing(dense, PROD1, f, method="grid")
+
     def test_q_measure_grid_matches_direct(self):
         mu = random_measure(30, grid_h=0.25)
         a = q_measure(mu, PROD1, method="direct")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fourwave.cli import main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, quantize
@@ -83,15 +84,32 @@ class TestInit:
             init(4, DiscreteMeasure.delta(1.0), -0.5, seed=0)
 
 
+class TestExactnessPreconditions:
+    def test_non_dyadic_h_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="power of two"):
+            ParticleState.build([1, 2, 3], 0.1, AFFINE)
+        ParticleState.build([1, 2, 3], 0.1, parse_weight("fractional:gamma=0.5"))
+        # the CLI reports it as a configuration error
+        assert main(["simulate", "--kernel", "product:lambda=1", "--n", "8", "--h", "0.1",
+                     "--t-end", "0.01", "--out", str(tmp_path)]) == 2
+
+    def test_phi_total_beyond_mantissa_rejected(self):
+        # n/h = 8192 * 2^41 = 2^54 h-units: Fenwick sums would round
+        with pytest.raises(ValueError, match="2\\^53"):
+            ParticleState.build(np.ones(8192, dtype=np.int64), 2.0 ** -41, AFFINE)
+        with pytest.raises(ValueError, match="2\\^53"):
+            ParticleState.build([2 ** 52, 2 ** 52], 1.0, AFFINE)
+        ParticleState.build(np.ones(8192, dtype=np.int64), 2.0 ** -39, AFFINE)  # 2^52 + 8192
+
+
 class TestJumpArithmetic:
     def test_forced_event(self):
         st = ParticleState.build([3, 2, 4], 1.0, AFFINE)
         before_sum = st.sum_idx
-        ev = st.apply_jump(0, 1, 2)
-        assert sorted(st.idx.tolist()) == [1, 4, 4]
+        st.apply_jump(0, 1, 2)
+        # slot i takes the output 3 + 2 - 4, slot j the catalyst copy
+        assert st.idx.tolist() == [1, 4, 4]
         assert st.sum_idx == before_sum == int(st.idx.sum())
-        assert ev.before == (3.0, 2.0, 4.0)
-        assert ev.after == (1.0, 4.0)
 
     def test_catalyst_coincides_with_pair_is_noop(self):
         st = ParticleState.build([3, 2, 4], 1.0, AFFINE)
@@ -313,8 +331,12 @@ class TestZeroFrequencyAtoms:
         st = ParticleState.build([0, 0, 8, 16, 24, 32], 2.0 ** -3, w)
         traj = simulate(st, PROD1, w, 2.0, seed=5, record_events=True,
                         record_snapshots=True)
-        for ev in traj.events:
-            assert 0.0 not in ev.before
+        idx = traj.initial_idx.copy()
+        ev = traj.events
+        for i, j, l in zip(ev.i.tolist(), ev.j.tolist(), ev.l.tolist()):
+            vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
+            assert 0 not in (vi, vj, vl)
+            idx[i], idx[j] = vi + vj - vl, vl
         zero_mass = [float(s.weights[s.idx == 0].sum()) for s in traj.snapshots]
         assert all(m == zero_mass[0] for m in zero_mass)
         assert st.fenwick.leaf[0] == 0.0 and st.fenwick.leaf[1] == 0.0
