@@ -28,8 +28,9 @@ from .kernels import KernelSpecError, parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
 from .measures import (DiscreteMeasure, load_measure_csv, moment, quantize,
                        save_measure_csv, tv_norm)
-from .particle import (AuditError, MaxEventsError, ThinningError, init,
-                       simulate, simulate_truncated)
+from .particle import (EXP_START_CUTOFF, EXP_START_MEAN, AuditError,
+                       MaxEventsError, ThinningError, init, simulate,
+                       simulate_truncated)
 from .solver import (SolverConfig, SolverError, picard, solve_limit,
                      solve_truncated)
 from .trajectory import (Trajectory, load_moments_csv, save_events_jsonl,
@@ -78,9 +79,13 @@ def _merge_config(args: argparse.Namespace, manifest_cfg: dict, keys: list[str],
     return cfg
 
 
-def default_initial_measure(h: float, mean: float = 1.0,
-                            cutoff: float = 40.0) -> DiscreteMeasure:
-    """Exponential(mean) frequency distribution discretised on the h-grid."""
+def default_initial_measure(h: float, mean: float = EXP_START_MEAN,
+                            cutoff: float = EXP_START_CUTOFF) -> DiscreteMeasure:
+    """Exponential(mean) frequency distribution discretised on the h-grid.
+
+    Materialises cutoff/h atoms; ``simulate`` draws its default start from
+    the same law without it (``particle.init`` with ``mu0=None``).
+    """
     kmax = int(np.ceil(cutoff / h))
     k = np.arange(kmax + 1)
     w = np.exp(-k * h / mean)
@@ -126,7 +131,7 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out) if args.out else _output_root() / f"sim-seed{cfg['seed']}"
     outdir.mkdir(parents=True, exist_ok=True)
 
-    mu0 = _resolve_initial(cfg["initial"], cfg["h"])
+    mu0 = None if cfg["initial"] is None else _resolve_initial(cfg["initial"], cfg["h"])
     state = init(cfg["n"], mu0, cfg["h"], cfg["seed"], weight)
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
@@ -287,8 +292,8 @@ def cmd_validate(args) -> int:
     kernel = parse_kernel(args.kernel)
     weight = parse_weight(args.weight)
     rng = np.random.default_rng(20270101)
-    samples = [tuple(t) for t in rng.uniform(0.0, 100.0, size=(10_000, 3))]
-    scales = list(rng.uniform(1e-2, 1e2, size=16))
+    samples = rng.uniform(0.0, 100.0, size=(10_000, 3))
+    scales = rng.uniform(1e-2, 1e2, size=16)
     reports = [
         check_symmetry(kernel, samples),
         check_homogeneity(kernel, samples[:500], scales),

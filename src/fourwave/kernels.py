@@ -22,7 +22,6 @@ a sampling-based checker returning a small report with the worst witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -175,41 +174,63 @@ def _as_eval(kernel) -> Callable:
     return kernel.eval if hasattr(kernel, "eval") else kernel
 
 
+def _columns(samples) -> np.ndarray:
+    """The samples as a (3, N) float array: one row per argument."""
+    if len(samples) == 0:
+        raise ValueError("samples must be nonempty")
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("samples must be triples")
+    return arr.T
+
+
+def _evaluate(fn, shape, *args) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+
+
+def _worst(res: np.ndarray) -> tuple[float, int | None]:
+    """Largest positive residual and its flat index, the first one in C
+    order on ties; NaN residuals never win, and (0.0, None) when none is
+    positive."""
+    res = np.where(np.isnan(res), -np.inf, res)
+    k = int(np.argmax(res))
+    return (float(res.flat[k]), k) if res.flat[k] > 0.0 else (0.0, None)
+
+
 def check_symmetry(kernel, samples: Sequence[tuple]) -> CheckReport:
     """Check K(a,b,c) == K(b,a,c) on the given triples.
 
     Passes iff the residual is below 1e-12 relative to 1 + |K(a,b,c)| on
-    every sample.  ``kernel`` may be a :class:`Kernel` or a bare callable.
+    every sample.  ``kernel`` may be a :class:`Kernel` or a bare callable
+    that broadcasts over numpy arrays.
     """
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
+    a, b, c = _columns(samples)
     kv = _as_eval(kernel)
-    worst, witness = 0.0, None
-    for a, b, c in samples:
-        ref = kv(a, b, c)
-        res = abs(ref - kv(b, a, c)) / (1.0 + abs(ref))
-        if res > worst:
-            worst, witness = res, (a, b, c)
+    ref = _evaluate(kv, a.shape, a, b, c)
+    res = np.abs(ref - _evaluate(kv, a.shape, b, a, c)) / (1.0 + np.abs(ref))
+    worst, k = _worst(res)
+    witness = None if k is None else tuple(samples[k])
     return CheckReport("symmetry", worst <= 1e-12, worst, witness)
 
 
 def check_homogeneity(kernel, samples: Sequence[tuple], scales: Sequence[float],
                       degree: float | None = None) -> CheckReport:
     """Check K(s*w) == s**degree * K(w) for every sample/scale pair."""
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
+    a, b, c = _columns(samples)
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be strictly positive")
     kv = _as_eval(kernel)
     deg = kernel.degree if degree is None else degree
-    worst, witness = 0.0, None
-    for a, b, c in samples:
-        base = kv(a, b, c)
-        for s in scales:
-            scaled = s ** deg
-            res = abs(kv(s * a, s * b, s * c) - scaled * base) / (scaled * (1.0 + base))
-            if res > worst:
-                worst, witness = res, (a, b, c, s)
+    s = np.asarray(scales, dtype=float)
+    # s**deg per scale as a scalar power: numpy's array power may round
+    # differently, and the residual is a cancellation at rounding level
+    scaled = np.array([sc ** deg for sc in scales], dtype=float)
+    # (N, S): sample-major, the order of a loop over samples then scales
+    base = _evaluate(kv, a.shape, a, b, c)[:, None]
+    moved = _evaluate(kv, (len(a), len(s)), a[:, None] * s, b[:, None] * s, c[:, None] * s)
+    res = np.abs(moved - scaled * base) / (scaled * (1.0 + base))
+    worst, k = _worst(res)
+    witness = None if k is None else (*samples[k // len(s)], scales[k % len(s)])
     return CheckReport("homogeneity", worst <= 1e-10, worst, witness)
 
 
@@ -218,21 +239,19 @@ def check_submultiplicative(kernel, weight: WeightFunction,
     """Check K(w1,w2,w3) <= phi(w1)*phi(w2)*phi(w3) on the samples.
 
     The report's residual is the worst ratio K / (phi*phi*phi); a ratio up
-    to 1 + 1e-12 is accepted so that exactly-tight kernels pass.
+    to 1 + 1e-12 is accepted so that exactly-tight kernels pass.  A zero
+    bound gives the ratio 0 where K is 0 and inf elsewhere.
     """
-    if len(samples) == 0:
-        raise ValueError("samples must be nonempty")
+    a, b, c = _columns(samples)
     kv = _as_eval(kernel)
-    worst, witness = 0.0, None
-    for a, b, c in samples:
-        bound = float(weight(a)) * float(weight(b)) * float(weight(c))
-        val = float(kv(a, b, c))
-        if bound == 0.0:
-            ratio = 0.0 if val == 0.0 else math.inf
-        else:
-            ratio = val / bound
-        if ratio > worst:
-            worst, witness = ratio, (a, b, c)
+    bound = (_evaluate(weight, a.shape, a) * _evaluate(weight, a.shape, b)
+             * _evaluate(weight, a.shape, c))
+    val = _evaluate(kv, a.shape, a, b, c)
+    zero = bound == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(zero, np.where(val == 0.0, 0.0, np.inf), val / np.where(zero, 1.0, bound))
+    worst, k = _worst(ratio)
+    witness = None if k is None else tuple(samples[k])
     return CheckReport("sub-multiplicative", worst <= 1.0 + 1e-12, worst, witness)
 
 

@@ -155,13 +155,37 @@ class ParticleState:
             raise AuditError("phi table diverged")
 
 
-def init(n: int, mu0: DiscreteMeasure, h: float, seed: int,
+# default initial law: Exp(EXP_START_MEAN) on the h-grid, cut at EXP_START_CUTOFF
+EXP_START_MEAN = 1.0
+EXP_START_CUTOFF = 40.0
+
+
+def _exp_start_idx(u: np.ndarray, h: float) -> np.ndarray:
+    """Grid indices k with P(k) proportional to q**k, q = exp(-h/mean), for
+    k <= kmax = ceil(cutoff/h): the exact inverse CDF of that law, applied
+    to the uniforms ``u`` in O(len(u)) time and memory."""
+    if EXP_START_CUTOFF / h >= 2.0 ** 62:
+        raise ValueError(f"grid resolution h={h!r} is too fine: grid indices would overflow int64")
+    kmax = math.ceil(EXP_START_CUTOFF / h)
+    z = -math.expm1(-(kmax + 1) * h / EXP_START_MEAN)
+    k = np.floor(-EXP_START_MEAN * np.log1p(-u * z) / h)
+    return np.minimum(k, kmax).astype(np.int64)
+
+
+def init(n: int, mu0: DiscreteMeasure | None, h: float, seed: int,
          weight: WeightFunction = AFFINE) -> ParticleState:
-    """n i.i.d. samples from mu0 (normalised), quantised to the h-grid."""
+    """n i.i.d. samples from mu0 (normalised), quantised to the h-grid.
+
+    ``mu0=None`` selects the default law, Exp(1) on the h-grid up to a
+    cutoff of 40 (the atoms of ``cli.default_initial_measure``), drawn by
+    its closed-form inverse CDF without building the measure.
+    """
     if n < 2:
         raise ValueError("n >= 2 required")
     if h <= 0:
         raise ValueError("grid resolution h must be positive")
+    if mu0 is None:
+        return ParticleState.build(_exp_start_idx(make_rng(seed).random(n), h), h, weight)
     mu0 = mu0.compact()
     if len(mu0) == 0 or np.any(mu0.weights < 0):
         raise ValueError("initial measure must be nonnegative and nonzero")
@@ -173,12 +197,19 @@ def init(n: int, mu0: DiscreteMeasure, h: float, seed: int,
     return ParticleState.build(idx, h, weight)
 
 
+def _require_state_weight(state: ParticleState, weight: WeightFunction) -> None:
+    """The run's weight must be the one the state's phi table was built with."""
+    if weight != state.weight:
+        raise ValueError(f"weight {weight.spec_string()} differs from the weight "
+                         f"{state.weight.spec_string()} the particle state was built with")
+
+
 def _check_majorant(state: ParticleState, kernel, weight: WeightFunction) -> None:
     """Domination precheck on the reachable support envelope [0, E_tot]."""
     top = max(state.sum_idx * state.h, state.h)
     mesh = np.linspace(0.0, top, 12)
-    triples = [(a, b, c) for a in mesh for b in mesh for c in mesh if a + b >= c]
-    rep = check_submultiplicative(kernel, weight, triples)
+    grid = np.stack(np.meshgrid(mesh, mesh, mesh, indexing="ij"), axis=-1).reshape(-1, 3)
+    rep = check_submultiplicative(kernel, weight, grid[grid[:, 0] + grid[:, 1] >= grid[:, 2]])
     if not rep.passed:
         raise ThinningError(
             f"kernel is not dominated by the interaction weight on the reachable "
@@ -299,8 +330,11 @@ def simulate(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
 
     Exact in law; (seed, stream) fully determines the trajectory.  Raises
     :class:`ThinningError` if the kernel is not dominated by the weight on
-    the reachable support (checked up front on a mesh and per candidate).
+    the reachable support (checked up front on a mesh and per candidate),
+    and ``ValueError`` if ``weight`` is not the state's weight (as in every
+    driver here).
     """
+    _require_state_weight(state, weight)
     if precheck:
         _check_majorant(state, kernel, weight)
     work = state.copy()
@@ -334,6 +368,7 @@ def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, k
     selects the canonical cover exactly.  The affine weight is required;
     the overflow bookkeeping relies on phi-conservation.
     """
+    _require_state_weight(state, weight)
     if not weight.is_affine:
         raise ValueError("the truncated construction requires the affine weight")
     canonical_scaled = _outside_phi_scaled(state, bound)
@@ -474,6 +509,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     phi * (Lambda^2 + 2 Lambda <phi, X>) of each level.  Overflow starts
     are canonical, so <phi, X> + Lambda agree between levels at all times.
     """
+    _require_state_weight(state, weight)
     if not weight.is_affine:
         raise ValueError("the truncated construction requires the affine weight")
     if bound_lo > bound_hi:
@@ -623,6 +659,7 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     O(n^3) work per event; intended as the law-level oracle for the
     thinning engine at small n.
     """
+    _require_state_weight(state, weight)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 17)
     work = state.copy()

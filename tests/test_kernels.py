@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,121 @@ class TestChecks:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             check_symmetry(parse_kernel("const:c=1"), [])
+
+
+# scalar reference loops: the checkers' definition, one sample at a time
+def loop_symmetry(kv, samples):
+    worst, witness = 0.0, None
+    for a, b, c in samples:
+        ref = kv(a, b, c)
+        res = abs(ref - kv(b, a, c)) / (1.0 + abs(ref))
+        if res > worst:
+            worst, witness = res, (a, b, c)
+    return worst <= 1e-12, worst, witness
+
+
+def loop_homogeneity(kv, deg, samples, scales):
+    worst, witness = 0.0, None
+    for a, b, c in samples:
+        base = kv(a, b, c)
+        for s in scales:
+            scaled = s ** deg
+            res = abs(kv(s * a, s * b, s * c) - scaled * base) / (scaled * (1.0 + base))
+            if res > worst:
+                worst, witness = res, (a, b, c, s)
+    return worst <= 1e-10, worst, witness
+
+
+def loop_submultiplicative(kv, weight, samples):
+    worst, witness = 0.0, None
+    for a, b, c in samples:
+        bound = float(weight(a)) * float(weight(b)) * float(weight(c))
+        val = float(kv(a, b, c))
+        if bound == 0.0:
+            ratio = 0.0 if val == 0.0 else math.inf
+        else:
+            ratio = val / bound
+        if ratio > worst:
+            worst, witness = ratio, (a, b, c)
+    return worst <= 1.0 + 1e-12, worst, witness
+
+
+class TestCheckersAgainstLoop:
+    SPECS = ["product:lambda=1", "product:lambda=1.7", "sum:lambda=2", "sum:lambda=0.3",
+             "mixed:p=1.5,q=0.5,r=1", "const:c=5"]
+    FRAC = parse_weight("fractional:gamma=0.5")
+
+    @staticmethod
+    def agree(rep, ref):
+        passed, worst, witness = ref
+        assert rep.passed == passed
+        assert rep.witness == witness
+        assert rep.worst_residual == worst or abs(rep.worst_residual - worst) <= 1e-15 * abs(worst)
+
+    def test_random_triples(self):
+        samples = random_triples(2000)
+        scales = list(RNG.uniform(1e-2, 1e2, size=12))
+        for spec in self.SPECS:
+            k = parse_kernel(spec)
+            self.agree(check_symmetry(k, samples), loop_symmetry(k.eval, samples))
+            self.agree(check_homogeneity(k, samples[:300], scales),
+                       loop_homogeneity(k.eval, k.degree, samples[:300], scales))
+            for w in (AFFINE, self.FRAC):
+                self.agree(check_submultiplicative(k, w, samples),
+                           loop_submultiplicative(k.eval, w, samples))
+
+    def test_zero_bounds(self):
+        # the fractional weight vanishes at 0: a zero bound gives ratio 0
+        # where K is 0 (product) and inf where it is not (const, sum)
+        samples = [tuple(t) for t in RNG.integers(0, 3, size=(200, 3)).astype(float)]
+        for spec in ["product:lambda=1", "const:c=1", "sum:lambda=2"]:
+            k = parse_kernel(spec)
+            rep = check_submultiplicative(k, self.FRAC, samples)
+            self.agree(rep, loop_submultiplicative(k.eval, self.FRAC, samples))
+        assert check_submultiplicative(parse_kernel("const:c=1"), self.FRAC,
+                                       samples).worst_residual == math.inf
+
+    def test_unsymmetrized_raw_callable(self):
+        def raw(w1, w2, w3):
+            return np.asarray(w1, dtype=float) ** 2 * np.asarray(w3, dtype=float)
+
+        samples = random_triples(1000)
+        scales = [0.5, 3.0, 40.0]
+        self.agree(check_symmetry(raw, samples), loop_symmetry(raw, samples))
+        self.agree(check_homogeneity(raw, samples, scales, degree=3.0),
+                   loop_homogeneity(raw, 3.0, samples, scales))
+        self.agree(check_homogeneity(raw, samples, scales, degree=2.5),
+                   loop_homogeneity(raw, 2.5, samples, scales))
+        self.agree(check_submultiplicative(raw, AFFINE, samples),
+                   loop_submultiplicative(raw, AFFINE, samples))
+
+    def test_nan_residuals_never_win(self):
+        def partly_nan(w1, w2, w3):
+            w1 = np.asarray(w1, dtype=float)
+            return np.where(w1 > 50.0, np.nan, w1 * np.asarray(w2, dtype=float))
+
+        samples = random_triples(500)
+        for rep, ref in [(check_symmetry(partly_nan, samples), loop_symmetry(partly_nan, samples)),
+                         (check_submultiplicative(partly_nan, AFFINE, samples),
+                          loop_submultiplicative(partly_nan, AFFINE, samples))]:
+            self.agree(rep, ref)
+            assert not math.isnan(rep.worst_residual)
+        all_nan = [(60.0, 1.0, 1.0), (70.0, 2.0, 1.0)]
+        rep = check_submultiplicative(partly_nan, AFFINE, all_nan)
+        assert rep.passed and rep.worst_residual == 0.0 and rep.witness is None
+
+    def test_first_maximum_is_the_witness(self):
+        # equal residuals: the earliest sample wins, as in the loop
+        samples = [(1.0, 1.0, 1.0), (4.0, 9.0, 16.0), (4.0, 9.0, 16.0), (2.0, 2.0, 2.0)]
+        rep = check_submultiplicative(parse_kernel("const:c=1"), AFFINE, samples)
+        assert rep.witness == (1.0, 1.0, 1.0)
+        raw = lambda w1, w2, w3: np.asarray(w1, dtype=float)
+        rep = check_symmetry(raw, [(1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (1.0, 2.0, 0.0)])
+        assert rep.witness == (1.0, 2.0, 0.0)
+
+    def test_malformed_samples_rejected(self):
+        with pytest.raises(ValueError, match="triples"):
+            check_symmetry(parse_kernel("const:c=1"), [(1.0, 2.0)])
 
 
 class TestWeights:

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fourwave.cli import main
+from fourwave.cli import default_initial_measure, main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, quantize
@@ -82,6 +83,60 @@ class TestInit:
             init(1, DiscreteMeasure.delta(1.0), 0.5, seed=0)
         with pytest.raises(ValueError):
             init(4, DiscreteMeasure.delta(1.0), -0.5, seed=0)
+
+
+class TestDefaultStart:
+    @pytest.mark.parametrize("h", [2.0 ** -3, 2.0 ** -6, 2.0 ** -10, 2.0 ** -14])
+    def test_closed_form_matches_table_lookup(self, h):
+        mu = default_initial_measure(h)
+        for seed in (0, 1, 7, 1234):
+            for n in (1000, 4000):
+                assert np.array_equal(init(n, None, h, seed).idx, init(n, mu, h, seed).idx)
+
+    def test_nonpositive_h_rejected(self):
+        for h in (0.0, -0.5):
+            with pytest.raises(ValueError, match="positive"):
+                init(1000, None, h, seed=0)
+        # beyond int64 grid indices, or cutoff/h = inf: refused, not wrapped
+        for h in (2.0 ** -60, 1e-320):
+            with pytest.raises(ValueError, match="too fine"):
+                init(1000, None, h, seed=0)
+
+    def test_default_h_run_in_bounded_memory(self, tmp_path):
+        # at h = 2^-20 the Exp(1) law has 41.9M atoms; the start draws n
+        # particles without building them
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--kernel", "product:lambda=1", "--n", "1000",
+                         "--t-end", "0.01", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+class TestWeightMismatch:
+    FRAC = parse_weight("fractional:gamma=0.5")
+
+    def test_simulate(self):
+        st = init(64, exp_measure(), 2.0 ** -6, seed=1)
+        with pytest.raises(ValueError, match="particle state was built with"):
+            simulate(st, PROD1, self.FRAC, 0.1, seed=0)
+
+    def test_simulate_truncated(self):
+        st = init(64, exp_measure(), 2.0 ** -6, seed=1, weight=self.FRAC)
+        with pytest.raises(ValueError, match="particle state was built with"):
+            simulate_truncated(st, 2.0, None, PROD1, AFFINE, 0.1, seed=0)
+
+    def test_simulate_coupled(self):
+        st = init(64, exp_measure(), 2.0 ** -6, seed=1, weight=self.FRAC)
+        with pytest.raises(ValueError, match="particle state was built with"):
+            simulate_coupled(st, 1.0, 2.0, PROD1, AFFINE, 0.1, seed=0)
+
+    def test_simulate_exact_clocks(self):
+        st = init(8, exp_measure(), 2.0 ** -6, seed=1)
+        with pytest.raises(ValueError, match="particle state was built with"):
+            simulate_exact_clocks(st, CONST, self.FRAC, 0.1, seed=0)
 
 
 class TestExactnessPreconditions:
