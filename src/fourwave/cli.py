@@ -267,14 +267,19 @@ def cmd_compare(args) -> int:
             raise CliConfigError(f"missing run directory {d!r}")
     ref_cfg, ref_snaps, ref_times = _load_run_snapshots(Path(args.reference))
     reference = _as_trajectory(ref_snaps[0], ref_times)
-    ensembles = {}
+    ensembles, dirs = {}, {}
     for d in args.ensembles.split(","):
         cfg, snaps, times = _load_run_snapshots(Path(d))
+        n = cfg.get("n") or 1
+        if n in dirs:
+            raise CliConfigError(f"ensembles {dirs[n]!r} and {d!r} both have n={n}: "
+                                 "each particle count may appear once")
+        dirs[n] = d
         if len(times) != len(ref_times) or np.max(np.abs(times - ref_times)) > 1e-12:
             raise CliConfigError("sample-time grids of ensemble and reference differ")
         if not snaps:
             raise CliConfigError(f"no snapshots found in {d!r} (rerun with --snapshots)")
-        ensembles[cfg.get("n") or 1] = [_as_trajectory(s, times) for s in snaps]
+        ensembles[n] = [_as_trajectory(s, times) for s in snaps]
     report = mean_field_convergence(ensembles, reference, parse_weight("affine"))
     outdir = Path(args.out) if args.out else _output_root() / "compare"
     outdir.mkdir(parents=True, exist_ok=True)

@@ -118,11 +118,10 @@ def trilinear_pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: DiscreteMea
     p1, w1 = mu.positions, mu.weights
     p2, w2 = nu.positions, nu.weights
     p3, w3 = tau.positions, tau.weights
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     total = 0.0
     for a, x1, x2, x3, out, mask in _triple_blocks(p1, p2, p3):
         bracket = f(np.where(mask, out, 0.0)) + f(x3) - f(x2) - f(x1)
-        contrib = (kv(x1, x2, x3) * bracket * mask
+        contrib = (kernel(x1, x2, x3) * bracket * mask
                    * w1[a][:, None, None] * w2[None, :, None] * w3[None, None, :])
         total += float(np.sum(contrib))
     return 0.5 * total
@@ -146,13 +145,12 @@ def counting_correction(x: DiscreteMeasure, kernel, f, n: int) -> float:
     p, w = x.positions, x.weights
     if len(p) == 0:
         return 0.0
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     x2 = p[:, None]
     x3 = p[None, :]
     out = 2.0 * x2 - x3
     mask = out >= 0.0
     bracket = f(np.where(mask, out, 0.0)) + f(x3) - 2.0 * f(x2)
-    contrib = kv(x2, x2, x3) * bracket * mask * w[:, None] * w[None, :]
+    contrib = kernel(x2, x2, x3) * bracket * mask * w[:, None] * w[None, :]
     return 0.5 / n * float(np.sum(contrib))
 
 
@@ -196,10 +194,9 @@ def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeas
 
 def _q_measure_direct(mu: DiscreteMeasure, kernel) -> DiscreteMeasure:
     idx, w, h = mu.idx, mu.weights, mu.h
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     acc_idx, acc_w = [], []
     for a, i1, i2, i3, iout, mask in _triple_blocks(idx, idx, idx):
-        c = (0.5 * kv(i1 * h, i2 * h, i3 * h)
+        c = (0.5 * kernel(i1 * h, i2 * h, i3 * h)
              * w[a][:, None, None] * w[None, :, None] * w[None, None, :]) * mask
         shape = c.shape
         for target, sign in ((np.where(mask, iout, 0), 1.0),
@@ -212,36 +209,35 @@ def _q_measure_direct(mu: DiscreteMeasure, kernel) -> DiscreteMeasure:
     return out.compact()
 
 
-def l_b_pairing(state: TruncatedState, kernel, f, a: float,
-                phi=AFFINE) -> tuple[float, float]:
+def l_b_pairing(state: TruncatedState, kernel, f, a: float) -> tuple[float, float]:
     """Pairing of (f, a) against the truncated generator at (mu, lambda).
 
     Returns ``(fpart, lamdot)`` with total pairing fpart + a * lamdot:
     ``fpart`` collects every f-dependent term (interaction bracket with the
     in-window indicator plus the overflow-coupling loss), ``lamdot`` is the
     overflow growth rate (escaping interaction output plus coupling gain).
-    With f = phi and a = 1 the two cancel exactly: the interaction bracket
-    is zero for affine phi, which is the conservation law
-    <phi, mu> + lambda = const.  Both summands of ``lamdot`` are
-    nonnegative on nonnegative states, so the overflow never shrinks.
+    phi is the affine weight w + 1.  With f = phi and a = 1 the two cancel
+    exactly: the interaction bracket is zero for affine phi, which is the
+    conservation law <phi, mu> + lambda = const.  Both summands of
+    ``lamdot`` are nonnegative on nonnegative states, so the overflow never
+    shrinks.
     """
     mu = state.inner
     lam, bound = state.overflow, state.bound
     p, w = mu.positions, mu.weights
-    phi_vals = np.asarray(phi(p), dtype=float)
+    phi_vals = np.asarray(AFFINE(p), dtype=float)
     lfac = lam * lam + 2.0 * lam * float(np.sum(phi_vals * w))
     fpart_q = 0.0
     lam_q = 0.0
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     for sl, x1, x2, x3, out, dmask in _triple_blocks(p, p, p):
         inb = dmask & (out <= bound)
         esc = dmask & ~inb
         out_safe = np.where(dmask, out, 0.0)
-        c = (0.5 * kv(x1, x2, x3) * dmask
+        c = (0.5 * kernel(x1, x2, x3) * dmask
              * w[sl][:, None, None] * w[None, :, None] * w[None, None, :])
         bracket_f = f(out_safe) * inb + f(x3) - f(x2) - f(x1)
         fpart_q += float(np.sum(c * bracket_f))
-        lam_q += float(np.sum(c * (np.asarray(phi(out_safe), dtype=float) * esc)))
+        lam_q += float(np.sum(c * (np.asarray(AFFINE(out_safe), dtype=float) * esc)))
     floss = float(np.sum(np.asarray(f(p), dtype=float) * phi_vals * w))
     phi2 = float(np.sum(phi_vals * phi_vals * w))
     fpart = fpart_q - lfac * floss
@@ -432,13 +428,14 @@ class GridInteractionParts:
 
 
 def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
-                           bound_idx: int | None, phi=AFFINE) -> GridInteractionParts:
+                           bound_idx: int | None) -> GridInteractionParts:
     """Scatter form of the interaction operator on a dense grid vector.
 
     With ``bound_idx = M-1`` the gain is confined to the window and the
-    escaping output mass is returned phi-weighted in ``escape_rate``; with
-    ``bound_idx = None`` the full signed scatter over 0..2M-2 is produced
-    (untruncated q_measure).  ``loss_rate`` never depends on the bound.
+    escaping output mass is returned in ``escape_rate``, weighted by the
+    affine phi(w) = w + 1; with ``bound_idx = None`` the full signed
+    scatter over 0..2M-2 is produced (untruncated q_measure).  ``loss_rate``
+    never depends on the bound.
     """
     m = len(w)
     if m == 0:
@@ -461,5 +458,5 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
         loss_rate += half * (lr1 + lr2)
     if bound_idx is None:
         return GridInteractionParts(gain, loss_rate, 0.0)
-    phi_out = np.asarray(phi(np.arange(m, smax) * h), dtype=float)
+    phi_out = np.asarray(AFFINE(np.arange(m, smax) * h), dtype=float)
     return GridInteractionParts(gain[:m], loss_rate, float(np.dot(gain[m:], phi_out)))

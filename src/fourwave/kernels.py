@@ -23,7 +23,7 @@ a sampling-based checker returning a small report with the worst witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -170,10 +170,6 @@ class CheckReport:
         return f"{self.name}: {state} (worst residual {self.worst_residual:.3e}{where})"
 
 
-def _as_eval(kernel) -> Callable:
-    return kernel.eval if hasattr(kernel, "eval") else kernel
-
-
 def _columns(samples) -> np.ndarray:
     """The samples as a (3, N) float array: one row per argument."""
     if len(samples) == 0:
@@ -205,9 +201,8 @@ def check_symmetry(kernel, samples: Sequence[tuple]) -> CheckReport:
     that broadcasts over numpy arrays.
     """
     a, b, c = _columns(samples)
-    kv = _as_eval(kernel)
-    ref = _evaluate(kv, a.shape, a, b, c)
-    res = np.abs(ref - _evaluate(kv, a.shape, b, a, c)) / (1.0 + np.abs(ref))
+    ref = _evaluate(kernel, a.shape, a, b, c)
+    res = np.abs(ref - _evaluate(kernel, a.shape, b, a, c)) / (1.0 + np.abs(ref))
     worst, k = _worst(res)
     witness = None if k is None else tuple(samples[k])
     return CheckReport("symmetry", worst <= 1e-12, worst, witness)
@@ -219,15 +214,14 @@ def check_homogeneity(kernel, samples: Sequence[tuple], scales: Sequence[float],
     a, b, c = _columns(samples)
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be strictly positive")
-    kv = _as_eval(kernel)
     deg = kernel.degree if degree is None else degree
     s = np.asarray(scales, dtype=float)
     # s**deg per scale as a scalar power: numpy's array power may round
     # differently, and the residual is a cancellation at rounding level
     scaled = np.array([sc ** deg for sc in scales], dtype=float)
     # (N, S): sample-major, the order of a loop over samples then scales
-    base = _evaluate(kv, a.shape, a, b, c)[:, None]
-    moved = _evaluate(kv, (len(a), len(s)), a[:, None] * s, b[:, None] * s, c[:, None] * s)
+    base = _evaluate(kernel, a.shape, a, b, c)[:, None]
+    moved = _evaluate(kernel, (len(a), len(s)), a[:, None] * s, b[:, None] * s, c[:, None] * s)
     res = np.abs(moved - scaled * base) / (scaled * (1.0 + base))
     worst, k = _worst(res)
     witness = None if k is None else (*samples[k // len(s)], scales[k % len(s)])
@@ -243,10 +237,9 @@ def check_submultiplicative(kernel, weight: WeightFunction,
     bound gives the ratio 0 where K is 0 and inf elsewhere.
     """
     a, b, c = _columns(samples)
-    kv = _as_eval(kernel)
     bound = (_evaluate(weight, a.shape, a) * _evaluate(weight, a.shape, b)
              * _evaluate(weight, a.shape, c))
-    val = _evaluate(kv, a.shape, a, b, c)
+    val = _evaluate(kernel, a.shape, a, b, c)
     zero = bound == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(zero, np.where(val == 0.0, 0.0, np.inf), val / np.where(zero, 1.0, bound))

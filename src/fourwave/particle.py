@@ -10,10 +10,11 @@ conserved by every jump, exactly in grid-integer arithmetic.
 Simulation is exact in law by majorant thinning: candidate events arrive
 from a Poisson clock with rate R = S^3 / (2 n^2), S the current total
 interaction weight; the candidate triple is drawn weight-proportionally
-from a Fenwick table and accepted with probability K / (phi phi phi) when
-admissible.  For the affine weight S is invariant across jumps (count and
-energy conservation), so the majorant never drifts; for fractional weights
-S is re-read from the table after each accepted jump.
+from a prefix-sum table of the phi values and accepted with probability
+K / (phi phi phi) when admissible.  For the affine weight S is invariant
+across jumps (count and energy conservation), so the majorant never
+drifts; for fractional weights S is re-read from the table after each
+accepted jump.
 
 The truncated variant confines particles to a window [0, B] with an
 overflow scalar: interaction outputs beyond B and truncation-clock kills
@@ -79,15 +80,16 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class ParticleState:
-    """Multiset of n grid frequencies with the phi-weight Fenwick table.
+    """Multiset of n grid frequencies with the phi-weight prefix-sum table.
 
     ``idx`` holds int64 grid indices per slot; dead slots (truncated runs
     only) are flagged in ``alive`` and carry zero table weight.  Cached
     ``sum_idx`` equals the alive integer frequency total at all times.
-    With the affine weight and a dyadic h every phi value is a multiple of
-    min(h, 1), so the Fenwick sums are exact while the phi total in those
-    units (sum(idx) + n/h for h <= 1) stays below 2^53; ``build`` refuses
-    any other configuration.
+    With the affine weight and a dyadic h every phi value, and so every
+    prefix sum, is a multiple of min(h, 1); the prefix sums are therefore
+    exact, and equal to any other summation order, while the phi total in
+    those units (sum(idx) + n/h for h <= 1) stays below 2^53.  ``build``
+    refuses any other affine configuration.
     """
 
     idx: np.ndarray
@@ -222,10 +224,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
                 record_snapshots: bool = False, max_events: int = 10_000_000) -> Trajectory:
     n = state.n
     h = state.h
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 17)
-    recorder = MomentRecorder(sample_times, n, h, weight, snapshots=record_snapshots)
+    recorder = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=record_snapshots)
     events: list[tuple] | None = [] if record_events else None
     initial_idx = state.idx.copy() if record_events else None
 
@@ -260,7 +259,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         out = vi + vj - vl
         phis = fw.leaf[si] * fw.leaf[sj] * fw.leaf[sl]
         valid = (si != sj) & (out >= 0) & ~kill_mask & (phis > 0.0)
-        kvals = np.where(valid, kv(vi * h, vj * h, vl * h), 0.0)
+        kvals = np.where(valid, kernel(vi * h, vj * h, vl * h), 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             acc_p = np.where(valid, kvals / np.where(phis > 0, phis, 1.0), 0.0)
         if np.any(acc_p > 1.0 + 1e-12):
@@ -514,10 +513,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         raise ValueError("the truncated construction requires the affine weight")
     if bound_lo > bound_hi:
         raise ValueError("bounds must be nested: bound_lo <= bound_hi")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 17)
     _check_majorant(state, kernel, weight)
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     rng = make_rng(seed, stream)
     n = state.n
     h = state.h
@@ -536,8 +532,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     lam_lo_s = float(np.sum(phi_all[status != _BOTH]))
     lam_hi_s = float(np.sum(phi_all[status == _DEAD]))
 
-    rec_lo = MomentRecorder(sample_times, n, h, weight, snapshots=True)
-    rec_hi = MomentRecorder(sample_times, n, h, weight, snapshots=True)
+    rec_lo = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
+    rec_hi = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
 
     def read_lo():
         return idx[status == _BOTH], None, lam_lo_s
@@ -578,7 +574,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
             out = vi + vj - vl
             phis = phi_hi[i] * phi_hi[j] * phi_hi[l]
-            k_here = float(kv(vi * h, vj * h, vl * h)) if out >= 0 else 0.0
+            k_here = float(kernel(vi * h, vj * h, vl * h)) if out >= 0 else 0.0
             acc = k_here / phis if phis > 0 else 0.0
             if acc > 1.0 + 1e-12:
                 raise ThinningError(
@@ -660,13 +656,10 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     thinning engine at small n.
     """
     _require_state_weight(state, weight)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 17)
     work = state.copy()
     n, h = work.n, work.h
-    kv = kernel.eval if hasattr(kernel, "eval") else kernel
     rng = make_rng(seed, stream)
-    recorder = MomentRecorder(sample_times, n, h, weight, snapshots=record_snapshots)
+    recorder = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=record_snapshots)
 
     def read():
         return work.idx, None, None
@@ -677,7 +670,7 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
         vi = work.idx[iu][:, None] * h
         vj = work.idx[ju][:, None] * h
         vl = work.idx[None, :] * h
-        rates = kv(vi, vj, vl) * ((vi + vj) >= vl) / (n * n)
+        rates = kernel(vi, vj, vl) * ((vi + vj) >= vl) / (n * n)
         flat = rates.ravel()
         total = float(flat.sum())
         if total <= 0.0:

@@ -29,7 +29,7 @@ import numpy as np
 from .collision import grid_interaction_parts
 from .kernels import AFFINE, Kernel
 from .measures import DiscreteMeasure, moment
-from .trajectory import Trajectory
+from .trajectory import Trajectory, checked_sample_times
 
 __all__ = [
     "SolverConfig",
@@ -58,6 +58,8 @@ class SolverConfig:
     ``dt=None`` selects the default step autoscaled to the cubic
     nonlinearity, see :func:`default_dt`.  ``bound`` must be a multiple of
     ``h``; sample times are where moment rows and snapshots are recorded.
+    They must be nondecreasing and lie in [0, t_end]; ``None`` selects 17
+    evenly spaced times.
     """
 
     method: str = "rk4"
@@ -66,7 +68,6 @@ class SolverConfig:
     bound: float = 1.0
     h: float = 2.0 ** -6
     sample_times: np.ndarray | None = None
-    snapshots: bool = True
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -171,15 +172,14 @@ def solve_truncated(mu0: DiscreteMeasure, lam0: float, kernel: Kernel,
     w = _dense_initial(mu0, cfg.bound, cfg.h)
     lam = float(lam0)
     system = _TruncatedSystem(kernel, cfg.h, len(w))
-    sample_times = (np.linspace(0.0, cfg.t_end, 17)
-                    if cfg.sample_times is None else np.asarray(cfg.sample_times, dtype=float))
+    sample_times = checked_sample_times(cfg.sample_times, cfg.t_end)
     dt = cfg.dt if cfg.dt is not None else default_dt(mu0, lam0)
     grid_w = np.arange(len(w)) * cfg.h
     mass0 = float(w.sum())
     neg_tol = 1e-9 * max(mass0, 1.0)
 
     rows = []
-    snaps = [] if cfg.snapshots else None
+    snaps = []
     conserved0 = float(np.dot(system.phi, w)) + lam
     worst_resid = 0.0
     t = 0.0
@@ -197,8 +197,7 @@ def solve_truncated(mu0: DiscreteMeasure, lam0: float, kernel: Kernel,
         phi_now = float(np.dot(system.phi, w))
         rows.append((float(w.sum()), float(np.dot(grid_w, w)), phi_now,
                      float(np.dot(system.phi2, w)), lam, phi_now + lam))
-        if snaps is not None:
-            snaps.append(_snapshot(w, cfg.h))
+        snaps.append(_snapshot(w, cfg.h))
     arr = np.asarray(rows)
     traj = Trajectory(sample_times=sample_times, W=arr[:, 0], E=arr[:, 1],
                       phi=arr[:, 2], phi2=arr[:, 3], overflow=arr[:, 4],
@@ -230,7 +229,7 @@ def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
         inner, outer = mu0.restricted(b)
         lam0 = moment(outer, AFFINE)
         sub = SolverConfig(method=cfg.method, dt=cfg.dt, t_end=cfg.t_end, bound=b,
-                           h=cfg.h, sample_times=cfg.sample_times, snapshots=True)
+                           h=cfg.h, sample_times=cfg.sample_times)
         runs.append(solve_truncated(inner, lam0, kernel, sub))
     for lo, hi, b in zip(runs, runs[1:], bounds):
         for snap_lo, snap_hi in zip(lo.snapshots, hi.snapshots):

@@ -20,13 +20,24 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
-__all__ = ["EVENT_DTYPE", "Trajectory", "MomentRecorder",
+__all__ = ["EVENT_DTYPE", "Trajectory", "MomentRecorder", "checked_sample_times",
            "save_moments_csv", "load_moments_csv", "save_events_jsonl"]
 
 # one row per accepted jump; w_new is the surviving output frequency (the
 # catalyst copy for an escape), nan for a kill
 EVENT_DTYPE = np.dtype([("time", "f8"), ("i", "i8"), ("j", "i8"), ("l", "i8"),
                         ("w_new", "f8"), ("branch", "U8")])
+
+
+def checked_sample_times(sample_times, t_end: float) -> np.ndarray:
+    """The sample times as a float array, 17 evenly spaced times for None;
+    ValueError unless they are nondecreasing and lie in [0, t_end]."""
+    times = np.linspace(0.0, t_end, 17) if sample_times is None else np.asarray(
+        sample_times, dtype=float)
+    if len(times) and not (times[0] >= 0.0 and times[-1] <= t_end
+                           and np.all(np.diff(times) >= 0.0)):
+        raise ValueError(f"sample times must be nondecreasing and lie in [0, t_end={t_end!r}]")
+    return times
 
 
 @dataclass
@@ -60,11 +71,14 @@ class MomentRecorder:
 
     The state is supplied by ``read()``, which returns the live grid
     indices, the phi total (None: sum it over the live particles) and the
-    scaled overflow n * Lambda (None for an untruncated run).
+    scaled overflow n * Lambda (None for an untruncated run).  Sample times
+    must be nondecreasing and lie in [0, t_end]; ``None`` selects 17 evenly
+    spaced times.
     """
 
-    def __init__(self, sample_times, n: int, h: float, weight, snapshots: bool = False):
-        self.times = np.asarray(sample_times, dtype=float)
+    def __init__(self, sample_times, t_end: float, n: int, h: float, weight,
+                 snapshots: bool = False):
+        self.times = checked_sample_times(sample_times, t_end)
         self.n, self.h, self.weight = n, h, weight
         self._ptr = 0
         self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)

@@ -147,6 +147,27 @@ class TestCompare:
         assert np.isfinite(report["slope"])
         assert report["slope_ci"][0] <= report["slope"] <= report["slope_ci"][1]
 
+    def test_two_ensembles_with_one_n_rejected(self, tmp_path, capsys):
+        h = str(2.0 ** -6)
+        ref = tmp_path / "ref"
+        assert main(["solve", "--kernel", "const:c=0", "--t-end", "0.2",
+                     "--dt", "0.05", "--bound", "4.0", "--samples", "3",
+                     "--h", h, "--out", str(ref)]) == 0
+        dirs = []
+        for replicas in ("2", "3"):
+            d = tmp_path / f"ens{replicas}"
+            assert main(["simulate", "--kernel", "const:c=0", "--n", "20",
+                         "--t-end", "0.2", "--seed", replicas, "--h", h,
+                         "--samples", "3", "--replicas", replicas, "--snapshots",
+                         "--out", str(d)]) == 0
+            dirs.append(str(d))
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        assert main(["compare", ",".join(dirs), str(ref), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and dirs[0] in err and dirs[1] in err
+        assert not out.exists()
+
     def test_particle_ensemble_vs_reference(self, tmp_path):
         h = str(2.0 ** -6)
         ref = tmp_path / "ref"

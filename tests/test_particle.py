@@ -61,6 +61,58 @@ class TestFenwick:
             assert fw.leaf[fw.sample(u)] > 0.0
 
 
+class TestPrefixTable:
+    LEAVES = [0.0, 0.0, 0.5, 0.0, 1.25, 2.0, 0.0, 0.0, 0.75, 0.0, 0.0]  # zeros at both ends
+
+    def test_targets_on_every_prefix_boundary(self):
+        leaf = np.asarray(self.LEAVES)
+        fw = FenwickTree(leaf)
+        cum = np.cumsum(leaf)
+        bounds = np.unique(np.concatenate([[0.0], cum[cum < cum[-1]]]))
+        targets = np.concatenate([bounds, np.nextafter(bounds[1:], -np.inf)])
+        draws = fw.sample_batch(targets)
+        assert np.array_equal(draws, np.searchsorted(cum, targets, side="right"))
+        assert np.all(leaf[draws] > 0.0)
+        assert [fw.sample(u) for u in targets] == draws.tolist()
+
+    def test_prefix_sums_rebuilt_once_per_write(self, monkeypatch):
+        fw = FenwickTree(self.LEAVES)
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda a: calls.append(1) or cumsum(a))
+        for rounds in (1, 2):
+            for _ in range(3):
+                fw.total, fw.prefix(5), fw.sample(1.0), fw.sample_batch(np.array([0.5, 4.0]))
+            assert len(calls) == rounds
+            fw.set(3, 0.25)
+            fw.set(0, 0.5)
+
+    def test_set_on_copy_leaves_original_unchanged(self):
+        st = init(64, exp_measure(), 2.0 ** -6, seed=4)
+        u = make_rng(0).random(256) * st.phi_total
+        total, draws = st.phi_total, st.fenwick.sample_batch(u)
+        work = st.copy()
+        work.fenwick.set(0, 0.0)
+        work.apply_jump(1, 2, 3)
+        assert work.phi_total == total - st.fenwick.leaf[0]
+        assert st.phi_total == total
+        assert np.array_equal(st.fenwick.sample_batch(u), draws)
+
+    def test_random_sets_on_dyadic_leaves_match_fsum(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        leaf = rng.integers(0, 1 << 20, size=n) * 2.0 ** -12
+        leaf[rng.random(n) < 0.2] = 0.0
+        fw = FenwickTree(leaf)
+        for _ in range(300):
+            i = int(rng.integers(0, n))
+            leaf[i] = 0.0 if rng.random() < 0.2 else int(rng.integers(0, 1 << 30)) * 2.0 ** -16
+            fw.set(i, float(leaf[i]))
+            assert fw.total == math.fsum(leaf)
+            for k in range(n + 1):
+                assert fw.prefix(k) == math.fsum(leaf[:k])
+
+
 class TestInit:
     def test_point_mass(self):
         st = init(4, DiscreteMeasure.delta(1.0), 0.5, seed=1)
@@ -137,6 +189,22 @@ class TestWeightMismatch:
         st = init(8, exp_measure(), 2.0 ** -6, seed=1)
         with pytest.raises(ValueError, match="particle state was built with"):
             simulate_exact_clocks(st, CONST, self.FRAC, 0.1, seed=0)
+
+
+class TestSampleTimes:
+    def test_every_driver_rejects_bad_sample_times(self):
+        st = init(8, exp_measure(), 2.0 ** -6, seed=1)
+        for times in ([0.0, 0.9, 0.1], [0.0, 5.0], [-0.1, 0.5], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="sample times"):
+                simulate(st, ZERO, AFFINE, 1.0, sample_times=times)
+        with pytest.raises(ValueError, match="sample times"):
+            simulate_truncated(st, 2.0, None, ZERO, AFFINE, 1.0, sample_times=[0.5, 0.2])
+        with pytest.raises(ValueError, match="sample times"):
+            simulate_coupled(st, 1.0, 2.0, ZERO, AFFINE, 1.0, sample_times=[0.5, 0.2])
+        with pytest.raises(ValueError, match="sample times"):
+            simulate_exact_clocks(st, ZERO, AFFINE, 1.0, sample_times=[0.0, 1.5])
+        traj = simulate(st, ZERO, AFFINE, 1.0, sample_times=[0.0, 0.5, 0.5, 1.0])
+        assert traj.sample_times.tolist() == [0.0, 0.5, 0.5, 1.0]
 
 
 class TestExactnessPreconditions:

@@ -130,6 +130,13 @@ class TestSolveTruncated:
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(bound=1.0 + H / 3)
 
+    def test_bad_sample_times_rejected(self):
+        for times in ([0.0, 0.3, 0.1], [0.0, 0.5], [-0.1, 0.2]):
+            cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.4, bound=4.0, h=H,
+                               sample_times=np.array(times))
+            with pytest.raises(ValueError, match="sample times"):
+                solve_truncated(two_atoms(), 0.0, ZERO, cfg)
+
 
 class TestSolveLimit:
     def test_monotone_windows_and_shared_conservation(self):
