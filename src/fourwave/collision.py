@@ -40,8 +40,6 @@ from .kernels import AFFINE, Kernel
 from .measures import DiscreteMeasure
 
 __all__ = [
-    "InteractionDomain",
-    "DOMAIN",
     "TruncatedState",
     "q_pairing",
     "q_counting",
@@ -56,21 +54,6 @@ __all__ = [
 ]
 
 _DIRECT_BLOCK = 48  # first-axis block size for the O(m^3) route
-
-
-class InteractionDomain:
-    """Predicate object for the admissible-triple set w1 + w2 >= w3.
-
-    The set is equivalently written as w1 + w2 - w3 >= 0 (the output
-    frequency is nonnegative).
-    """
-
-    def __contains__(self, triple) -> bool:
-        w1, w2, w3 = triple
-        return w1 >= 0 and w2 >= 0 and w3 >= 0 and w1 + w2 >= w3
-
-
-DOMAIN = InteractionDomain()
 
 
 @dataclass(frozen=True)
@@ -209,13 +192,15 @@ def _q_measure_direct(mu: DiscreteMeasure, kernel) -> DiscreteMeasure:
     return out.compact()
 
 
-def l_b_pairing(state: TruncatedState, kernel, f, a: float) -> tuple[float, float]:
-    """Pairing of (f, a) against the truncated generator at (mu, lambda).
+def l_b_pairing(state: TruncatedState, kernel, f) -> tuple[float, float]:
+    """Parts of the pairing of (f, a) against the truncated generator at
+    (mu, lambda).
 
-    Returns ``(fpart, lamdot)`` with total pairing fpart + a * lamdot:
-    ``fpart`` collects every f-dependent term (interaction bracket with the
-    in-window indicator plus the overflow-coupling loss), ``lamdot`` is the
-    overflow growth rate (escaping interaction output plus coupling gain).
+    Returns ``(fpart, lamdot)``; callers form the total pairing
+    fpart + a * lamdot themselves.  ``fpart`` collects every f-dependent
+    term (interaction bracket with the in-window indicator plus the
+    overflow-coupling loss), ``lamdot`` is the overflow growth rate
+    (escaping interaction output plus coupling gain).
     phi is the affine weight w + 1.  With f = phi and a = 1 the two cancel
     exactly: the interaction bracket is zero for affine phi, which is the
     conservation law <phi, mu> + lambda = const.  Both summands of

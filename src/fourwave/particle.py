@@ -21,6 +21,9 @@ overflow scalar: interaction outputs beyond B and truncation-clock kills
 move their weight into the overflow, conserving <phi, X> + Lambda exactly.
 A coupled two-window driver shares one clock stream between nested windows
 so the lower process is dominated by the upper one pathwise, atom by atom.
+It runs on the same :class:`ParticleState` and its prefix table as the
+engine: the upper window is a windowed state, the lower window a mask over
+its slots with prefix tables of phi and phi^2.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class MaxEventsError(RuntimeError):
 
 
 class AuditError(RuntimeError):
-    """A cached sum of the particle state diverged from recomputation."""
+    """A cached sum of the particle state diverged from recomputation, or
+    the coupled driver's lower level left its upper level."""
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -143,6 +147,26 @@ class ParticleState:
         self.idx[j] = vl
         self.fenwick.set(i, float(self.weight(out * self.h)))
         self.fenwick.set(j, float(self.weight(vl * self.h)))
+
+    def kill(self, slot: int) -> float:
+        """Remove the particle in ``slot``; returns its phi value."""
+        phi = float(self.fenwick.leaf[slot])
+        self.alive[slot] = False
+        self.sum_idx -= int(self.idx[slot])
+        self.fenwick.set(slot, 0.0)
+        return phi
+
+    def escape(self, i: int, j: int, l: int) -> float:
+        """Jump (i, j | l) whose output leaves the window: slot i takes the
+        catalyst copy, slot j dies; returns the output's phi value."""
+        vl = int(self.idx[l])
+        out = int(self.idx[i]) + int(self.idx[j]) - vl
+        self.idx[i] = vl
+        self.fenwick.set(i, float(self.weight(vl * self.h)))
+        self.alive[j] = False
+        self.sum_idx -= out
+        self.fenwick.set(j, 0.0)
+        return float(self.weight(out * self.h))
 
     def audit(self) -> None:
         """Verify the cached sums against recomputation."""
@@ -282,24 +306,15 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         t = t_ev
         if kill_mask[c]:
             victim = fw.sample(float(rng.random() * s1))
-            v = int(state.idx[victim])
-            lam_scaled += float(weight(v * h))
-            state.alive[victim] = False
-            state.sum_idx -= v
-            fw.set(victim, 0.0)
+            lam_scaled += state.kill(victim)
             i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
             i, j, l = int(si[c]), int(sj[c]), int(sl[c])
-            o, v3 = int(out[c]), int(vl[c])
+            o = int(out[c])
             if truncated and o > bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
-                lam_scaled += float(weight(o * h))
-                state.idx[i] = v3
-                fw.set(i, float(weight(v3 * h)))
-                state.alive[j] = False
-                state.sum_idx -= int(vi[c]) + int(vj[c]) - v3
-                fw.set(j, 0.0)
-                w_new, branch = v3 * h, "escape"
+                lam_scaled += state.escape(i, j, l)
+                w_new, branch = int(vl[c]) * h, "escape"
             else:
                 state.apply_jump(i, j, l)
                 w_new, branch = o * h, "interior"
@@ -342,16 +357,19 @@ def simulate(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
                        record_snapshots=record_snapshots, max_events=max_events)
 
 
-def _outside_phi_scaled(state: ParticleState, bound: float) -> float:
-    """n * <phi 1_{(bound, inf)}, X>: exact sum of the outside phi values."""
-    outside = state.idx[state.alive] * state.h > bound
-    vals = state.idx[state.alive][outside] * state.h
-    return float(np.sum(np.asarray(state.weight(vals), dtype=float)))
+def _windowed(state: ParticleState, bound: float) -> tuple[ParticleState, int, float]:
+    """A copy of ``state`` without the particles beyond the window, the
+    window's last grid index, and n * <phi 1_{B^c}, X> (the phi-mass
+    killed, summed exactly)."""
+    work = state.copy()
+    bound_idx = int(math.floor(bound / work.h + 1e-9))
+    outside = np.nonzero(work.alive & (work.idx > bound_idx))[0]
+    return work, bound_idx, math.fsum(work.kill(int(s)) for s in outside)
 
 
 def truncation_overflow_start(state: ParticleState, bound: float) -> float:
     """Canonical initial overflow: phi-mass of the particles beyond the window."""
-    return _outside_phi_scaled(state, bound) / state.n
+    return _windowed(state, bound)[2] / state.n
 
 
 def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, kernel,
@@ -370,7 +388,7 @@ def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, k
     _require_state_weight(state, weight)
     if not weight.is_affine:
         raise ValueError("the truncated construction requires the affine weight")
-    canonical_scaled = _outside_phi_scaled(state, bound)
+    work, bound_idx, canonical_scaled = _windowed(state, bound)
     if lam0 is None:
         lam_scaled = canonical_scaled
     else:
@@ -383,13 +401,6 @@ def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, k
                 f"{canonical_scaled / state.n!r} outside the window")
     if precheck:
         _check_majorant(state, kernel, weight)
-    work = state.copy()
-    bound_idx = int(math.floor(bound / work.h + 1e-9))
-    outside = work.idx * work.h > bound
-    for slot in np.nonzero(outside)[0]:
-        work.alive[slot] = False
-        work.sum_idx -= int(work.idx[slot])
-        work.fenwick.set(int(slot), 0.0)
     return _run_engine(work, kernel, weight, t_end, make_rng(seed, stream),
                        bound_idx=bound_idx, lam_scaled=lam_scaled, sample_times=sample_times,
                        record_events=record_events, record_snapshots=record_snapshots)
@@ -490,9 +501,6 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
 # coupled nested-window driver
 # --------------------------------------------------------------------------
 
-_DEAD, _UPPER_ONLY, _BOTH = 0, 1, 2
-
-
 def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, kernel,
                      weight: WeightFunction, t_end: float, *, seed: int = 0,
                      stream: int = 0, sample_times=None) -> tuple[Trajectory, Trajectory]:
@@ -507,6 +515,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     truncation kills at exactly the per-particle rate
     phi * (Lambda^2 + 2 Lambda <phi, X>) of each level.  Overflow starts
     are canonical, so <phi, X> + Lambda agree between levels at all times.
+    Every event checks that each lower particle is alive in the upper level.
     """
     _require_state_weight(state, weight)
     if not weight.is_affine:
@@ -517,43 +526,46 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     rng = make_rng(seed, stream)
     n = state.n
     h = state.h
-    lo_idx = int(math.floor(bound_lo / h + 1e-9))
-    hi_idx = int(math.floor(bound_hi / h + 1e-9))
-    idx = state.idx.copy()
-    status = np.full(n, _BOTH, dtype=np.int8)
-    status[idx > hi_idx] = _DEAD
-    status[(idx > lo_idx) & (idx <= hi_idx)] = _UPPER_ONLY
-
-    def phi_of(v):
-        return float(weight(v * h))
-
     # overflows tracked as n * Lambda (exact dyadic sums, see _run_engine)
-    phi_all = np.asarray(weight(idx * h), dtype=float)
-    lam_lo_s = float(np.sum(phi_all[status != _BOTH]))
-    lam_hi_s = float(np.sum(phi_all[status == _DEAD]))
+    upper, hi_idx, lam_hi_s = _windowed(state, bound_hi)
+    idx, fw = upper.idx, upper.fenwick
+    # only the lower copy's alive mask and phi table are kept: its slots
+    # take their values from the upper level
+    lower, lo_idx, lam_lo_s = _windowed(state, bound_lo)
+    in_lo, lo_phi = lower.alive, lower.fenwick
+    lo_phi2 = FenwickTree(lo_phi.leaf * lo_phi.leaf)
+
+    def share(s: int) -> None:
+        phi = fw.leaf[s]
+        lo_phi.set(s, phi)
+        lo_phi2.set(s, phi * phi)
+
+    def leave_lo(s: int) -> float:
+        phi = float(lo_phi.leaf[s])
+        in_lo[s] = False
+        lo_phi.set(s, 0.0)
+        lo_phi2.set(s, 0.0)
+        return phi
 
     rec_lo = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
     rec_hi = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
 
     def read_lo():
-        return idx[status == _BOTH], None, lam_lo_s
+        return idx[in_lo], lo_phi.total, lam_lo_s
 
     def read_hi():
-        return idx[status >= _UPPER_ONLY], None, lam_hi_s
+        return idx[upper.alive], fw.total, lam_hi_s
 
     inv_n2 = 1.0 / (n * n)
     t = 0.0
     while t < t_end:
-        phi_hi = np.asarray(weight(idx * h), dtype=float)
-        phi_hi[status == _DEAD] = 0.0
-        phi_lo = np.where(status == _BOTH, phi_hi, 0.0)
-        s1_hi = float(phi_hi.sum())
-        s1_lo = float(phi_lo.sum())
+        s1_hi = fw.total
+        s1_lo = lo_phi.total
         delta = (s1_hi - s1_lo) / n
         r_pair = s1_hi ** 3 * inv_n2 / 2.0
         lam_hi = lam_hi_s / n
         r_kill_hi = s1_hi * (lam_hi * lam_hi + 2.0 * lam_hi * s1_hi / n)
-        r_extra_lo = delta / n * float(np.sum(phi_lo * phi_lo))
+        r_extra_lo = delta / n * lo_phi2.total
         r_total = r_pair + r_kill_hi + r_extra_lo
         if r_total <= 0.0:
             break
@@ -566,14 +578,12 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         t = t_ev
         u_class = float(rng.random()) * r_total
         if u_class < r_pair:
-            cum = np.cumsum(phi_hi)
-            picks = np.searchsorted(cum, rng.random(3) * s1_hi, side="right")
-            i, j, l = (int(p) for p in picks)
-            if i == j or min(phi_hi[i], phi_hi[j], phi_hi[l]) <= 0.0:
+            i, j, l = (int(p) for p in fw.sample_batch(rng.random(3) * s1_hi))
+            if i == j or min(fw.leaf[i], fw.leaf[j], fw.leaf[l]) <= 0.0:
                 continue
             vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
             out = vi + vj - vl
-            phis = phi_hi[i] * phi_hi[j] * phi_hi[l]
+            phis = fw.leaf[i] * fw.leaf[j] * fw.leaf[l]
             k_here = float(kernel(vi * h, vj * h, vl * h)) if out >= 0 else 0.0
             acc = k_here / phis if phis > 0 else 0.0
             if acc > 1.0 + 1e-12:
@@ -584,47 +594,38 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             # level loses its pair members to the overflow: on the
             # interaction clock and on its complement (null for the upper
             # window) alike
-            all_in_lo = status[i] == _BOTH and status[j] == _BOTH and status[l] == _BOTH
+            all_in_lo = in_lo[i] and in_lo[j] and in_lo[l]
             if not all_in_lo:
                 for s in (i, j):
-                    if status[s] == _BOTH:
-                        lam_lo_s += phi_of(int(idx[s]))
-                        status[s] = _UPPER_ONLY
+                    if in_lo[s]:
+                        lam_lo_s += leave_lo(s)
             if float(rng.random()) < acc:
-                # interaction clock fires for the upper window
-                new_status = _BOTH if all_in_lo else _UPPER_ONLY
-                # catalyst copy replaces slot j
-                idx[j] = vl
-                status[j] = new_status
-                # output replaces slot i, window permitting
+                # interaction clock fires for the upper window: slot i takes
+                # the output, window permitting, and slot j the catalyst copy
                 if out <= hi_idx:
-                    idx[i] = out
-                    if all_in_lo and out <= lo_idx:
-                        status[i] = _BOTH
-                    else:
-                        status[i] = _UPPER_ONLY
-                        if all_in_lo:
-                            lam_lo_s += phi_of(out)
+                    upper.apply_jump(i, j, l)
                 else:
-                    lam_hi_s += phi_of(out)
-                    if all_in_lo:
-                        lam_lo_s += phi_of(out)
-                    status[i] = _DEAD
+                    lam_hi_s += upper.escape(j, i, l)
+                if all_in_lo:
+                    # the lower level shares the jump; an output beyond its
+                    # window feeds its overflow in place of slot i
+                    share(j)
+                    if out <= lo_idx:
+                        share(i)
+                    else:
+                        lam_lo_s += float(weight(out * h))
+                        leave_lo(i)
         elif u_class < r_pair + r_kill_hi:
-            cum = np.cumsum(phi_hi)
-            victim = int(np.searchsorted(cum, float(rng.random()) * s1_hi, side="right"))
-            v = int(idx[victim])
-            lam_hi_s += phi_of(v)
-            if status[victim] == _BOTH:
-                lam_lo_s += phi_of(v)
-            status[victim] = _DEAD
+            victim = fw.sample(float(rng.random()) * s1_hi)
+            lam_hi_s += upper.kill(victim)
+            if in_lo[victim]:
+                lam_lo_s += leave_lo(victim)
         else:
-            w2 = phi_lo * phi_lo
-            cum = np.cumsum(w2)
-            victim = int(np.searchsorted(cum, float(rng.random()) * cum[-1], side="right"))
-            lam_lo_s += phi_of(int(idx[victim]))
-            status[victim] = _UPPER_ONLY
-        _assert_dominated(idx, status)
+            victim = lo_phi2.sample(float(rng.random()) * lo_phi2.total)
+            lam_lo_s += leave_lo(victim)
+        if np.any(in_lo & ~upper.alive):
+            raise AuditError("pathwise domination violated: a lower-window particle "
+                             "is not alive in the upper window")
     rec_lo.finish(read_lo)
     rec_hi.finish(read_hi)
     traj_lo = rec_lo.build(True)
@@ -632,15 +633,6 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     for tr, b in ((traj_lo, bound_lo), (traj_hi, bound_hi)):
         tr.meta = {"t_end": t_end, "bound": b, "weight": weight.spec_string()}
     return traj_lo, traj_hi
-
-
-def _assert_dominated(idx, status) -> None:
-    lower = np.sort(idx[status == _BOTH])
-    upper = np.sort(idx[status >= _UPPER_ONLY])
-    # every lower atom must embed into the upper multiset
-    pos = np.searchsorted(upper, lower, side="right")
-    if np.any(pos - np.arange(1, len(lower) + 1) < 0):
-        raise AssertionError("pathwise domination violated")
 
 
 # --------------------------------------------------------------------------

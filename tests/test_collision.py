@@ -6,7 +6,6 @@ import pytest
 
 from fourwave import collision
 from fourwave.collision import (
-    DOMAIN,
     TruncatedState,
     counting_correction,
     grid_interaction_parts,
@@ -52,13 +51,6 @@ def random_measure(m=10, signed=False, grid_h=None):
 
 def indicator(lo, hi):
     return lambda x: ((np.asarray(x) >= lo) & (np.asarray(x) <= hi)).astype(float)
-
-
-class TestDomain:
-    def test_predicate(self):
-        assert (1.0, 2.0, 3.0) in DOMAIN
-        assert (1.0, 1.0, 3.0) not in DOMAIN
-        assert (0.0, 0.0, 0.0) in DOMAIN
 
 
 class TestQPairing:
@@ -211,21 +203,21 @@ class TestLBPairing:
     def test_phi_one_exactly_zero(self):
         for _ in range(10):
             st = self.grid_state()
-            fpart, lamdot = l_b_pairing(st, PROD1, AFFINE, 1.0)
+            fpart, lamdot = l_b_pairing(st, PROD1, AFFINE)
             assert fpart + lamdot == 0.0
 
     def test_reduces_to_q_pairing(self):
         mu = random_measure(8, grid_h=0.25)
         st = TruncatedState(mu, 0.0, 1e9)
         f = lambda x: np.cos(np.asarray(x))
-        fpart, lamdot = l_b_pairing(st, PROD1, f, 0.0)
+        fpart, lamdot = l_b_pairing(st, PROD1, f)
         assert fpart == pytest.approx(q_pairing(mu, PROD1, f), rel=1e-11, abs=1e-13)
         assert lamdot == 0.0
 
     def test_overflow_rate_nonnegative(self):
         for _ in range(10):
             st = self.grid_state(bound=4.0)
-            _, lamdot = l_b_pairing(st, PROD1, lambda x: np.zeros_like(np.asarray(x, dtype=float)), 1.0)
+            _, lamdot = l_b_pairing(st, PROD1, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
             assert lamdot >= 0.0
 
     def test_state_validation(self):

@@ -274,6 +274,58 @@ class TestJumpArithmetic:
             st.audit()
 
 
+class TestKillEscape:
+    def test_kill(self):
+        st = ParticleState.build([3, 5, 0, 7], 0.25, AFFINE)
+        total, sum_idx = st.fenwick.total, st.sum_idx
+        phi = st.kill(1)
+        assert phi == 1.0 + 5 * 0.25
+        assert st.alive.tolist() == [True, False, True, True]
+        assert st.idx.tolist() == [3, 5, 0, 7] and st.fenwick.leaf[1] == 0.0
+        assert st.sum_idx == sum_idx - 5
+        assert st.fenwick.total + phi == total
+        st.audit()
+
+    def test_escape(self):
+        st = ParticleState.build([3, 5, 2, 7], 0.25, AFFINE)
+        total, sum_idx = st.fenwick.total, st.sum_idx
+        phi = st.escape(0, 1, 2)
+        # output 3 + 5 - 2 leaves; slot i takes the catalyst copy, slot j dies
+        assert phi == 1.0 + 6 * 0.25
+        assert st.idx[0] == 2 and st.fenwick.leaf[0] == 1.0 + 2 * 0.25
+        assert st.alive.tolist() == [True, False, True, True] and st.fenwick.leaf[1] == 0.0
+        assert st.sum_idx == sum_idx - 6
+        assert st.fenwick.total + phi == total
+        st.audit()
+
+    def test_random_sequences_exact(self):
+        # fine grid, catalyst coinciding with i or j included
+        st = init(64, exp_measure(h=2.0 ** -20), 2.0 ** -20, seed=5)
+        rng = np.random.default_rng(8)
+        for step in range(200):
+            live = np.nonzero(st.alive)[0]
+            if len(live) < 3:
+                break
+            total, sum_idx = st.fenwick.total, st.sum_idx
+            if step % 3 == 0:
+                s = int(rng.choice(live))
+                v = int(st.idx[s])
+                phi = st.kill(s)
+                assert not st.alive[s] and st.sum_idx == sum_idx - v
+            else:
+                i, j = (int(x) for x in rng.choice(live, size=2, replace=False))
+                l = int(rng.choice(live))
+                vl = int(st.idx[l])
+                out = int(st.idx[i]) + int(st.idx[j]) - vl
+                if out < 0:
+                    continue
+                phi = st.escape(i, j, l)
+                assert st.idx[i] == vl and st.alive[i] and not st.alive[j]
+                assert st.sum_idx == sum_idx - out
+            assert st.fenwick.total + phi == total
+            st.audit()
+
+
 class TestSimulate:
     def test_zero_kernel_constant(self):
         st = init(32, exp_measure(), 2.0 ** -6, seed=2)
@@ -367,6 +419,17 @@ class TestTruncated:
         with pytest.raises(ValueError, match="nu\\^B"):
             simulate_truncated(st, 0.5, 0.0, PROD1, AFFINE, 0.1, seed=0)
 
+    def test_window_edge_within_tolerance(self):
+        # 1 - 1e-12 is within the grid tolerance of 1.0: the particles at
+        # w = 1.0 are inside the window, at the start as for later outputs
+        h = 2.0 ** -6
+        st = ParticleState.build([64, 64, 0, 16, 32], h, AFFINE)
+        traj = simulate_truncated(st, 1.0 - 1e-12, None, PROD1, AFFINE, 0.5, seed=2)
+        assert traj.W[0] == 1.0 and traj.overflow[0] == 0.0
+        assert truncation_overflow_start(st, 1.0 - 1e-12) == 0.0
+        # half a grid step below, they are outside
+        assert truncation_overflow_start(st, 1.0 - h / 2) == 2 * 2.0 / 5
+
 
 class TestCoupled:
     def test_equal_bounds_identical(self):
@@ -391,6 +454,16 @@ class TestCoupled:
         st = init(60, exp_measure(), 2.0 ** -6, seed=9)
         lo, hi = simulate_coupled(st, 1.0, 3.0, PROD1, AFFINE, 0.6, seed=7)
         assert np.all(lo.overflow >= hi.overflow - 1e-15)
+
+    def test_domination_check_fires(self, monkeypatch):
+        # an escape that kills the catalyst slot instead of the output slot
+        # leaves a lower particle dead in the upper level
+        escape = ParticleState.escape
+        monkeypatch.setattr(ParticleState, "escape",
+                            lambda self, i, j, l: escape(self, j, i, l))
+        st = init(60, exp_measure(), 2.0 ** -6, seed=9)
+        with pytest.raises(AuditError, match="domination"):
+            simulate_coupled(st, 4.0, 4.0, PROD1, AFFINE, 0.3, seed=7)
 
 
 class TestMartingale:
