@@ -334,6 +334,7 @@ def cmd_picard(args) -> int:
         "schema": 1, "report": "picard", "constant": rep.constant,
         "horizon": rep.horizon, "sup_norms": rep.sup_norms.tolist(),
         "sup_diffs": rep.sup_diffs.tolist(), "within_sqrt2": rep.bound_sqrt2,
+        "iterations_evaluated": rep.evaluated,
     }
     _json_dump(payload, outdir / "picard.json")
     _write_manifest(outdir, "picard", {"kernel": args.kernel, "h": h,

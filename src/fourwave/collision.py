@@ -17,11 +17,15 @@ Two evaluation routes exist:
 * a grid route (``method="grid"``) for measures on a common dyadic grid and
   kernels that decompose into rank-one terms: every slot reduces to
   discrete convolutions and prefix sums over grid extent M.  Convolutions
-  of operands shorter than ``_FFT_CROSSOVER`` (640) run through the exact
-  O(M^2) ``np.convolve``; longer ones through rfft in O(M log M), with
-  results within about 1e-15 relative of np.convolve and exact zeros
+  of two vectors shorter than ``_FFT_CROSSOVER`` (640) run through the
+  exact O(M^2) ``np.convolve``; longer ones through rfft in O(M log M),
+  with results within about 1e-15 relative of np.convolve and exact zeros
   outside the operands' nonzero hulls.  The grid extent has no upper
-  limit.  Both routes compute the same sum term-for-term; the grid route
+  limit.  ``grid_interaction_parts`` also takes a stack of states along a
+  leading axis (the solver's Picard scheme evaluates its time points this
+  way); stacks always go through rfft along the last axis, one transform
+  per operand for the whole stack, which is what makes many small calls
+  cheap.  Both routes compute the same sum term-for-term; the grid route
   is what makes the large-n workloads tractable and it is cross-checked
   against the direct route in the test-suite.
 
@@ -304,15 +308,18 @@ def _dense_vector(mu: DiscreteMeasure) -> tuple[np.ndarray, float]:
 
 
 def _conv(u: np.ndarray, v: np.ndarray, cache: dict) -> np.ndarray:
-    """Full linear convolution of u and v: np.convolve below _FFT_CROSSOVER;
-    at or above it rfft of the operands trimmed to their nonzero hulls, so
-    the result is exactly zero outside the sum of the hulls.  ``cache``
-    belongs to one call: an operand (the same array object) used again is
-    transformed only once."""
-    if min(len(u), len(v)) < _FFT_CROSSOVER:
+    """Full linear convolution of u and v along the last axis, leading axes
+    broadcast.  Two vectors shorter than _FFT_CROSSOVER go through
+    np.convolve; everything else (longer vectors, and every stack of rows)
+    through rfft along the last axis, with each operand trimmed to the union
+    of its rows' nonzero hulls, so every row is exactly zero outside the sum
+    of the two union hulls.  ``cache`` belongs to one call: an operand (the
+    same array object) used again is transformed only once."""
+    if u.ndim == v.ndim == 1 and min(len(u), len(v)) < _FFT_CROSSOVER:
         return np.convolve(u, v)
-    out = np.zeros(len(u) + len(v) - 1)
-    hulls = [np.flatnonzero(x) for x in (u, v)]
+    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    out = np.zeros(lead + (u.shape[-1] + v.shape[-1] - 1,))
+    hulls = [np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)) for x in (u, v)]
     if not all(len(nz) for nz in hulls):
         return out
     (ulo, uhi), (vlo, vhi) = ((int(nz[0]), int(nz[-1]) + 1) for nz in hulls)
@@ -322,22 +329,26 @@ def _conv(u: np.ndarray, v: np.ndarray, cache: dict) -> np.ndarray:
     for x, lo, hi in ((u, ulo, uhi), (v, vlo, vhi)):
         key = (id(x), nfft)
         if key not in cache:  # x is held with its spectrum, so its id stays unique
-            cache[key] = (x, np.fft.rfft(x[lo:hi], nfft))
+            cache[key] = (x, np.fft.rfft(x[..., lo:hi], nfft))
         prod = prod * cache[key][1]
-    out[ulo + vlo:ulo + vlo + size] = np.fft.irfft(prod, nfft)[:size]
+    out[..., ulo + vlo:ulo + vlo + size] = np.fft.irfft(prod, nfft)[..., :size]
     return out
 
 
 def _corr(u: np.ndarray, v: np.ndarray, out_len: int, cache: dict) -> np.ndarray:
-    """corr[y] = sum_l v[l] * u[y + l] for y = 0 .. out_len-1 <= len(u)-1."""
-    v_rev = cache.setdefault(("reversed", id(v)), (v, v[::-1]))[1]  # one view per v: spectrum cached
-    return _conv(u, v_rev, cache)[len(v) - 1:len(v) - 1 + out_len]
+    """corr[..., y] = sum_l v[..., l] * u[..., y + l] for y = 0 .. out_len-1,
+    out_len <= u.shape[-1]."""
+    n = v.shape[-1]
+    v_rev = cache.setdefault(("reversed", id(v)), (v, v[..., ::-1]))[1]  # one view per v: spectrum cached
+    return _conv(u, v_rev, cache)[..., n - 1:n - 1 + out_len]
 
 
 def _cap(d: np.ndarray, size: int) -> np.ndarray:
-    """Prefix sums of d, held at the total out to length ``size``."""
-    cum = np.cumsum(d)
-    return np.concatenate([cum, np.full(size - len(d), cum[-1])])
+    """Prefix sums of d along the last axis, held at the total out to
+    length ``size``."""
+    padded = np.zeros(d.shape[:-1] + (size,))
+    padded[..., :d.shape[-1]] = d
+    return padded.cumsum(axis=-1)
 
 
 def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel, cache: dict):
@@ -345,12 +356,15 @@ def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel, cache: dict):
     w2**e2 * w3**e3 yields coef, the grid powers x1 = x**e1 and x2 = x**e2,
     the slot vectors a = x1*w, b = x2*w and d = x**e3*w, the pair sums
     cab = a*b and the slot-3 prefix sums dcap over 0..2M-2.  Terms sharing
-    an exponent share its arrays (and through ``cache`` their spectra)."""
-    grid = np.arange(len(w)) * h
+    an exponent share its arrays (and through ``cache`` their spectra).
+    ``w`` may be a stack of states: the grid is the last axis, the powers
+    stay 1-D and every other array has w's leading axes."""
+    m = w.shape[-1]
+    grid = np.arange(m) * h
     terms = kernel.rank_one_terms()
     powers = {e: grid ** e for _, exps in terms for e in exps}
     slots = {e: x * w for e, x in powers.items()}
-    caps = {e3: _cap(slots[e3], 2 * len(w) - 1) for _, (_, _, e3) in terms}
+    caps = {e3: _cap(slots[e3], 2 * m - 1) for _, (_, _, e3) in terms}
     for coef, (e1, e2, e3) in terms:
         a, b = slots[e1], slots[e2]
         yield coef, powers[e1], powers[e2], a, b, slots[e3], _conv(a, b, cache), caps[e3]
@@ -404,17 +418,20 @@ class GridInteractionParts:
     ``loss_rate`` is the outflow rate per unit weight at each grid site;
     ``escape_rate`` is the phi-weighted rate at which interaction outputs
     land beyond the window (zero when unbounded, where ``gain`` instead
-    extends over the full reachable range 0..2M-2).
+    extends over the full reachable range 0..2M-2).  For a stack of states
+    every field has the stack's leading axes: ``escape_rate`` holds one
+    entry per row.
     """
 
     gain: np.ndarray
     loss_rate: np.ndarray
-    escape_rate: float
+    escape_rate: float | np.ndarray
 
 
 def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
                            bound_idx: int | None) -> GridInteractionParts:
-    """Scatter form of the interaction operator on a dense grid vector.
+    """Scatter form of the interaction operator on a dense grid vector, or
+    on a stack of them along the last axis.
 
     With ``bound_idx = M-1`` the gain is confined to the window and the
     escaping output mass is returned in ``escape_rate``, weighted by the
@@ -422,19 +439,20 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
     scatter over 0..2M-2 is produced (untruncated q_measure).  ``loss_rate``
     never depends on the bound.
     """
-    m = len(w)
+    m = w.shape[-1]
+    no_escape = np.zeros(w.shape[:-1])[()]  # 0.0 for a vector, one zero per row for a stack
     if m == 0:
-        return GridInteractionParts(np.zeros(0), np.zeros(0), 0.0)
+        return GridInteractionParts(np.zeros(w.shape), np.zeros(w.shape), no_escape)
     if bound_idx is not None and bound_idx != m - 1:
         raise ValueError("dense window must end at the truncation bound")
     smax = 2 * m - 1
-    gain = np.zeros(smax)
-    loss_rate = np.zeros(m)
+    gain = np.zeros(w.shape[:-1] + (smax,))
+    loss_rate = np.zeros(w.shape)
     cache = {}
     for coef, x1, x2, a, b, d, cab, dcap in _rank_one_terms(w, h, kernel, cache):
         half = 0.5 * coef
         # slot-3 gain: catalyst at l collects every pair with i+j >= l
-        gain[:m] += half * d * np.cumsum(cab[::-1])[::-1][:m]
+        gain[..., :m] += half * d * np.cumsum(cab[..., ::-1], axis=-1)[..., ::-1][..., :m]
         # output gain over y = (i+j) - l
         gain += half * _corr(cab, d, smax, cache)
         # per-unit-weight loss rates in slots 1 and 2
@@ -442,6 +460,6 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
         lr2 = lr1 if a is b else x2 * _corr(dcap, a, m, cache)
         loss_rate += half * (lr1 + lr2)
     if bound_idx is None:
-        return GridInteractionParts(gain, loss_rate, 0.0)
+        return GridInteractionParts(gain, loss_rate, no_escape)
     phi_out = np.asarray(AFFINE(np.arange(m, smax) * h), dtype=float)
-    return GridInteractionParts(gain[:m], loss_rate, float(np.dot(gain[m:], phi_out)))
+    return GridInteractionParts(gain[..., :m], loss_rate, np.dot(gain[..., m:], phi_out))

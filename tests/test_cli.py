@@ -215,6 +215,26 @@ class TestPicard:
         assert len(data["sup_norms"]) == 21
 
 
+class TestPicardReport:
+    def test_iterations_evaluated(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(["picard", "--kernel", "product:lambda=1",
+                     "--out", str(out)]) == 0
+        data = json.loads((out / "picard.json").read_text())
+        e = data["iterations_evaluated"]
+        assert 1 <= e < 20
+        # iteration e changed nothing, so every later row is a copy
+        assert data["sup_diffs"][e - 1:] == [0.0] * (21 - e)
+        assert data["sup_norms"][e - 1:] == [data["sup_norms"][e]] * (22 - e)
+
+    def test_bad_iterations_exit2(self, tmp_path, capsys):
+        for count in ("0", "-3"):
+            assert main(["picard", "--kernel", "product:lambda=1", "--iterations", count,
+                         "--out", str(tmp_path / "p")]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error: iterations must be at least 1" in err
+
+
 class TestReport:
     def test_from_moment_trace(self, tmp_path, capsys):
         sim = tmp_path / "sim"

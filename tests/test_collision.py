@@ -324,3 +324,61 @@ class TestFftBackend:
             assert np.all(parts.gain[:800] == 0.0) and np.all(parts.gain[1401:] == 0.0)
             assert parts.gain[800] > 0.0 and parts.gain[1400] > 0.0
             assert parts.escape_rate == 0.0
+
+
+class TestStackedCore:
+    """grid_interaction_parts on an (R, M) stack against its rows' 1-D calls."""
+
+    KERNELS = ["product:lambda=1", "sum:lambda=2", "mixed:p=1,q=0.5,r=0.25", "const:c=1"]
+
+    @staticmethod
+    def stack(m):
+        """Rows supported on the hull [m//2, 7m//8]: a dense random row, an
+        all-zero row, a two-atom row at the hull ends and a sparse random
+        row.  Outputs reach past the window, so the escape is a bulk rate."""
+        rng = np.random.default_rng(m)
+        lo, hi = m // 2, (7 * m) // 8
+        w = np.zeros((4, m))
+        w[0, lo:hi + 1] = rng.random(hi + 1 - lo)
+        w[2, [lo, hi]] = [0.3, 0.7]
+        sparse = rng.integers(lo, hi + 1, size=3)
+        w[3, sparse] = rng.random(3)
+        return w, lo, hi
+
+    @pytest.mark.parametrize("m", [1, 5, 257, 639, 640, 2049])
+    @pytest.mark.parametrize("spec", KERNELS)
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_rows_match_vector_calls(self, m, spec, bounded):
+        k = parse_kernel(spec)
+        h = 4.0 / max(m - 1, 1)
+        w, lo, hi = self.stack(m)
+        bound_idx = m - 1 if bounded else None
+        got = grid_interaction_parts(w, h, k, bound_idx=bound_idx)
+        assert got.gain.shape == (4, m if bounded else 2 * m - 1)
+        assert got.loss_rate.shape == (4, m)
+        assert np.shape(got.escape_rate) == (4,)
+        # a gain error within eps * max|gain| moves the escape by at most
+        # eps * max|gain| * ||phi_out||_1: the normwise scale of the escape
+        phi_out_l1 = float(np.sum(np.arange(m, 2 * m - 1) * h + 1.0))
+        for r in range(4):
+            ref = grid_interaction_parts(w[r], h, k, bound_idx=bound_idx)
+            gain_scale = np.max(np.abs(ref.gain))
+            assert np.max(np.abs(got.gain[r] - ref.gain)) <= 1e-13 * gain_scale
+            assert np.max(np.abs(got.loss_rate[r] - ref.loss_rate)) <= (
+                1e-13 * np.max(np.abs(ref.loss_rate)))
+            assert abs(got.escape_rate[r] - ref.escape_rate) <= 1e-13 * gain_scale * phi_out_l1
+        # outputs i + j - l over the union hull [lo, hi] span [2lo - hi, 2hi - lo]
+        assert np.all(got.gain[:, :max(2 * lo - hi, 0)] == 0.0)
+        assert np.all(got.gain[:, 2 * hi - lo + 1:] == 0.0)
+        assert np.all(got.gain[1] == 0.0) and np.all(got.loss_rate[1] == 0.0)
+        assert got.escape_rate[1] == 0.0
+
+    def test_leading_axes(self):
+        w, _, _ = self.stack(257)
+        k = parse_kernel("sum:lambda=2")
+        flat = grid_interaction_parts(w, 2.0 ** -6, k, bound_idx=256)
+        deep = grid_interaction_parts(w.reshape(2, 2, 257), 2.0 ** -6, k, bound_idx=256)
+        for a, b in ((deep.gain.reshape(4, 257), flat.gain),
+                     (deep.loss_rate.reshape(4, 257), flat.loss_rate),
+                     (deep.escape_rate.reshape(4), flat.escape_rate)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))

@@ -9,6 +9,8 @@ from fourwave.solver import (
     PicardReport,
     SolverConfig,
     SolverError,
+    _dense_initial,
+    _TruncatedSystem,
     default_dt,
     phi2_bound,
     picard,
@@ -222,6 +224,75 @@ class TestPicard:
         pb = 4 * H + 1.0
         assert c == pytest.approx(max(PROD1.eval(4 * H, 4 * H, 4 * H) * (2 + (8 * H + 1) / 2),
                                       2 * pb * pb * (1 + pb)), rel=1e-14)
+
+
+class TestPicardFixedPoint:
+    """picard against a point-by-point run of every iteration."""
+
+    @staticmethod
+    def reference(mu0, lam0, kernel, bound, iterations=20, nsteps=64):
+        """(sup norms, sup diffs) of the scheme with one rhs call per time
+        point and no early stop."""
+        c = picard_constant(kernel, bound)
+        times = np.linspace(0.0, 1.0 / (4.0 * c), nsteps + 1)
+        w0 = _dense_initial(mu0, bound, mu0.h)
+        system = _TruncatedSystem(kernel, mu0.h, len(w0))
+        cur_w, cur_l = np.tile(w0, (len(times), 1)), np.full(len(times), float(lam0))
+        norms, diffs = [np.abs(cur_w).sum(axis=1) + np.abs(cur_l)], []
+        half_dt = 0.5 * np.diff(times)
+        for _ in range(iterations):
+            rhs = [system.rhs(cur_w[k], float(cur_l[k])) for k in range(len(times))]
+            rhs_w = np.array([r[0] for r in rhs])
+            rhs_l = np.array([float(r[1]) for r in rhs])
+            new_w = w0 + np.vstack([np.zeros((1, len(w0))), np.cumsum(
+                half_dt[:, None] * (rhs_w[:-1] + rhs_w[1:]), axis=0)])
+            new_l = lam0 + np.concatenate([[0.0], np.cumsum(half_dt * (rhs_l[:-1] + rhs_l[1:]))])
+            diffs.append(np.abs(new_w - cur_w).sum(axis=1) + np.abs(new_l - cur_l))
+            cur_w, cur_l = new_w, new_l
+            norms.append(np.abs(cur_w).sum(axis=1) + np.abs(cur_l))
+        return np.max(norms, axis=1), np.max(diffs, axis=1)
+
+    @staticmethod
+    def starts():
+        raw = DiscreteMeasure.from_grid([1, 2], [0.5, 0.5], H)
+        yield raw.scaled(1.0 / moment(raw, AFFINE)), 0.0, 4 * H
+        # 64 atoms over M = 257 with a little overflow, <phi, mu0> + lam0 = 1
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, 257, size=64)
+        wide = DiscreteMeasure.from_grid(idx, rng.random(64), H).compact()
+        lam0 = 0.1
+        yield wide.scaled((1.0 - lam0) / moment(wide, AFFINE)), lam0, 256 * H
+
+    @pytest.mark.parametrize("spec", ["product:lambda=1", "sum:lambda=2"])
+    def test_matches_pointwise_reference(self, spec):
+        kernel = parse_kernel(spec)
+        for mu0, lam0, bound in self.starts():
+            rep = picard(mu0, lam0, kernel, bound, iterations=20)
+            ref_norms, ref_diffs = self.reference(mu0, lam0, kernel, bound)
+            assert rep.norms.shape == (21, 65) and rep.diffs.shape == (20, 65)
+            assert np.all(np.abs(rep.sup_norms - ref_norms) <= 1e-14 * ref_norms)
+            assert np.all(np.abs(rep.sup_diffs - ref_diffs) <= 1e-15)
+            assert 1 <= rep.evaluated <= 20
+
+    def test_stop_at_fixed_point(self):
+        mu0, lam0, bound = next(self.starts())
+        rep = picard(mu0, lam0, PROD1, bound, iterations=20)
+        e = rep.evaluated
+        assert e < 20 and not rep.diffs[e - 1].any()
+        assert rep.diffs[e - 2].any()
+        assert np.all(rep.norms[e:] == rep.norms[e - 1]) and not rep.diffs[e:].any()
+        longer = picard(mu0, lam0, PROD1, bound, iterations=40)
+        assert longer.evaluated == e
+        assert np.array_equal(longer.norms[:21], rep.norms)
+        assert np.array_equal(longer.diffs[:20], rep.diffs)
+
+    @pytest.mark.parametrize("bad", [{"iterations": 0}, {"iterations": -3},
+                                     {"nsteps": 0}, {"nsteps": -1}])
+    def test_rejects_bad_counts(self, bad):
+        mu0, lam0, bound = next(self.starts())
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            picard(mu0, lam0, PROD1, bound, **bad)
 
 
 class TestDefaultDt:
