@@ -16,18 +16,20 @@ Two evaluation routes exist:
   implementation, vectorised in blocks and costing O(m^3);
 * a grid route (``method="grid"``) for measures on a common dyadic grid and
   kernels that decompose into rank-one terms: every slot reduces to
-  discrete convolutions and prefix sums over grid extent M.  Convolutions
-  of two vectors shorter than ``_FFT_CROSSOVER`` (640) run through the
-  exact O(M^2) ``np.convolve``; longer ones through rfft in O(M log M),
-  with results within about 1e-15 relative of np.convolve and exact zeros
-  outside the operands' nonzero hulls.  The grid extent has no upper
-  limit.  ``grid_interaction_parts`` also takes a stack of states along a
-  leading axis (the solver's Picard scheme evaluates its time points this
-  way); stacks always go through rfft along the last axis, one transform
-  per operand for the whole stack, which is what makes many small calls
-  cheap.  Both routes compute the same sum term-for-term; the grid route
-  is what makes the large-n workloads tractable and it is cross-checked
-  against the direct route in the test-suite.
+  discrete convolutions and prefix sums over grid extent M, with each
+  slot-swapped pair of kernel terms folded into one.  Vectors shorter
+  than ``_FFT_CROSSOVER`` (640) run through the exact O(M^2)
+  ``np.convolve``; longer ones, and stacks of states along a leading axis
+  (the solver's Picard scheme evaluates its time points this way),
+  through rfft in O(M log M): one spectrum per slot vector over the rows'
+  union nonzero hull, pair sums as products of spectra and correlations
+  as products with a conjugate spectrum (the loss-rate correlation is a
+  per-row constant past the hull's length and is transformed only below
+  it), within about 1e-15 relative of np.convolve and exactly zero
+  outside the hulls.  The grid extent has no upper limit.  Both routes
+  compute the same sum; the grid route is what makes the large-n
+  workloads tractable and it is cross-checked against the direct route
+  in the test-suite.
 
 The bracket vanishes identically for affine f: mass and energy are
 conserved, and the grid closure under w1 + w2 - w3 makes that exact.
@@ -277,10 +279,10 @@ def q_pairing_powermoment(mu: DiscreteMeasure, kernel: Kernel, p: int) -> float:
 # grid (convolution) route
 # --------------------------------------------------------------------------
 
-# Operand length from which _conv uses rfft instead of np.convolve.  Per
-# call of grid_interaction_parts / grid_q_counting on a 2-core x86-64 host
-# (numpy 2.4), rfft was slower at M=385 for every kernel family, about
-# even at M=513 and 10-50% faster from M=641 on (2-2.5x at M=1025).
+# Vector length from which the grid route uses rfft.  Per call on a
+# 2-core x86-64 host (numpy 2.4), grid_interaction_parts breaks even at
+# M = 385-513 (product, sum) and 513-641 (mixed), grid_q_counting at
+# 641-769; 640 keeps the CLI's M = 257 solves on the exact np.convolve.
 _FFT_CROSSOVER = 640
 
 
@@ -307,40 +309,33 @@ def _dense_vector(mu: DiscreteMeasure) -> tuple[np.ndarray, float]:
     return w, mu.h
 
 
-def _conv(u: np.ndarray, v: np.ndarray, cache: dict) -> np.ndarray:
-    """Full linear convolution of u and v along the last axis, leading axes
-    broadcast.  Two vectors shorter than _FFT_CROSSOVER go through
-    np.convolve; everything else (longer vectors, and every stack of rows)
-    through rfft along the last axis, with each operand trimmed to the union
-    of its rows' nonzero hulls, so every row is exactly zero outside the sum
-    of the two union hulls.  ``cache`` belongs to one call: an operand (the
-    same array object) used again is transformed only once."""
-    if u.ndim == v.ndim == 1 and min(len(u), len(v)) < _FFT_CROSSOVER:
+def _conv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two vectors: np.convolve below
+    _FFT_CROSSOVER, rfft from it on."""
+    if min(len(u), len(v)) < _FFT_CROSSOVER:
         return np.convolve(u, v)
-    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
-    out = np.zeros(lead + (u.shape[-1] + v.shape[-1] - 1,))
-    hulls = [np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)) for x in (u, v)]
-    if not all(len(nz) for nz in hulls):
-        return out
-    (ulo, uhi), (vlo, vhi) = ((int(nz[0]), int(nz[-1]) + 1) for nz in hulls)
-    size = uhi - ulo + vhi - vlo - 1
-    nfft = 1 << (size - 1).bit_length()
-    prod = 1.0
-    for x, lo, hi in ((u, ulo, uhi), (v, vlo, vhi)):
-        key = (id(x), nfft)
-        if key not in cache:  # x is held with its spectrum, so its id stays unique
-            cache[key] = (x, np.fft.rfft(x[..., lo:hi], nfft))
-        prod = prod * cache[key][1]
-    out[..., ulo + vlo:ulo + vlo + size] = np.fft.irfft(prod, nfft)[..., :size]
-    return out
+    size = len(u) + len(v) - 1
+    nfft = _fft_len(size)
+    return np.fft.irfft(np.fft.rfft(u, nfft) * np.fft.rfft(v, nfft), nfft)[:size]
 
 
-def _corr(u: np.ndarray, v: np.ndarray, out_len: int, cache: dict) -> np.ndarray:
-    """corr[..., y] = sum_l v[..., l] * u[..., y + l] for y = 0 .. out_len-1,
-    out_len <= u.shape[-1]."""
-    n = v.shape[-1]
-    v_rev = cache.setdefault(("reversed", id(v)), (v, v[..., ::-1]))[1]  # one view per v: spectrum cached
-    return _conv(u, v_rev, cache)[..., n - 1:n - 1 + out_len]
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.dot(x[..., r, :], y) for every row of x.  Each row's bits do not
+    depend on how many rows share the call (a matrix np.dot rounds its
+    last rows differently), and a vector gets np.dot's own result."""
+    return np.matmul(x[..., None, :], y[:, None])[..., 0, 0]
+
+
+def _fft_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: pocketfft is fastest on such lengths."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _cap(d: np.ndarray, size: int) -> np.ndarray:
@@ -351,23 +346,34 @@ def _cap(d: np.ndarray, size: int) -> np.ndarray:
     return padded.cumsum(axis=-1)
 
 
-def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel, cache: dict):
-    """Per-term core of the grid route: for each kernel term coef * w1**e1 *
-    w2**e2 * w3**e3 yields coef, the grid powers x1 = x**e1 and x2 = x**e2,
-    the slot vectors a = x1*w, b = x2*w and d = x**e3*w, the pair sums
-    cab = a*b and the slot-3 prefix sums dcap over 0..2M-2.  Terms sharing
-    an exponent share its arrays (and through ``cache`` their spectra).
-    ``w`` may be a stack of states: the grid is the last axis, the powers
-    stay 1-D and every other array has w's leading axes."""
-    m = w.shape[-1]
-    grid = np.arange(m) * h
-    terms = kernel.rank_one_terms()
+def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel):
+    """Kernel terms ``(coef, (e1, e2, e3))`` for coef * w1**e1 * w2**e2 *
+    w3**e3, with the grid powers x**e and slot vectors x**e * w keyed by
+    exponent (leading axes of a stack ``w`` kept).  Two terms that swap
+    slots 1 and 2 have equal pair sums and gains and swapped loss rates,
+    so they fold into one with the summed coefficient: ``sum`` keeps 2 of
+    its 3 terms and ``mixed`` 1 of 2."""
+    folded = {}
+    for coef, (e1, e2, e3) in kernel.rank_one_terms():
+        key = (min(e1, e2), max(e1, e2), e3)
+        total, exps = folded.get(key, (0.0, (e1, e2, e3)))
+        folded[key] = (total + coef, exps)
+    terms = list(folded.values())
+    grid = np.arange(w.shape[-1]) * h
     powers = {e: grid ** e for _, exps in terms for e in exps}
-    slots = {e: x * w for e, x in powers.items()}
-    caps = {e3: _cap(slots[e3], 2 * m - 1) for _, (_, _, e3) in terms}
-    for coef, (e1, e2, e3) in terms:
-        a, b = slots[e1], slots[e2]
-        yield coef, powers[e1], powers[e2], a, b, slots[e3], _conv(a, b, cache), caps[e3]
+    return terms, powers, {e: x * w for e, x in powers.items()}
+
+
+def _loss_corr(cross: np.ndarray, const: np.ndarray, n: int, u: int, m: int) -> np.ndarray:
+    """corr[..., i] = sum_j v[j] * dcap[i + j], i < m, dcap the prefix sums
+    of d, from the n-point cross spectrum D * conj(V) over the common hull
+    of length u: the sum of the lags k <= i of sum_j v[j] * d[j + k].  From
+    i = u - 1 on every lag counts: there corr is ``const`` = sum(d) sum(v)."""
+    lags = np.fft.irfft(cross, n)[..., np.arange(1 - u, u - 1)]
+    corr = np.empty(const.shape + (m,))
+    corr[..., :u - 1] = np.cumsum(lags, axis=-1)[..., u - 1:]
+    corr[..., u - 1:] = const[..., None]
+    return corr
 
 
 def grid_q_pairing(w: np.ndarray, h: float, kernel: Kernel, f) -> float:
@@ -393,20 +399,23 @@ def grid_q_counting(w: np.ndarray, h: float, kernel: Kernel, fvec: np.ndarray,
     f = fvec[:smax]
     fm = f[:m]
     two_x = 2 * np.arange(m)
-    cache = {}
+    terms, powers, slots = _rank_one_terms(w, h, kernel)
     total = diag = 0.0
-    for coef, x1, x2, a, b, d, cab, dcap in _rank_one_terms(w, h, kernel, cache):
-        g_out = _conv(d, f, cache)[:smax]
+    for coef, (e1, e2, e3) in terms:
+        a, b, d = slots[e1], slots[e2], slots[e3]
+        cab = _conv(a, b)
+        dcap = _cap(d, smax)
+        g_out = _conv(d, f)[:smax]
         dfcap = _cap(d * fm, smax)
         t_out = float(np.dot(cab, g_out))
         t_l = float(np.dot(cab, dfcap))
-        t_1 = float(np.dot(_conv(a * fm, b, cache), dcap))
+        t_1 = float(np.dot(_conv(a * fm, b), dcap))
         # slots 1 and 2 swap into each other when their vectors coincide
-        t_2 = t_1 if a is b else float(np.dot(_conv(a, b * fm, cache), dcap))
+        t_2 = t_1 if e1 == e2 else float(np.dot(_conv(a, b * fm), dcap))
         total += coef * (t_out + t_l - t_1 - t_2)
         if n is not None:
-            diag += coef * float(np.dot(x1 * x2 * w, g_out[two_x] + dfcap[two_x]
-                                        - 2.0 * fm * dcap[two_x]))
+            diag += coef * float(np.dot(powers[e1] * powers[e2] * w, g_out[two_x]
+                                        + dfcap[two_x] - 2.0 * fm * dcap[two_x]))
     return 0.5 * total if n is None else 0.5 * total - 0.5 / n * diag
 
 
@@ -448,18 +457,45 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
     smax = 2 * m - 1
     gain = np.zeros(w.shape[:-1] + (smax,))
     loss_rate = np.zeros(w.shape)
-    cache = {}
-    for coef, x1, x2, a, b, d, cab, dcap in _rank_one_terms(w, h, kernel, cache):
-        half = 0.5 * coef
-        # slot-3 gain: catalyst at l collects every pair with i+j >= l
-        gain[..., :m] += half * d * np.cumsum(cab[..., ::-1], axis=-1)[..., ::-1][..., :m]
-        # output gain over y = (i+j) - l
-        gain += half * _corr(cab, d, smax, cache)
-        # per-unit-weight loss rates in slots 1 and 2
-        lr1 = x1 * _corr(dcap, b, m, cache)
-        lr2 = lr1 if a is b else x2 * _corr(dcap, a, m, cache)
-        loss_rate += half * (lr1 + lr2)
+    terms, powers, slots = _rank_one_terms(w, h, kernel)
+    if w.ndim == 1 and m < _FFT_CROSSOVER:
+        for coef, (e1, e2, e3) in terms:
+            half = 0.5 * coef
+            a, b, d = slots[e1], slots[e2], slots[e3]
+            cab = np.convolve(a, b)
+            dcap = _cap(d, smax)
+            # slot-3 gain: catalyst at l collects every pair with i+j >= l
+            gain[:m] += half * d * np.cumsum(cab[::-1])[::-1][:m]
+            # output gain over y = (i+j) - l
+            gain += half * np.convolve(cab, d[::-1])[m - 1:m - 1 + smax]
+            # per-unit-weight loss rates in slots 1 and 2
+            lr1 = powers[e1] * np.correlate(dcap, b, "valid")
+            lr2 = lr1 if e1 == e2 else powers[e2] * np.correlate(dcap, a, "valid")
+            loss_rate += half * (lr1 + lr2)
+    elif len(nz := np.flatnonzero(w.reshape(-1, m).any(axis=0))):
+        # slot vectors live on the rows' union hull [lo, hi): one spectrum
+        # each, long enough that no correlation wraps onto a kept output
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        u = hi - lo
+        nfft = _fft_len(3 * u - 2)
+        spec = {e: np.fft.rfft(s[..., lo:hi], nfft) for e, s in slots.items()}
+        tot = {e: s.sum(axis=-1) for e, s in slots.items()}
+        outs = np.arange(max(1 - u, -lo), min(2 * u - 1, smax - lo))  # kept y - lo
+        first = np.maximum(np.arange(u) - lo, 0)  # first pair sum 2lo + k a catalyst collects
+        for coef, (e1, e2, e3) in terms:
+            half = 0.5 * coef
+            ab = spec[e1] * spec[e2]
+            cab = np.fft.irfft(ab, nfft)[..., :2 * u - 1]  # pair sums 2lo .. 2hi-2
+            gain[..., lo:hi] += (half * slots[e3][..., lo:hi]
+                                 * np.cumsum(cab[..., ::-1], axis=-1)[..., ::-1][..., first])
+            gain[..., lo + outs[0]:lo + outs[-1] + 1] += (
+                half * np.fft.irfft(ab * spec[e3].conj(), nfft)[..., outs])
+            lr1 = powers[e1] * _loss_corr(spec[e3] * spec[e2].conj(), tot[e3] * tot[e2],
+                                          nfft, u, m)
+            lr2 = lr1 if e1 == e2 else powers[e2] * _loss_corr(
+                spec[e3] * spec[e1].conj(), tot[e3] * tot[e1], nfft, u, m)
+            loss_rate += half * (lr1 + lr2)
     if bound_idx is None:
         return GridInteractionParts(gain, loss_rate, no_escape)
     phi_out = np.asarray(AFFINE(np.arange(m, smax) * h), dtype=float)
-    return GridInteractionParts(gain[..., :m], loss_rate, np.dot(gain[..., m:], phi_out))
+    return GridInteractionParts(gain[..., :m], loss_rate, _row_dot(gain[..., m:], phi_out))

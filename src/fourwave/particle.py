@@ -56,6 +56,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CHUNK = 128          # candidates drawn per batch between accepted events
 _AUDIT_EVERY = 10_000  # cached-sum audit cadence, in accepted events
+_CDF_BLOCK = 1 << 16  # atoms per block of init's two-level prefix table
 
 
 class ThinningError(RuntimeError):
@@ -198,6 +199,24 @@ def _exp_start_idx(u: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(k, kmax).astype(np.int64)
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """Normalised prefix sums of nonnegative weights, in two levels: a
+    cumsum within each block of _CDF_BLOCK atoms, offset by the correctly
+    rounded sum (math.fsum) of the pairwise-summed totals of the blocks
+    before it.  A single cumsum drifts with the atom count (over 41.9M
+    atoms it misplaced 9 of 24,000 draws); this table stays within a few
+    ulp.  Up to _CDF_BLOCK atoms it is np.cumsum's bit for bit."""
+    cdf = np.empty(len(weights))
+    totals = []
+    for lo in range(0, len(weights), _CDF_BLOCK):
+        block, out = weights[lo:lo + _CDF_BLOCK], cdf[lo:lo + _CDF_BLOCK]
+        np.cumsum(block, out=out)
+        out += math.fsum(totals)
+        totals.append(float(block.sum()))
+    cdf /= cdf[-1]
+    return cdf
+
+
 def init(n: int, mu0: DiscreteMeasure | None, h: float, seed: int,
          weight: WeightFunction = AFFINE) -> ParticleState:
     """n i.i.d. samples from mu0 (normalised), quantised to the h-grid.
@@ -216,9 +235,7 @@ def init(n: int, mu0: DiscreteMeasure | None, h: float, seed: int,
     if len(mu0) == 0 or np.any(mu0.weights < 0):
         raise ValueError("initial measure must be nonnegative and nonzero")
     rng = make_rng(seed)
-    cdf = np.cumsum(mu0.weights)
-    cdf /= cdf[-1]
-    picks = np.searchsorted(cdf, rng.random(n), side="right")
+    picks = np.searchsorted(_cdf(mu0.weights), rng.random(n), side="right")
     idx = np.rint(mu0.positions[picks] / h).astype(np.int64)
     return ParticleState.build(idx, h, weight)
 

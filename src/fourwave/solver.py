@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import grid_interaction_parts
+from .collision import _row_dot, grid_interaction_parts
 from .kernels import AFFINE, Kernel
 from .measures import DiscreteMeasure, moment
 from .trajectory import Trajectory, checked_sample_times
@@ -118,13 +118,13 @@ class _TruncatedSystem:
 
     def _coupling(self, w, lam):
         """lam^2 + 2 lam <phi, w>: the coupling outflow rate per unit phi."""
-        return lam * lam + 2.0 * lam * np.dot(w, self.phi)
+        return lam * lam + 2.0 * lam * _row_dot(w, self.phi)
 
     def rhs(self, w, lam):
         parts = self.interaction(w)
         lfac = self._coupling(w, lam)
         dw = parts.gain - parts.loss_rate * w - lfac[..., None] * self.phi * w
-        dlam = parts.escape_rate + lfac * np.dot(w, self.phi2)
+        dlam = parts.escape_rate + lfac * _row_dot(w, self.phi2)
         return dw, dlam
 
     def loss_split(self, w, lam):
@@ -346,9 +346,10 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     is constant in time; the quadrature is trapezoidal on ``nsteps``
     uniform intervals over the contraction horizon T = 1/(4C).  Each
     iteration evaluates its nsteps + 1 time points in a few stacked calls
-    of the grid core.  Once an iteration changes nothing (every difference
-    exactly 0) the iterates sit at a fixed point of the deterministic map,
-    so the remaining rows are filled in as copies without computing them.
+    of the grid core; the first evaluates iterate 0's one state once.
+    Once an iteration changes nothing (every difference exactly 0) the
+    iterates sit at a fixed point of the deterministic map, so the
+    remaining rows are filled in as copies without computing them.
     Divergence (norms above the proof bound sqrt(2)) is reported, not
     raised.
     """
@@ -367,17 +368,19 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     w0 = _dense_initial(mu0, bound, h)
     system = _TruncatedSystem(kernel, h, len(w0))
     nt, m = len(times), len(w0)
-    blocks = -(-nt // max(1, _PICARD_BLOCK_VALUES // m))  # fewest even blocks within the cap
     dtv = np.diff(times)
 
-    cur_w = np.tile(w0, (nt, 1))
-    cur_l = np.full(nt, float(lam0))
-    norms = [np.abs(cur_w).sum(axis=1) + np.abs(cur_l)]
+    # iterate 0 is constant in time: one row stands for all nt time points
+    cur_w = w0[None, :]
+    cur_l = np.full(1, float(lam0))
+    norms = [np.broadcast_to(np.abs(cur_w).sum(axis=1) + np.abs(cur_l), (nt,))]
     diffs = []
     for _ in range(iterations):
+        blocks = -(-len(cur_w) // max(1, _PICARD_BLOCK_VALUES // m))  # fewest even blocks within the cap
         rhs = [system.rhs(wb, lb) for wb, lb in zip(np.array_split(cur_w, blocks),
                                                      np.array_split(cur_l, blocks))]
         rhs_w, rhs_l = (np.concatenate(part) for part in zip(*rhs))
+        rhs_w, rhs_l = np.broadcast_to(rhs_w, (nt, m)), np.broadcast_to(rhs_l, (nt,))
         int_w = np.vstack([np.zeros((1, m)),
                            np.cumsum(0.5 * dtv[:, None] * (rhs_w[:-1] + rhs_w[1:]), axis=0)])
         int_l = np.concatenate([[0.0], np.cumsum(0.5 * dtv * (rhs_l[:-1] + rhs_l[1:]))])

@@ -382,3 +382,84 @@ class TestStackedCore:
                      (deep.loss_rate.reshape(4, 257), flat.loss_rate),
                      (deep.escape_rate.reshape(4), flat.escape_rate)):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+class TestFoldedCore:
+    """The grid core folds each slot-swapped pair of kernel terms into one
+    term; the kernel itself keeps every term."""
+
+    SUM2, MIXED = "sum:lambda=2", "mixed:p=1,q=0.5,r=0.25"
+
+    def test_folded_terms(self):
+        w = np.ones(5)
+        expect = {self.SUM2: [(2.0 / 3.0, (2.0, 0.0, 0.0)), (1.0 / 3.0, (0.0, 0.0, 2.0))],
+                  self.MIXED: [(1.0, (1.0, 0.5, 0.25))]}
+        for spec, terms in expect.items():
+            assert collision._rank_one_terms(w, 0.25, parse_kernel(spec))[0] == terms
+        for spec in ("product:lambda=1", "const:c=2"):
+            k = parse_kernel(spec)
+            assert collision._rank_one_terms(w, 0.25, k)[0] == k.rank_one_terms()
+
+    def test_kernel_keeps_every_term(self):
+        third = 1.0 / 3.0
+        expect = {self.SUM2: [(third, (2.0, 0.0, 0.0)), (third, (0.0, 2.0, 0.0)),
+                              (third, (0.0, 0.0, 2.0))],
+                  self.MIXED: [(0.5, (1.0, 0.5, 0.25)), (0.5, (0.5, 1.0, 0.25))]}
+        x1, x2, x3 = np.meshgrid(*[np.linspace(0.0, 3.0, 7)] * 3, indexing="ij")
+        for spec, terms in expect.items():
+            k = parse_kernel(spec)
+            assert k.rank_one_terms() == terms
+            want = 0.0
+            for coef, (e1, e2, e3) in terms:
+                want = want + coef * x1 ** e1 * x2 ** e2 * x3 ** e3
+            assert np.array_equal(k.eval(x1, x2, x3), want)
+
+    @pytest.mark.parametrize("spec", [SUM2, MIXED])
+    def test_parts_and_counting_match_direct(self, spec):
+        k = parse_kernel(spec)
+        mu = random_measure(30, grid_h=0.25)
+        a = q_measure(mu, k, method="direct")
+        assert tv_norm(q_measure(mu, k, method="grid") - a) <= 1e-11 * max(1.0, tv_norm(a))
+        # the same scatter from a stack, which takes the rfft path
+        w, h = collision._dense_vector(mu)
+        rows = np.stack([w, 0.5 * w])
+        parts = grid_interaction_parts(rows, h, k, bound_idx=None)
+        for r, scale in enumerate((1.0, 0.125)):  # Q is cubic: Q(w / 2) = Q(w) / 8
+            dw = parts.gain[r].copy()
+            dw[:len(w)] -= parts.loss_rate[r] * rows[r]
+            idx = np.flatnonzero(dw)
+            got = DiscreteMeasure.from_grid(idx, dw[idx] / scale, h)
+            assert tv_norm(got - a) <= 1e-11 * max(1.0, tv_norm(a))
+        n = 64
+        x = DiscreteMeasure.from_grid(RNG.integers(0, 40, size=n), np.full(n, 1.0 / n), 0.25).compact()
+        f = lambda v: np.cos(np.asarray(v))
+        assert q_counting(x, k, f, n, method="grid") == pytest.approx(
+            q_counting(x, k, f, n, method="direct"), rel=1e-11, abs=1e-13)
+
+
+class TestLossCorrelation:
+    """corr[i] = sum_j b[j] * dcap[i + j], the correlation behind the loss
+    rate, on both backends."""
+
+    @pytest.mark.parametrize("m", [1, 5, 257, 639])
+    def test_valid_mode_equals_full_convolution_slice(self, m):
+        rng = np.random.default_rng(m)
+        d, b = rng.random(m), rng.random(m) * np.exp(-np.arange(m) / 50.0)
+        dcap = collision._cap(d, 2 * m - 1)
+        assert np.array_equal(np.correlate(dcap, b, "valid"),
+                              np.convolve(dcap, b[::-1])[m - 1:2 * m - 1])
+
+    @pytest.mark.parametrize("m", [5, 257, 2049])
+    def test_spectral_tail_is_the_row_constant(self, m):
+        # with const:c=1 the loss rate is the correlation of dcap and b = d = w
+        w, lo, hi = TestStackedCore.stack(m)
+        u = hi + 1 - lo  # the rows' union hull is [lo, hi]
+        h = 4.0 / (m - 1)
+        cases = [w] if m < collision._FFT_CROSSOVER else [w, w[0]]
+        for x in cases:
+            lr = grid_interaction_parts(x, h, CONST1, bound_idx=m - 1).loss_rate
+            tot = x.sum(axis=-1)
+            assert np.array_equal(lr[..., u - 1:],
+                                  np.broadcast_to((tot * tot)[..., None], lr[..., u - 1:].shape))
+            if x.ndim == 2:
+                assert np.all(lr[1] == 0.0)  # the all-zero row

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fourwave import particle
 from fourwave.cli import default_initial_measure, main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
@@ -135,6 +136,38 @@ class TestInit:
             init(1, DiscreteMeasure.delta(1.0), 0.5, seed=0)
         with pytest.raises(ValueError):
             init(4, DiscreteMeasure.delta(1.0), -0.5, seed=0)
+
+
+class TestInitTable:
+    """init's two-level prefix table against the exact one of 2^20 integer
+    weights below 2^40, whose prefix sums an int64 cumsum holds exactly."""
+
+    @staticmethod
+    def weights():
+        ints = np.random.default_rng(20).integers(1, 1 << 40, size=1 << 20)
+        exact = np.cumsum(ints)
+        # exact prefix sums below 2^60, rounded to float and divided: within 1 ulp
+        return ints.astype(float), exact / exact[-1]
+
+    def test_few_ulp_and_better_than_one_cumsum(self):
+        w, table = self.weights()
+        plain = np.cumsum(w)
+        plain /= plain[-1]
+        worst = np.max(np.abs(particle._cdf(w) - table))
+        assert worst <= 16 * 2.0 ** -52
+        assert worst < np.max(np.abs(plain - table))
+
+    def test_draws_match_exact_table(self):
+        w, table = self.weights()
+        mu = DiscreteMeasure.from_grid(np.arange(len(w)), w, 1.0)
+        for seed in range(10):
+            want = np.searchsorted(table, make_rng(seed).random(10 ** 4), side="right")
+            assert np.array_equal(init(10 ** 4, mu, 1.0, seed).idx, want)
+
+    def test_small_measure_keeps_one_cumsum(self):
+        w = np.random.default_rng(3).random(particle._CDF_BLOCK)
+        plain = np.cumsum(w)
+        assert np.array_equal(particle._cdf(w), plain / plain[-1])
 
 
 class TestDefaultStart:

@@ -6,6 +6,7 @@ import pytest
 from fourwave.kernels import AFFINE, parse_kernel
 from fourwave.measures import DiscreteMeasure, moment, tv_norm
 from fourwave.solver import (
+    _PICARD_BLOCK_VALUES,
     PicardReport,
     SolverConfig,
     SolverError,
@@ -273,6 +274,52 @@ class TestPicardFixedPoint:
             assert np.all(np.abs(rep.sup_norms - ref_norms) <= 1e-14 * ref_norms)
             assert np.all(np.abs(rep.sup_diffs - ref_diffs) <= 1e-15)
             assert 1 <= rep.evaluated <= 20
+
+    @staticmethod
+    def tiled_first_iteration(mu0, lam0, kernel, bound, iterations=20, nsteps=64):
+        """(norms, diffs, evaluated) of the scheme in picard's stacked blocks
+        and with its stop, but with iterate 0 tiled to every time point and
+        each tiled row evaluated."""
+        c = picard_constant(kernel, bound)
+        times = np.linspace(0.0, 1.0 / (4.0 * c), nsteps + 1)
+        w0 = _dense_initial(mu0, bound, mu0.h)
+        system = _TruncatedSystem(kernel, mu0.h, len(w0))
+        nt, m = len(times), len(w0)
+        blocks = -(-nt // max(1, _PICARD_BLOCK_VALUES // m))
+        cur_w, cur_l = np.tile(w0, (nt, 1)), np.full(nt, float(lam0))
+        norms, diffs = [np.abs(cur_w).sum(axis=1) + np.abs(cur_l)], []
+        dtv = np.diff(times)
+        while len(diffs) < iterations and (not diffs or diffs[-1].any()):
+            rhs = [system.rhs(wb, lb) for wb, lb in zip(np.array_split(cur_w, blocks),
+                                                         np.array_split(cur_l, blocks))]
+            rhs_w, rhs_l = (np.concatenate(part) for part in zip(*rhs))
+            new_w = w0[None, :] + np.vstack([np.zeros((1, m)), np.cumsum(
+                0.5 * dtv[:, None] * (rhs_w[:-1] + rhs_w[1:]), axis=0)])
+            new_l = lam0 + np.concatenate([[0.0], np.cumsum(0.5 * dtv * (rhs_l[:-1] + rhs_l[1:]))])
+            diffs.append(np.abs(new_w - cur_w).sum(axis=1) + np.abs(new_l - cur_l))
+            cur_w, cur_l = new_w, new_l
+            norms.append(np.abs(cur_w).sum(axis=1) + np.abs(cur_l))
+        evaluated = len(diffs)
+        norms += [norms[-1]] * (iterations - evaluated)
+        diffs += [np.zeros(nt)] * (iterations - evaluated)
+        return np.asarray(norms), np.asarray(diffs), evaluated
+
+    @pytest.mark.parametrize("spec", ["product:lambda=1", "sum:lambda=2"])
+    def test_first_iteration_on_one_row(self, spec):
+        # iterate 0 is constant in time: evaluating its one state and
+        # broadcasting it changes no bit of the report.  On the extra start
+        # a matrix np.dot in the stacked right-hand side would round the
+        # last rows of a block differently from a one-row call.
+        kernel = parse_kernel(spec)
+        rng = np.random.default_rng(1)
+        wide = DiscreteMeasure.from_grid(rng.integers(0, 257, size=64), rng.random(64), H).compact()
+        extra = wide.scaled(0.9 / moment(wide, AFFINE)), 0.1, 256 * H
+        for mu0, lam0, bound in (*self.starts(), extra):
+            rep = picard(mu0, lam0, kernel, bound, iterations=20)
+            norms, diffs, evaluated = self.tiled_first_iteration(mu0, lam0, kernel, bound)
+            assert np.array_equal(rep.norms, norms)
+            assert np.array_equal(rep.diffs, diffs)
+            assert rep.evaluated == evaluated
 
     def test_stop_at_fixed_point(self):
         mu0, lam0, bound = next(self.starts())
