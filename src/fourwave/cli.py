@@ -1,11 +1,14 @@
 """Reproducible batch interface.
 
 Subcommands: ``simulate``, ``solve``, ``compare``, ``validate``,
-``picard``, ``report``.  Every run writes a ``manifest.json`` holding the
-full configuration, seed and package version; re-running from the same
-manifest reproduces the artifact directory bit for bit (no timestamps are
-recorded).  Exit codes: 0 success, 2 configuration error, 3 runtime error
-(for instance a sub-multiplicativity abort or a failed validation).
+``picard``, ``report``.  ``simulate`` and ``solve`` write a
+``manifest.json`` holding the full configuration, seed and package
+version; replaying it with ``--manifest`` reproduces the artifact
+directory bit for bit (no timestamps are recorded).  ``picard`` writes a
+manifest that no command reads back (it has no ``--manifest``);
+``compare``, ``validate`` and ``report`` write none.  Exit codes: 0
+success, 2 configuration error, 3 runtime error (for instance a
+sub-multiplicativity abort or a failed validation).
 
 The default output root is the current directory, overridable with the
 ``FOURWAVE_OUTPUT_ROOT`` environment variable; each subcommand writes only
@@ -178,6 +181,9 @@ def cmd_solve(args) -> int:
     cfg = _merge_config(args, _load_manifest_config(args.manifest), _SOLVE_KEYS, defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
+    if cfg["bound_schedule"] and (cfg["richardson"] or cfg["lambda0"]):
+        raise CliConfigError("--bound-schedule starts every window from its canonical "
+                             "overflow: it takes neither --richardson nor --lambda0")
     kernel = parse_kernel(cfg["kernel"])
     outdir = Path(args.out) if args.out else _output_root() / "solve"
     outdir.mkdir(parents=True, exist_ok=True)

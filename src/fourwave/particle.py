@@ -21,9 +21,9 @@ overflow scalar: interaction outputs beyond B and truncation-clock kills
 move their weight into the overflow, conserving <phi, X> + Lambda exactly.
 A coupled two-window driver shares one clock stream between nested windows
 so the lower process is dominated by the upper one pathwise, atom by atom.
-It runs on the same :class:`ParticleState` and its prefix table as the
-engine: the upper window is a windowed state, the lower window a mask over
-its slots with prefix tables of phi and phi^2.
+Each window is a windowed :class:`ParticleState` with its own prefix table,
+changed only by ``apply_jump``, ``escape`` and ``kill``, slot for slot; the
+residual clock draws from the phi^2 table of the lower window's leaves.
 """
 
 from __future__ import annotations
@@ -440,26 +440,19 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     t_end = float(traj.meta["t_end"])
     fast = hasattr(kernel, "rank_one_terms")
 
-    # dense count vector over the grid, maintained incrementally together
-    # with the active support window; f is cached on the extended grid and
-    # re-evaluated only when the window grows
+    # dense count vector over every site the path visits (the initial sites
+    # and the interior outputs, w_new = out * h) and f on the extended grid
+    # the drift reads, both sized once; top bounds the active support
     top = int(idx.max())
-    if top > 65536:
+    extent = max(top, int(np.rint(ev.w_new / h).max(initial=0)))
+    if extent > 65536:
         raise ValueError(
             "martingale extraction needs a moderate grid extent (the drift "
             "integrand is a per-interval triple sum); rerun the simulation "
             "with a coarser resolution h")
-    counts = np.bincount(idx, minlength=top + 1).astype(float)
-    fvec = np.asarray(f(np.arange(2 * len(counts) - 1) * h), dtype=float)
-
-    def grow(to_idx):
-        nonlocal counts, fvec, top
-        top = max(top, to_idx)
-        if to_idx >= len(counts):
-            bigger = np.zeros(2 * to_idx + 1)
-            bigger[: len(counts)] = counts
-            counts = bigger
-            fvec = np.asarray(f(np.arange(2 * len(counts) - 1) * h), dtype=float)
+    counts = np.zeros(extent + 1)
+    counts[: top + 1] = np.bincount(idx)
+    fvec = np.asarray(f(np.arange(2 * extent + 1) * h), dtype=float)
 
     def drift_now():
         active = counts[: top + 1]
@@ -482,7 +475,7 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     # <f, X> accumulated in integer-count units and divided by n at the
     # end of each update: the per-jump increment is a 4-term sum of cached
     # f values, so conserved f cancel exactly along the path
-    f_scaled = float(np.dot(fvec[: len(counts)], counts))
+    f_scaled = float(np.dot(fvec[: top + 1], counts[: top + 1]))
     f0 = f_scaled / n
     f_now = f0
     drift = drift_now()
@@ -497,7 +490,7 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
         out = vi + vj - vl
         idx[i] = out
         idx[j] = vl
-        grow(out)
+        top = max(top, out)
         counts[vi] -= 1.0
         counts[vj] -= 1.0
         counts[out] += 1.0
@@ -532,7 +525,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     truncation kills at exactly the per-particle rate
     phi * (Lambda^2 + 2 Lambda <phi, X>) of each level.  Overflow starts
     are canonical, so <phi, X> + Lambda agree between levels at all times.
-    Every event checks that each lower particle is alive in the upper level.
+    Every event checks that each lower particle is alive, at the same
+    frequency, in the same slot of the upper level.
     """
     _require_state_weight(state, weight)
     if not weight.is_affine:
@@ -545,35 +539,20 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     h = state.h
     # overflows tracked as n * Lambda (exact dyadic sums, see _run_engine)
     upper, hi_idx, lam_hi_s = _windowed(state, bound_hi)
-    idx, fw = upper.idx, upper.fenwick
-    # only the lower copy's alive mask and phi table are kept: its slots
-    # take their values from the upper level
     lower, lo_idx, lam_lo_s = _windowed(state, bound_lo)
-    in_lo, lo_phi = lower.alive, lower.fenwick
-    lo_phi2 = FenwickTree(lo_phi.leaf * lo_phi.leaf)
-
-    def share(s: int) -> None:
-        phi = fw.leaf[s]
-        lo_phi.set(s, phi)
-        lo_phi2.set(s, phi * phi)
-
-    def leave_lo(s: int) -> float:
-        phi = float(lo_phi.leaf[s])
-        in_lo[s] = False
-        lo_phi.set(s, 0.0)
-        lo_phi2.set(s, 0.0)
-        return phi
-
+    fw, lo_phi = upper.fenwick, lower.fenwick
     rec_lo = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
     rec_hi = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
 
     def read_lo():
-        return idx[in_lo], lo_phi.total, lam_lo_s
+        return lower.idx[lower.alive], lo_phi.total, lam_lo_s
 
     def read_hi():
-        return idx[upper.alive], fw.total, lam_hi_s
+        return upper.idx[upper.alive], fw.total, lam_hi_s
 
     inv_n2 = 1.0 / (n * n)
+    # the residual clock kills lower particles with weight phi^2
+    lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
     t = 0.0
     while t < t_end:
         s1_hi = fw.total
@@ -582,7 +561,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         r_pair = s1_hi ** 3 * inv_n2 / 2.0
         lam_hi = lam_hi_s / n
         r_kill_hi = s1_hi * (lam_hi * lam_hi + 2.0 * lam_hi * s1_hi / n)
-        r_extra_lo = delta / n * lo_phi2.total
+        r_extra_lo = delta / n * float(lo_phi2[-1])
         r_total = r_pair + r_kill_hi + r_extra_lo
         if r_total <= 0.0:
             break
@@ -598,7 +577,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             i, j, l = (int(p) for p in fw.sample_batch(rng.random(3) * s1_hi))
             if i == j or min(fw.leaf[i], fw.leaf[j], fw.leaf[l]) <= 0.0:
                 continue
-            vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
+            vi, vj, vl = int(upper.idx[i]), int(upper.idx[j]), int(upper.idx[l])
             out = vi + vj - vl
             phis = fw.leaf[i] * fw.leaf[j] * fw.leaf[l]
             k_here = float(kernel(vi * h, vj * h, vl * h)) if out >= 0 else 0.0
@@ -611,38 +590,38 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             # level loses its pair members to the overflow: on the
             # interaction clock and on its complement (null for the upper
             # window) alike
-            all_in_lo = in_lo[i] and in_lo[j] and in_lo[l]
+            all_in_lo = lower.alive[i] and lower.alive[j] and lower.alive[l]
             if not all_in_lo:
                 for s in (i, j):
-                    if in_lo[s]:
-                        lam_lo_s += leave_lo(s)
+                    if lower.alive[s]:
+                        lam_lo_s += lower.kill(s)
             if float(rng.random()) < acc:
-                # interaction clock fires for the upper window: slot i takes
-                # the output, window permitting, and slot j the catalyst copy
+                # interaction clock fires: slot i takes the output, window
+                # permitting, and slot j the catalyst copy; the lower level
+                # shares the jump when it holds the whole triple
                 if out <= hi_idx:
                     upper.apply_jump(i, j, l)
                 else:
                     lam_hi_s += upper.escape(j, i, l)
                 if all_in_lo:
-                    # the lower level shares the jump; an output beyond its
-                    # window feeds its overflow in place of slot i
-                    share(j)
                     if out <= lo_idx:
-                        share(i)
+                        lower.apply_jump(i, j, l)
                     else:
-                        lam_lo_s += float(weight(out * h))
-                        leave_lo(i)
+                        lam_lo_s += lower.escape(j, i, l)
+            elif all_in_lo:
+                continue  # a rejected candidate changed neither level
         elif u_class < r_pair + r_kill_hi:
             victim = fw.sample(float(rng.random()) * s1_hi)
             lam_hi_s += upper.kill(victim)
-            if in_lo[victim]:
-                lam_lo_s += leave_lo(victim)
+            if lower.alive[victim]:
+                lam_lo_s += lower.kill(victim)
         else:
-            victim = lo_phi2.sample(float(rng.random()) * lo_phi2.total)
-            lam_lo_s += leave_lo(victim)
-        if np.any(in_lo & ~upper.alive):
+            victim = int(np.searchsorted(lo_phi2, float(rng.random()) * lo_phi2[-1], side="right"))
+            lam_lo_s += lower.kill(victim)
+        if np.any(lower.alive & (~upper.alive | (lower.idx != upper.idx))):
             raise AuditError("pathwise domination violated: a lower-window particle "
-                             "is not alive in the upper window")
+                             "is not alive, at its frequency, in the upper window")
+        lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
     rec_lo.finish(read_lo)
     rec_hi.finish(read_hi)
     traj_lo = rec_lo.build(True)

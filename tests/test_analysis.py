@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ class TestMartingaleStats:
         a = martingale_stats(ens, f, PROD1)
         b = martingale_stats(ens, f, PROD1)
         assert a.estimates == b.estimates and a.slope == b.slope
+
+    def test_report_json_and_text(self):
+        rep = martingale_stats(self.ensembles(4), lambda x: np.cos(np.asarray(x)), PROD1)
+        data = json.loads(rep.to_json())
+        assert set(data) == {"schema", "report", "n", "estimate", "stderr", "bound",
+                             "slope", "slope_stderr", "replicas", "kernel_sup", "f_sup"}
+        assert data["report"] == "martingale_stats" and data["n"] == [24, 96]
+        assert data["estimate"] == rep.estimates and data["replicas"] == 4
+        lines = rep.to_text().splitlines()
+        assert len(lines) == 4 and lines[0].split()[0] == "n"
+        row = lines[1].split()
+        assert row[0] == "24" and float(row[1]) == pytest.approx(rep.estimates[0], rel=1e-6)
+        assert float(row[3]) == pytest.approx(rep.bounds[0], rel=1e-6)
+        assert lines[-1].endswith(f"within bound: {rep.within_bound}")
 
 
 class TestConservationReport:

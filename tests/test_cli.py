@@ -269,6 +269,20 @@ class TestBoundSchedule:
         # overflow shrinks as the window grows
         assert diag["overflow"]["4"][-1] <= diag["overflow"]["1"][-1]
 
+    def test_richardson_and_lambda0_refused(self, tmp_path, capsys):
+        # the schedule writes the largest window's trace: a Richardson table
+        # on --bound, or an overflow start it would drop, cannot go with it
+        argv = ["solve", "--kernel", "product:lambda=1", "--dt", "0.02",
+                "--t-end", "0.1", "--bound-schedule", "1,2"]
+        for extra in (["--richardson"], ["--lambda0", "0.5"]):
+            out = tmp_path / extra[0].lstrip("-")
+            assert main(argv + extra + ["--out", str(out)]) == 2
+            assert "--bound-schedule" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "plain"
+        assert main(argv + ["--lambda0", "0", "--out", str(out)]) == 0
+        assert (out / "overflow_schedule.json").exists()
+
 
 class TestManifestValidation:
     def test_unknown_manifest_key_rejected(self, tmp_path, capsys):

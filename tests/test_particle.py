@@ -307,6 +307,42 @@ class TestJumpArithmetic:
             st.audit()
 
 
+class TestEngineAudit:
+    """The engine audits its cached sums every _AUDIT_EVERY accepted events;
+    a small cadence makes short runs reach the audit."""
+
+    def audited_run(self, monkeypatch, weight, corrupt_at=None):
+        monkeypatch.setattr(particle, "_AUDIT_EVERY", 3)
+        audits, jumps = [], []
+        audit, apply_jump = ParticleState.audit, ParticleState.apply_jump
+
+        def counted_audit(self):
+            audits.append(self.n)
+            audit(self)
+
+        def jump(self, i, j, l):
+            apply_jump(self, i, j, l)
+            jumps.append(i)
+            if len(jumps) == corrupt_at:
+                self.sum_idx += 1
+
+        monkeypatch.setattr(ParticleState, "audit", counted_audit)
+        monkeypatch.setattr(ParticleState, "apply_jump", jump)
+        st = init(48, exp_measure(), 2.0 ** -6, seed=8, weight=weight)
+        traj = simulate(st, PROD1, weight, 2.0, seed=4, record_events=True)
+        return traj, audits
+
+    @pytest.mark.parametrize("spec", ["affine", "fractional:gamma=0.6666666666666666"])
+    def test_clean_runs_pass(self, monkeypatch, spec):
+        traj, audits = self.audited_run(monkeypatch, parse_weight(spec))
+        assert len(traj.events) >= 6
+        assert len(audits) == len(traj.events) // 3
+
+    def test_corrupted_sum_raises(self, monkeypatch):
+        with pytest.raises(AuditError, match="frequency sum"):
+            self.audited_run(monkeypatch, AFFINE, corrupt_at=4)
+
+
 class TestKillEscape:
     def test_kill(self):
         st = ParticleState.build([3, 5, 0, 7], 0.25, AFFINE)
@@ -489,11 +525,20 @@ class TestCoupled:
         assert np.all(lo.overflow >= hi.overflow - 1e-15)
 
     def test_domination_check_fires(self, monkeypatch):
-        # an escape that kills the catalyst slot instead of the output slot
-        # leaves a lower particle dead in the upper level
-        escape = ParticleState.escape
-        monkeypatch.setattr(ParticleState, "escape",
-                            lambda self, i, j, l: escape(self, j, i, l))
+        # an upper-level escape that kills the catalyst slot instead of the
+        # output slot leaves a lower particle dead in the upper level; the
+        # driver windows the upper copy first
+        windowed = particle._windowed
+        copies = []
+
+        def swapped_upper(state, bound):
+            work, bound_idx, killed = windowed(state, bound)
+            if not copies:
+                work.escape = lambda i, j, l: ParticleState.escape(work, j, i, l)
+            copies.append(work)
+            return work, bound_idx, killed
+
+        monkeypatch.setattr(particle, "_windowed", swapped_upper)
         st = init(60, exp_measure(), 2.0 ** -6, seed=9)
         with pytest.raises(AuditError, match="domination"):
             simulate_coupled(st, 4.0, 4.0, PROD1, AFFINE, 0.3, seed=7)
@@ -523,6 +568,25 @@ class TestMartingale:
         assert len(traj.events) > 0
         _, m = extract_martingale(traj, lambda x: 1.0 + np.asarray(x), PROD1)
         assert np.max(np.abs(m)) <= 1e-12
+
+    def test_extent_guard_covers_outputs(self):
+        # the start stays below the 65536-site limit; an interaction output
+        # goes beyond it, and the guard reads the whole path's extent
+        h = 2.0 ** -14
+        st = ParticleState.build([60000, 60000, 30000, 30000], h, AFFINE)
+        traj = simulate(st, PROD1, AFFINE, 2.0, seed=0, record_events=True, precheck=False)
+        assert st.idx.max() <= 65536 < np.max(traj.events.w_new) / h
+        with pytest.raises(ValueError, match="moderate grid extent"):
+            extract_martingale(traj, lambda x: np.cos(np.asarray(x)), PROD1)
+
+    def test_direct_sum_guard(self):
+        # a bare callable has no rank-one terms, so the drift can only take
+        # the direct route, which refuses more than 300 occupied sites
+        st = ParticleState.build(np.arange(400), 2.0 ** -6, AFFINE)
+        traj = simulate(st, PROD1, AFFINE, 1e-9, seed=1, record_events=True, precheck=False)
+        bare = lambda x1, x2, x3: PROD1(x1, x2, x3)
+        with pytest.raises(ValueError, match="400\\^3-term direct sum"):
+            extract_martingale(traj, lambda x: np.cos(np.asarray(x)), bare)
 
     def test_ensemble_mean_zero(self):
         st = init(20, exp_measure(), 2.0 ** -4, seed=5)

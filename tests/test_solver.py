@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fourwave.collision import TruncatedState, l_b_pairing
 from fourwave.kernels import AFFINE, parse_kernel
 from fourwave.measures import DiscreteMeasure, moment, tv_norm
 from fourwave.solver import (
@@ -139,6 +140,32 @@ class TestSolveTruncated:
                                sample_times=np.array(times))
             with pytest.raises(ValueError, match="sample times"):
                 solve_truncated(two_atoms(), 0.0, ZERO, cfg)
+
+
+class TestDirectOracle:
+    """The truncated right-hand side against collision.l_b_pairing, the
+    direct ordered-triple route: <f, dw> is its ``fpart`` and dlam its
+    ``lamdot``."""
+
+    @pytest.mark.parametrize("spec", ["product:lambda=1", "sum:lambda=1",
+                                      "mixed:p=1,q=0.5,r=0.25", "const:c=1"])
+    def test_rhs_matches_l_b_pairing(self, spec):
+        h, bound = 0.25, 4.0
+        kernel = parse_kernel(spec)
+        system = _TruncatedSystem(kernel, h, int(bound / h) + 1)
+        grid = np.arange(int(bound / h) + 1) * h
+        f = lambda x: np.cos(np.asarray(x, dtype=float))
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.0, 0.2, size=(3, len(grid))) * (rng.random((3, len(grid))) < 0.6)
+        lam = np.array([0.0, 0.3, 1.2])
+        stacked = system.rhs(w, lam)
+        for r in range(3):
+            mu = DiscreteMeasure.from_grid(np.nonzero(w[r])[0], w[r][w[r] > 0], h)
+            fpart, lamdot = l_b_pairing(TruncatedState(mu, lam[r], bound), kernel, f)
+            dw, dlam = system.rhs(w[r], lam[r])
+            for got_dw, got_dlam in ((dw, dlam), (stacked[0][r], stacked[1][r])):
+                assert abs(float(np.dot(f(grid), got_dw)) - fpart) <= 1e-13 * abs(fpart)
+                assert abs(float(got_dlam) - lamdot) <= 1e-13 * abs(lamdot)
 
 
 class TestSolveLimit:
