@@ -181,15 +181,19 @@ def cmd_solve(args) -> int:
     cfg = _merge_config(args, _load_manifest_config(args.manifest), _SOLVE_KEYS, defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
-    if cfg["bound_schedule"] and (cfg["richardson"] or cfg["lambda0"]):
-        raise CliConfigError("--bound-schedule starts every window from its canonical "
-                             "overflow: it takes neither --richardson nor --lambda0")
+    if cfg["bound_schedule"]:
+        if cfg["richardson"] or cfg["lambda0"]:
+            raise CliConfigError("--bound-schedule starts every window from its canonical "
+                                 "overflow: it takes neither --richardson nor --lambda0")
+        # the schedule writes the largest window's trace: that is the bound run
+        schedule = [float(b) for b in str(cfg["bound_schedule"]).split(",")]
+        if args.bound is not None and args.bound != max(schedule):
+            raise CliConfigError(f"--bound {args.bound:g} is not --bound-schedule's largest window")
+        cfg["bound"] = max(schedule)
     kernel = parse_kernel(cfg["kernel"])
     outdir = Path(args.out) if args.out else _output_root() / "solve"
     outdir.mkdir(parents=True, exist_ok=True)
     mu0 = _resolve_initial(cfg["initial"], cfg["h"])
-    inner, outer = mu0.restricted(cfg["bound"])
-    lam0 = cfg["lambda0"] + moment(outer, parse_weight("affine"))
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
     def run(dt, sample=None):
@@ -199,15 +203,16 @@ def cmd_solve(args) -> int:
         return solve_truncated(inner, lam0, kernel, scfg)
 
     if cfg["bound_schedule"]:
-        schedule = [float(b) for b in str(cfg["bound_schedule"]).split(",")]
         scfg = SolverConfig(method=cfg["method"], dt=cfg["dt"], t_end=cfg["t_end"],
-                            bound=max(schedule), h=cfg["h"], sample_times=times)
+                            bound=cfg["bound"], h=cfg["h"], sample_times=times)
         traj, diags = solve_limit(mu0, kernel, scfg, schedule)
         _json_dump({"schema": 1, "report": "overflow_schedule",
                     "t": times.tolist(),
                     "overflow": {f"{b:g}": lam.tolist() for b, lam in diags.items()}},
                    outdir / "overflow_schedule.json")
     else:
+        inner, outer = mu0.restricted(cfg["bound"])
+        lam0 = cfg["lambda0"] + moment(outer, parse_weight("affine"))
         traj = run(cfg["dt"])
     save_moments_csv(traj, outdir / "moments.csv")
     save_measure_csv(traj.snapshots[0], outdir / "initial.csv")

@@ -19,17 +19,17 @@ Two evaluation routes exist:
   discrete convolutions and prefix sums over grid extent M, with each
   slot-swapped pair of kernel terms folded into one.  Vectors shorter
   than ``_FFT_CROSSOVER`` (640) run through the exact O(M^2)
-  ``np.convolve``; longer ones, and stacks of states along a leading axis
-  (the solver's Picard scheme evaluates its time points this way),
-  through rfft in O(M log M): one spectrum per slot vector over the rows'
-  union nonzero hull, pair sums as products of spectra and correlations
-  as products with a conjugate spectrum (the loss-rate correlation is a
-  per-row constant past the hull's length and is transformed only below
-  it), within about 1e-15 relative of np.convolve and exactly zero
-  outside the hulls.  The grid extent has no upper limit.  Both routes
-  compute the same sum; the grid route is what makes the large-n
-  workloads tractable and it is cross-checked against the direct route
-  in the test-suite.
+  ``np.convolve``; longer ones are one-row stacks.  Stacks of states
+  along a leading axis (Picard's time points, a martingale path's states)
+  run through rfft in O(M log M) with one spectrum per operand, within
+  about 1e-15 relative of np.convolve: ``grid_interaction_parts`` over
+  the rows' union nonzero hull, exactly zero outside it, with pair sums
+  as products of spectra and correlations as products with a conjugate
+  spectrum; ``grid_q_counting`` over the whole extent, so that a row's
+  value does not depend on the other rows.  The grid extent has no
+  upper limit.  Both routes compute the same sum; the grid route is what
+  makes the large-n workloads tractable and it is cross-checked against
+  the direct route in the test-suite.
 
 The bracket vanishes identically for affine f: mass and energy are
 conserved, and the grid closure under w1 + w2 - w3 makes that exact.
@@ -281,8 +281,9 @@ def q_pairing_powermoment(mu: DiscreteMeasure, kernel: Kernel, p: int) -> float:
 
 # Vector length from which the grid route uses rfft.  Per call on a
 # 2-core x86-64 host (numpy 2.4), grid_interaction_parts breaks even at
-# M = 385-513 (product, sum) and 513-641 (mixed), grid_q_counting at
-# 641-769; 640 keeps the CLI's M = 257 solves on the exact np.convolve.
+# M = 385-513 (product, sum) and 513-641 (mixed); grid_q_counting, with
+# one spectrum per operand, at 385-513 (product, sum) and 513-641
+# (mixed).  640 keeps the CLI's M = 257 solves on the exact np.convolve.
 _FFT_CROSSOVER = 640
 
 
@@ -309,21 +310,23 @@ def _dense_vector(mu: DiscreteMeasure) -> tuple[np.ndarray, float]:
     return w, mu.h
 
 
-def _conv(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two vectors: np.convolve below
-    _FFT_CROSSOVER, rfft from it on."""
-    if min(len(u), len(v)) < _FFT_CROSSOVER:
-        return np.convolve(u, v)
-    size = len(u) + len(v) - 1
-    nfft = _fft_len(size)
-    return np.fft.irfft(np.fft.rfft(u, nfft) * np.fft.rfft(v, nfft), nfft)[:size]
+# Grid values (rows times M) per stacked call of the grid core in picard
+# and extract_martingale.  Under tracemalloc (numpy 2.4) a Picard run at
+# M = 257 peaked at 4.7 MiB in one call and at 1.5 MiB in such blocks.
+_STACK_VALUES = 4096
+
+
+def _stack_rows(m: int) -> int:
+    """Rows of extent m per stacked call within _STACK_VALUES."""
+    return max(1, _STACK_VALUES // m)
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.dot(x[..., r, :], y) for every row of x.  Each row's bits do not
+    """np.dot(x[..., r, :], y[..., r, :]) for every row of x, with y one
+    vector for all rows or a stack of its own.  Each row's bits do not
     depend on how many rows share the call (a matrix np.dot rounds its
-    last rows differently), and a vector gets np.dot's own result."""
-    return np.matmul(x[..., None, :], y[:, None])[..., 0, 0]
+    last rows differently), and two vectors get np.dot's own result."""
+    return np.matmul(x[..., None, :], y[..., None])[..., 0, 0]
 
 
 def _fft_len(n: int) -> int:
@@ -383,40 +386,57 @@ def grid_q_pairing(w: np.ndarray, h: float, kernel: Kernel, f) -> float:
 
 
 def grid_q_counting(w: np.ndarray, h: float, kernel: Kernel, fvec: np.ndarray,
-                    n: int | None) -> float:
+                    n: int | None) -> float | np.ndarray:
     """<f, Q^(n)> for a dense grid weight vector, with f pre-evaluated on
-    the extended grid 0 .. 2*len(w)-2; ``n=None`` leaves out the diagonal
-    correction, giving <f, Q(mu)>.  The hot path of the martingale drift.
+    the extended grid 0 .. 2*M-2; a stack of vectors along the last axis
+    gives one value per row.  ``n=None`` leaves out the diagonal
+    correction, giving <f, Q(mu)>.  The hot path of the martingale drift,
+    which evaluates the states of its path in stacks.
 
     Exact rearrangement of the ordered-triple sum: per rank-one term the
     slots decouple into convolutions against the pair-sum axis plus prefix
     sums along slot 3; the diagonal separates the same way at pair sum 2i.
+    A stack transforms each slot vector, each slot vector times f, and f
+    once, over the whole extent M, so with _row_dot a row's value does not
+    depend on the other rows in the call.
     """
-    m = len(w)
+    m = w.shape[-1]
+    if w.ndim == 1 and m >= _FFT_CROSSOVER:
+        return float(grid_q_counting(w[None], h, kernel, fvec, n)[0])
     if m == 0:
-        return 0.0
+        return 0.0 if w.ndim == 1 else np.zeros(w.shape[:-1])
     smax = 2 * m - 1
     f = fvec[:smax]
     fm = f[:m]
-    two_x = 2 * np.arange(m)
     terms, powers, slots = _rank_one_terms(w, h, kernel)
+    if w.ndim == 1:
+        fwd, conv = (lambda x: x), (lambda x, y: np.convolve(x, y)[:smax])
+    else:
+        # d * f, the longest convolution, reaches 3M - 3: no wrap below smax
+        nfft = _fft_len(3 * m - 2)
+        fwd, conv = ((lambda x: np.fft.rfft(x, nfft)),
+                     (lambda x, y: np.fft.irfft(x * y, nfft)[..., :smax]))
+    spec = {e: fwd(x) for e, x in slots.items()}
+    spec_fm = {e: fwd(slots[e] * fm) for e in {e for _, exps in terms for e in exps[:2]}}
+    spec_f = fwd(f)
     total = diag = 0.0
     for coef, (e1, e2, e3) in terms:
-        a, b, d = slots[e1], slots[e2], slots[e3]
-        cab = _conv(a, b)
+        d = slots[e3]
+        cab = conv(spec[e1], spec[e2])
         dcap = _cap(d, smax)
-        g_out = _conv(d, f)[:smax]
+        g_out = conv(spec[e3], spec_f)
         dfcap = _cap(d * fm, smax)
-        t_out = float(np.dot(cab, g_out))
-        t_l = float(np.dot(cab, dfcap))
-        t_1 = float(np.dot(_conv(a * fm, b), dcap))
+        t_out = _row_dot(cab, g_out)
+        t_l = _row_dot(cab, dfcap)
+        t_1 = _row_dot(conv(spec_fm[e1], spec[e2]), dcap)
         # slots 1 and 2 swap into each other when their vectors coincide
-        t_2 = t_1 if e1 == e2 else float(np.dot(_conv(a, b * fm), dcap))
+        t_2 = t_1 if e1 == e2 else _row_dot(conv(spec[e1], spec_fm[e2]), dcap)
         total += coef * (t_out + t_l - t_1 - t_2)
         if n is not None:
-            diag += coef * float(np.dot(powers[e1] * powers[e2] * w, g_out[two_x]
-                                        + dfcap[two_x] - 2.0 * fm * dcap[two_x]))
-    return 0.5 * total if n is None else 0.5 * total - 0.5 / n * diag
+            diag += coef * _row_dot(powers[e1] * powers[e2] * w, g_out[..., ::2]
+                                    + dfcap[..., ::2] - 2.0 * fm * dcap[..., ::2])
+    out = 0.5 * total if n is None else 0.5 * total - 0.5 / n * diag
+    return float(out) if w.ndim == 1 else out
 
 
 @dataclass

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import grid_q_counting, q_counting
+from .collision import _stack_rows, grid_q_counting, q_counting
 from .fenwick import FenwickTree
 from .kernels import AFFINE, WeightFunction, check_submultiplicative
 from .measures import DiscreteMeasure
@@ -429,6 +429,11 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     Requires an event-recorded untruncated trajectory; the time integral is
     exact because X is piecewise constant between jumps.  Returns the pair
     (times, M) evaluated at 0, both sides of every jump, and t_end.
+
+    The path's states are evaluated in blocks.  States with more than 32
+    occupied sites and a rank-one kernel take the grid route, one stacked
+    grid_q_counting call per block; the others the direct triple sum, which
+    keeps the bracket cancellations bit-exact.  No value depends on the block size.
     """
     ev = traj.events
     if ev is None or traj.initial_idx is None:
@@ -436,75 +441,69 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     if np.any(ev.branch != "interior"):
         raise ValueError("martingale extraction is defined for the untruncated process")
     n, h = traj.n, traj.h
-    idx = traj.initial_idx.copy()
-    t_end = float(traj.meta["t_end"])
-    fast = hasattr(kernel, "rank_one_terms")
 
-    # dense count vector over every site the path visits (the initial sites
-    # and the interior outputs, w_new = out * h) and f on the extended grid
-    # the drift reads, both sized once; top bounds the active support
-    top = int(idx.max())
+    # count vectors over every site the path visits (the initial sites and
+    # the outputs w_new / h), and f on the extended grid the drift reads
+    top = int(traj.initial_idx.max())
     extent = max(top, int(np.rint(ev.w_new / h).max(initial=0)))
     if extent > 65536:
         raise ValueError(
             "martingale extraction needs a moderate grid extent (the drift "
             "integrand is a per-interval triple sum); rerun the simulation "
             "with a coarser resolution h")
-    counts = np.zeros(extent + 1)
-    counts[: top + 1] = np.bincount(idx)
+    m = extent + 1
+    counts = np.bincount(traj.initial_idx, minlength=m).astype(float)
     fvec = np.asarray(f(np.arange(2 * extent + 1) * h), dtype=float)
 
-    def drift_now():
-        active = counts[: top + 1]
-        # convolution route for large supports; the direct route keeps the
-        # bracket cancellations bit-exact on small supports
-        m_active = int(np.count_nonzero(active))
-        if fast and m_active > 32:
-            return grid_q_counting(active / n, h, kernel, fvec, n)
-        if m_active > 300:
-            raise ValueError(
-                "martingale drift would need a "
-                f"{m_active}^3-term direct sum on a grid of extent {top}; "
-                "rerun with a coarser resolution h")
-        nz = np.nonzero(active)[0]
-        meas = DiscreteMeasure.from_grid(nz, active[nz] / n, h)
-        return float(q_counting(meas, kernel, f, n))
-
-    times = [0.0]
-    mvals = [0.0]
-    # <f, X> accumulated in integer-count units and divided by n at the
-    # end of each update: the per-jump increment is a 4-term sum of cached
-    # f values, so conserved f cancel exactly along the path
-    f_scaled = float(np.dot(fvec[: top + 1], counts[: top + 1]))
-    f0 = f_scaled / n
-    f_now = f0
-    drift = drift_now()
-    integral = 0.0
-    t_prev = 0.0
-    for t_ev, i, j, l in zip(ev.time.tolist(), ev.i.tolist(), ev.j.tolist(), ev.l.tolist()):
-        integral += (t_ev - t_prev) * drift
-        # left limit of M at the jump
-        times.append(t_ev)
-        mvals.append(f_now - f0 - integral)
-        vi, vj, vl = int(idx[i]), int(idx[j]), int(idx[l])
-        out = vi + vj - vl
-        idx[i] = out
+    # sites each jump takes a particle from (vi, vj) and gives one to (out, vl)
+    idx = traj.initial_idx.tolist()
+    sites = []
+    for i, j, l in zip(ev.i.tolist(), ev.j.tolist(), ev.l.tolist()):
+        vi, vj, vl = idx[i], idx[j], idx[l]
+        idx[i] = out = vi + vj - vl
         idx[j] = vl
-        top = max(top, out)
-        counts[vi] -= 1.0
-        counts[vj] -= 1.0
-        counts[out] += 1.0
-        counts[vl] += 1.0
-        f_scaled += (fvec[out] + fvec[vl]) - (fvec[vi] + fvec[vj])
-        f_now = f_scaled / n
-        times.append(t_ev)
-        mvals.append(f_now - f0 - integral)
-        drift = drift_now()
-        t_prev = t_ev
-    integral += (t_end - t_prev) * drift
-    times.append(t_end)
-    mvals.append(f_now - f0 - integral)
-    return np.asarray(times), np.asarray(mvals)
+        sites.append((vi, vj, out, vl))
+    sites = np.array(sites, dtype=np.int64).reshape(-1, 4)
+
+    # <f, X> in integer-count units, divided by n after each jump: each
+    # increment is a 4-term sum of f values, so conserved f cancel exactly
+    fs = fvec[sites]
+    f_now = np.cumsum(np.concatenate([[float(np.dot(fvec[: top + 1], counts[: top + 1]))],
+                                      (fs[:, 2] + fs[:, 3]) - (fs[:, 0] + fs[:, 1])])) / n
+
+    # a block holds the states after lo .. hi - 1 jumps, as cumulative sums
+    # of 4-site deltas; a jump whose catalyst sits at the frequency of a pair
+    # member leaves X unchanged, so its state copies the drift before it
+    new = np.concatenate([[True], (sites[:, 3] != sites[:, 0]) & (sites[:, 3] != sites[:, 1])])
+    drift, rows = np.empty(len(new)), _stack_rows(m)
+    for lo in range(0, len(drift), rows):
+        hi = min(lo + rows, len(drift))
+        jumps = sites[max(lo - 1, 0):hi - 1]
+        block = np.zeros((hi - lo, m))
+        block[0] = counts
+        np.add.at(block, (np.arange(hi - lo - len(jumps), hi - lo)[:, None], jumps),
+                  [-1.0, -1.0, 1.0, 1.0])
+        counts = np.cumsum(block, axis=0, out=block)[-1]
+        occupied = np.count_nonzero(block, axis=1)
+        grid = (occupied > 32) & hasattr(kernel, "rank_one_terms") & new[lo:hi]
+        direct = ~grid & new[lo:hi]
+        if np.any(occupied[direct] > 300):
+            raise ValueError(
+                f"martingale drift would need a {occupied[direct].max()}^3-term direct "
+                f"sum on a grid of extent {extent}; rerun with a coarser resolution h")
+        if np.any(grid):
+            drift[lo:hi][grid] = grid_q_counting(block[grid] / n, h, kernel, fvec, n)
+        for r in np.flatnonzero(direct):
+            nz = np.nonzero(block[r])[0]
+            meas = DiscreteMeasure.from_grid(nz, block[r, nz] / n, h)
+            drift[lo + r] = q_counting(meas, kernel, f, n)
+    drift = drift[np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))]
+
+    # M at 0, at both sides of every jump and at t_end
+    t = np.concatenate([[0.0], ev.time, [float(traj.meta["t_end"])]])
+    integral = np.cumsum(np.diff(t) * drift)
+    mvals = np.repeat(f_now, 2) - f_now[0] - np.concatenate([[0.0], np.repeat(integral, 2)[:-1]])
+    return np.repeat(t, 2)[1:-1], mvals
 
 
 # --------------------------------------------------------------------------
@@ -551,10 +550,12 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         return upper.idx[upper.alive], fw.total, lam_hi_s
 
     inv_n2 = 1.0 / (n * n)
-    # the residual clock kills lower particles with weight phi^2
+    # the residual clock kills lower particles with weight phi^2; the table
+    # is rebuilt only after an event that changed the lower window
     lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
     t = 0.0
     while t < t_end:
+        lo_changed = False
         s1_hi = fw.total
         s1_lo = lo_phi.total
         delta = (s1_hi - s1_lo) / n
@@ -595,6 +596,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
                 for s in (i, j):
                     if lower.alive[s]:
                         lam_lo_s += lower.kill(s)
+                        lo_changed = True
             if float(rng.random()) < acc:
                 # interaction clock fires: slot i takes the output, window
                 # permitting, and slot j the catalyst copy; the lower level
@@ -604,6 +606,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
                 else:
                     lam_hi_s += upper.escape(j, i, l)
                 if all_in_lo:
+                    lo_changed = True
                     if out <= lo_idx:
                         lower.apply_jump(i, j, l)
                     else:
@@ -615,13 +618,16 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             lam_hi_s += upper.kill(victim)
             if lower.alive[victim]:
                 lam_lo_s += lower.kill(victim)
+                lo_changed = True
         else:
             victim = int(np.searchsorted(lo_phi2, float(rng.random()) * lo_phi2[-1], side="right"))
             lam_lo_s += lower.kill(victim)
+            lo_changed = True
         if np.any(lower.alive & (~upper.alive | (lower.idx != upper.idx))):
             raise AuditError("pathwise domination violated: a lower-window particle "
                              "is not alive, at its frequency, in the upper window")
-        lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
+        if lo_changed:
+            lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
     rec_lo.finish(read_lo)
     rec_hi.finish(read_hi)
     traj_lo = rec_lo.build(True)

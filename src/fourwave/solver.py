@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import _row_dot, grid_interaction_parts
+from .collision import _row_dot, _stack_rows, grid_interaction_parts
 from .kernels import AFFINE, Kernel
 from .measures import DiscreteMeasure, moment
 from .trajectory import Trajectory, checked_sample_times
@@ -330,14 +330,6 @@ class PicardReport:
         return self.diffs.max(axis=1)
 
 
-# Grid values (rows times M) per stacked right-hand-side call in picard.
-# Blocks bound the memory of the rfft buffers: under tracemalloc (numpy
-# 2.4) a Picard run at M = 257 peaked at 4.7 MiB with all 65 time points
-# in one call and at 1.5 MiB in blocks of at most 4096 values, below the
-# 1.7 MiB of an rk4 solve at M = 4097.
-_PICARD_BLOCK_VALUES = 4096
-
-
 def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
            iterations: int = 20, nsteps: int = 64) -> PicardReport:
     """Run the iterative scheme mu^{n+1} = mu0 + int_0^t L^B(mu^n, lam^n).
@@ -376,7 +368,7 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     norms = [np.broadcast_to(np.abs(cur_w).sum(axis=1) + np.abs(cur_l), (nt,))]
     diffs = []
     for _ in range(iterations):
-        blocks = -(-len(cur_w) // max(1, _PICARD_BLOCK_VALUES // m))  # fewest even blocks within the cap
+        blocks = -(-len(cur_w) // _stack_rows(m))  # fewest even blocks within the cap
         rhs = [system.rhs(wb, lb) for wb, lb in zip(np.array_split(cur_w, blocks),
                                                      np.array_split(cur_l, blocks))]
         rhs_w, rhs_l = (np.concatenate(part) for part in zip(*rhs))

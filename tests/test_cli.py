@@ -283,6 +283,32 @@ class TestBoundSchedule:
         assert main(argv + ["--lambda0", "0", "--out", str(out)]) == 0
         assert (out / "overflow_schedule.json").exists()
 
+    def test_differing_bound_refused(self, tmp_path, capsys):
+        # the schedule runs its largest window: another --bound would be
+        # recorded without being run
+        argv = ["solve", "--kernel", "product:lambda=1", "--dt", "0.02",
+                "--t-end", "0.1", "--bound-schedule", "1,2"]
+        out = tmp_path / "refused"
+        assert main(argv + ["--bound", "3", "--out", str(out)]) == 2
+        assert "--bound-schedule" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--bound", "2", "--out", str(tmp_path / "same")]) == 0
+
+    def test_manifest_records_largest_window_and_replays(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["solve", "--kernel", "sum:lambda=1", "--dt", "0.02", "--t-end", "0.1",
+                     "--samples", "3", "--bound-schedule", "2,1", "--out", str(out1)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["config"]["bound"] == 2.0
+        from fourwave.measures import load_measure_csv
+        assert 1.0 < load_measure_csv(out1 / "final.csv").positions.max() <= 2.0
+        assert main(["solve", "--manifest", str(out1 / "manifest.json"),
+                     "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert read(out1 / name) == read(out2 / name), name
+
 
 class TestManifestValidation:
     def test_unknown_manifest_key_rejected(self, tmp_path, capsys):

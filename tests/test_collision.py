@@ -373,6 +373,24 @@ class TestStackedCore:
         assert np.all(got.gain[1] == 0.0) and np.all(got.loss_rate[1] == 0.0)
         assert got.escape_rate[1] == 0.0
 
+    @pytest.mark.parametrize("m", [5, 65, 639, 640, 4097])
+    @pytest.mark.parametrize("spec", KERNELS)
+    def test_counting_rows_match_one_row_stacks(self, m, spec):
+        # every row is transformed over the whole extent, so its bits do
+        # not depend on the other rows of the call
+        k = parse_kernel(spec)
+        h = 4.0 / (m - 1)
+        w, _, _ = self.stack(m)
+        fvec = np.tanh(np.arange(2 * m - 1) * h - 1.0)
+        for n in (1000, None):
+            got = grid_q_counting(w, h, k, fvec, n)
+            assert got.shape == (4,) and got[1] == 0.0
+            for r in range(4):
+                assert np.array_equal(got[r], grid_q_counting(w[r:r + 1], h, k, fvec, n)[0])
+            if m >= collision._FFT_CROSSOVER:
+                # a vector from the crossover on is a one-row stack
+                assert grid_q_counting(w[0], h, k, fvec, n) == got[0]
+
     def test_leading_axes(self):
         w, _, _ = self.stack(257)
         k = parse_kernel("sum:lambda=2")

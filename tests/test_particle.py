@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fourwave import particle
+from fourwave import collision, particle
+from fourwave.collision import grid_q_counting, q_counting
 from fourwave.cli import default_initial_measure, main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
@@ -587,6 +588,104 @@ class TestMartingale:
         bare = lambda x1, x2, x3: PROD1(x1, x2, x3)
         with pytest.raises(ValueError, match="400\\^3-term direct sum"):
             extract_martingale(traj, lambda x: np.cos(np.asarray(x)), bare)
+
+    @staticmethod
+    def path_states(traj, picks):
+        """Count vectors over the path's grid extent of the states after
+        ``picks`` jumps, replayed from the event log."""
+        idx = traj.initial_idx.copy()
+        extent = max(int(idx.max()), int(np.rint(traj.events.w_new / traj.h).max()))
+        rows = {}
+        for k in range(len(traj.events) + 1):
+            if k in picks:
+                rows[k] = np.bincount(idx, minlength=extent + 1).astype(float)
+            if k < len(traj.events):
+                i, j, l = (int(traj.events[c][k]) for c in ("i", "j", "l"))
+                idx[i], idx[j] = idx[i] + idx[j] - idx[l], idx[l]
+        return np.array([rows[k] for k in sorted(picks)])
+
+    @pytest.mark.parametrize("n, h, t_end", [(24, 2.0 ** -4, 2.0), (400, 2.0 ** -4, 0.3),
+                                             (150, 2.0 ** -8, 0.3)])
+    def test_batched_drift_matches_direct(self, n, h, t_end):
+        # states along one path, stacked over the path's extent as the
+        # martingale's grid route does, against the direct triple sum;
+        # the last case has an extent above 640
+        st = init(n, exp_measure(seed=n, h=h), h, seed=2)
+        traj = simulate(st, PROD1, AFFINE, t_end, seed=5, record_events=True, precheck=False)
+        events = len(traj.events)
+        assert events > 4
+        rows = self.path_states(traj, {0, events // 3, events // 2, events})
+        occupied = np.count_nonzero(rows, axis=1)
+        assert occupied.max() <= 32 if n == 24 else occupied.min() > 32
+        assert (rows.shape[1] > 640) == (h == 2.0 ** -8)
+        f = lambda x: np.tanh(np.asarray(x, dtype=float) - 1.0)
+        fvec = f(np.arange(2 * rows.shape[1] - 1) * h)
+        for spec in ("product:lambda=1", "sum:lambda=1", "mixed:p=1,q=0.5,r=0.25"):
+            k = parse_kernel(spec)
+            got = grid_q_counting(rows / n, h, k, fvec, n)
+            for r, row in enumerate(rows):
+                nz = np.nonzero(row)[0]
+                ref = q_counting(DiscreteMeasure.from_grid(nz, row[nz] / n, h), k, f, n,
+                                 method="direct")
+                assert abs(got[r] - ref) <= 1e-12 * abs(ref), (spec, r)
+
+    def test_block_size_leaves_path_unchanged(self, monkeypatch):
+        # the paths start on 32 sites and spread beyond them, so both
+        # routes run, over several blocks of about 48 states
+        f = lambda x: np.cos(np.asarray(x, dtype=float))
+        for seed in (1, 2):
+            st = ParticleState.build(np.random.default_rng(seed).integers(0, 32, 300),
+                                     2.0 ** -3, AFFINE)
+            traj = simulate(st, PROD1, AFFINE, 1.0, seed=seed, record_events=True, precheck=False)
+            assert len(traj.events) > 150
+            blocks = extract_martingale(traj, f, PROD1)
+            monkeypatch.setattr(collision, "_STACK_VALUES", 1)
+            rows = extract_martingale(traj, f, PROD1)
+            monkeypatch.undo()
+            for a, b in zip(blocks, rows):
+                assert np.array_equal(a, b)
+
+    @staticmethod
+    def per_jump_reference(traj, f, kernel):
+        """M by a loop over the jumps: the direct-route drift of every
+        state, with <f, X> and the integral accumulated in path order; and
+        the number of jumps that left the state unchanged."""
+        n, h, idx, unchanged = traj.n, traj.h, traj.initial_idx.copy(), 0
+        extent = max(int(idx.max()), int(np.rint(traj.events.w_new / h).max()))
+        fvec = np.asarray(f(np.arange(2 * extent + 1) * h), dtype=float)
+        counts = np.bincount(idx, minlength=extent + 1).astype(float)
+
+        def drift():
+            nz = np.nonzero(counts)[0]
+            return q_counting(DiscreteMeasure.from_grid(nz, counts[nz] / n, h), kernel, f, n)
+
+        top = int(idx.max())
+        f_scaled = float(np.dot(fvec[:top + 1], counts[:top + 1]))
+        f0, f_now, q, integral, t_prev, mvals = f_scaled / n, f_scaled / n, drift(), 0.0, 0.0, [0.0]
+        for t, i, j, l in zip(traj.events.time, traj.events.i, traj.events.j, traj.events.l):
+            integral += (t - t_prev) * q
+            vi, vj, vl = idx[i], idx[j], idx[l]
+            idx[i], idx[j] = vi + vj - vl, vl
+            unchanged += vl in (vi, vj)
+            for site, step in ((vi, -1.0), (vj, -1.0), (vi + vj - vl, 1.0), (vl, 1.0)):
+                counts[site] += step
+            f_scaled += (fvec[vi + vj - vl] + fvec[vl]) - (fvec[vi] + fvec[vj])
+            mvals += [f_now - f0 - integral, f_scaled / n - f0 - integral]
+            f_now, q, t_prev = f_scaled / n, drift(), t
+        integral += (traj.meta["t_end"] - t_prev) * q
+        return np.array(mvals + [f_now - f0 - integral]), unchanged
+
+    def test_direct_route_matches_per_jump_loop(self):
+        # up to 32 occupied sites every state takes the direct route, and
+        # the blocks, the copies of unchanged states and the cumulative
+        # sums give the loop's values bit for bit
+        f = lambda x: np.tanh(np.asarray(x, dtype=float) - 1.0)
+        for seed in (1, 2, 3):
+            st = init(60, exp_measure(seed=seed, h=2.0 ** -3), 2.0 ** -3, seed=seed)
+            traj = simulate(st, PROD1, AFFINE, 3.0, seed=seed, record_events=True, precheck=False)
+            ref, unchanged = self.per_jump_reference(traj, f, PROD1)
+            assert len(traj.events) > 20 and unchanged > 0
+            assert np.array_equal(extract_martingale(traj, f, PROD1)[1], ref)
 
     def test_ensemble_mean_zero(self):
         st = init(20, exp_measure(), 2.0 ** -4, seed=5)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fourwave.collision import TruncatedState, l_b_pairing
+from fourwave.collision import _STACK_VALUES, TruncatedState, l_b_pairing
 from fourwave.kernels import AFFINE, parse_kernel
 from fourwave.measures import DiscreteMeasure, moment, tv_norm
 from fourwave.solver import (
-    _PICARD_BLOCK_VALUES,
     PicardReport,
     SolverConfig,
     SolverError,
@@ -312,7 +311,7 @@ class TestPicardFixedPoint:
         w0 = _dense_initial(mu0, bound, mu0.h)
         system = _TruncatedSystem(kernel, mu0.h, len(w0))
         nt, m = len(times), len(w0)
-        blocks = -(-nt // max(1, _PICARD_BLOCK_VALUES // m))
+        blocks = -(-nt // max(1, _STACK_VALUES // m))
         cur_w, cur_l = np.tile(w0, (nt, 1)), np.full(nt, float(lam0))
         norms, diffs = [np.abs(cur_w).sum(axis=1) + np.abs(cur_l)], []
         dtv = np.diff(times)
