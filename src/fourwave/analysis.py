@@ -178,7 +178,8 @@ def martingale_stats(ensembles: dict[int, list[Trajectory]], f, kernel: Kernel,
 
     The comparison constant is the kernel maximum over the reachable
     frequency box [0, E_total]^3 (total energy caps any single particle;
-    the built-in families attain their maximum at the corner).
+    every family-table kernel has nonnegative coefficients and exponents,
+    so it is nondecreasing and attains its maximum at the corner).
     """
     ns = sorted(ensembles)
     estimates, stderrs, bounds = [], [], []

@@ -59,11 +59,21 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
                 "command": command, "config": config}, outdir / "manifest.json")
 
 
-def _load_manifest_config(path: str | None) -> dict:
+def _load_manifest_config(path: str | None, command: str) -> dict:
+    """The config of a ``command`` manifest written by this tool; {} for None."""
     if path is None:
         return {}
     data = json.loads(Path(path).read_text())
-    return data.get("config", {})
+    if not (isinstance(data, dict) and data.get("tool") == "fourwave"
+            and data.get("command") == command and isinstance(data.get("config"), dict)):
+        raise CliConfigError(f"{path} is not a fourwave {command} manifest")
+    return data["config"]
+
+
+def _require_counts(cfg: dict, keys: list[str]) -> None:
+    for key in keys:
+        if cfg[key] < 1:
+            raise CliConfigError(f"--{key} must be at least 1, got {cfg[key]}")
 
 
 def _merge_config(args: argparse.Namespace, manifest_cfg: dict, keys: list[str],
@@ -124,11 +134,13 @@ def cmd_simulate(args) -> int:
                 "t_end": 1.0, "samples": 17, "replicas": 1, "lambda0": None,
                 "events": False, "max_events": 10_000_000, "snapshots": False,
                 "threads": 1}
-    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SIM_KEYS, defaults)
+    cfg = _merge_config(args, _load_manifest_config(args.manifest, "simulate"), _SIM_KEYS,
+                        defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
     if cfg["n"] < 2:
         raise CliConfigError("n >= 2 required")
+    _require_counts(cfg, ["replicas", "samples"])
     kernel = parse_kernel(cfg["kernel"])
     weight = parse_weight(cfg["weight"])
     outdir = Path(args.out) if args.out else _output_root() / f"sim-seed{cfg['seed']}"
@@ -146,7 +158,7 @@ def cmd_simulate(args) -> int:
                                       stream=stream, sample_times=times,
                                       record_events=cfg["events"],
                                       record_snapshots=cfg["snapshots"],
-                                      precheck=precheck)
+                                      max_events=cfg["max_events"], precheck=precheck)
         return simulate(state, kernel, weight, cfg["t_end"], seed=cfg["seed"],
                         stream=stream, sample_times=times,
                         record_events=cfg["events"],
@@ -178,9 +190,11 @@ _SOLVE_KEYS = ["kernel", "h", "bound", "dt", "method", "t_end", "samples",
 def cmd_solve(args) -> int:
     defaults = {"h": 2.0 ** -6, "bound": 4.0, "method": "rk4", "t_end": 1.0,
                 "samples": 17, "lambda0": 0.0, "richardson": False}
-    cfg = _merge_config(args, _load_manifest_config(args.manifest), _SOLVE_KEYS, defaults)
+    cfg = _merge_config(args, _load_manifest_config(args.manifest, "solve"), _SOLVE_KEYS,
+                        defaults)
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
+    _require_counts(cfg, ["samples"])
     if cfg["bound_schedule"]:
         if cfg["richardson"] or cfg["lambda0"]:
             raise CliConfigError("--bound-schedule starts every window from its canonical "

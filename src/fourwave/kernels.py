@@ -9,11 +9,15 @@ arguments.  Four parametric families are provided:
 * ``mixed``     K = (w1**p * w2**q * w3**r + w1**q * w2**p * w3**r) / 2
 * ``const``     K = c
 
-Every family is expressible as a short sum of rank-one (separable) terms
-``coef * w1**e1 * w2**e2 * w3**e3``; the fast grid evaluators in
-:mod:`fourwave.collision` and :mod:`fourwave.solver` rely on that
-decomposition.  Continuity on the octant holds by construction for all
-nonnegative exponents and is not machine-checked.
+They are the rows of one table, ``_FAMILIES``: a family's fields in spec
+order, and its rank-one (separable) terms ``coef * w1**e1 * w2**e2 *
+w3**e3`` and degree as functions of the fields.  :func:`parse_kernel` is
+the only constructor and the only reader of the table; a :class:`Kernel`
+keeps its terms, degree and normalised spec, and the fast grid evaluators
+in :mod:`fourwave.collision` and :mod:`fourwave.solver` read its terms.
+Fields must be nonnegative, hence so are all coefficients and exponents:
+every kernel is nondecreasing in each argument, and continuous on the
+octant by construction (not machine-checked).
 
 The structural hypotheses the rest of the package relies on (symmetry,
 homogeneity, sub-multiplicative domination by a weight function) each have
@@ -23,7 +27,7 @@ a sampling-based checker returning a small report with the worst witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +43,17 @@ __all__ = [
     "check_submultiplicative",
 ]
 
-_FAMILIES = ("product", "sum", "mixed", "const")
+# family: (fields in spec order, rank-one terms, degree), both from the
+# field values
+_FAMILIES = {
+    "product": (("lambda",), lambda lam: [(1.0, (lam / 3.0,) * 3)], lambda lam: lam),
+    "sum": (("lambda",), lambda lam: [(1.0 / 3.0, (lam, 0.0, 0.0)),
+                                      (1.0 / 3.0, (0.0, lam, 0.0)),
+                                      (1.0 / 3.0, (0.0, 0.0, lam))], lambda lam: lam),
+    "mixed": (("p", "q", "r"), lambda p, q, r: [(0.5, (p, q, r)), (0.5, (q, p, r))],
+              lambda *pqr: sum(pqr)),
+    "const": (("c",), lambda c: [(c, (0.0, 0.0, 0.0))], lambda c: 0.0),
+}
 
 
 class KernelSpecError(ValueError):
@@ -59,43 +73,17 @@ def _pow(base, exponent: float):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Immutable descriptor of one model kernel.
+    """One model kernel, built by :func:`parse_kernel`: its normalised spec,
+    rank-one terms and homogeneity degree (K(s*w) = s**degree * K(w) for
+    s > 0).  A pure value object, safe to share across threads."""
 
-    ``params`` holds the family parameters: ``lam`` for product/sum,
-    ``p, q, r`` for mixed, ``c`` for const.  Instances are pure value
-    objects, safe to share across threads.
-    """
-
-    family: str
-    params: tuple
-
-    @property
-    def degree(self) -> float:
-        """Homogeneity degree: K(s*w) = s**degree * K(w) for s > 0."""
-        if self.family == "product" or self.family == "sum":
-            return self.params[0]
-        if self.family == "mixed":
-            return sum(self.params)
-        return 0.0
+    spec: str
+    terms: tuple
+    degree: float
 
     def rank_one_terms(self) -> list[tuple[float, tuple[float, float, float]]]:
         """Decomposition K = sum of coef * w1**e1 * w2**e2 * w3**e3 terms."""
-        if self.family == "product":
-            (lam,) = self.params
-            e = lam / 3.0
-            return [(1.0, (e, e, e))]
-        if self.family == "sum":
-            (lam,) = self.params
-            return [
-                (1.0 / 3.0, (lam, 0.0, 0.0)),
-                (1.0 / 3.0, (0.0, lam, 0.0)),
-                (1.0 / 3.0, (0.0, 0.0, lam)),
-            ]
-        if self.family == "mixed":
-            p, q, r = self.params
-            return [(0.5, (p, q, r)), (0.5, (q, p, r))]
-        (c,) = self.params
-        return [(c, (0.0, 0.0, 0.0))]
+        return list(self.terms)
 
     def eval(self, w1, w2, w3):
         """Evaluate K; accepts scalars or broadcastable numpy arrays.
@@ -103,7 +91,7 @@ class Kernel:
         Total on the closed octant and never negative or NaN there.
         """
         out = 0.0
-        for coef, (e1, e2, e3) in self.rank_one_terms():
+        for coef, (e1, e2, e3) in self.terms:
             out = out + coef * _pow(w1, e1) * _pow(w2, e2) * _pow(w3, e3)
         return out
 
@@ -111,14 +99,7 @@ class Kernel:
         return self.eval(w1, w2, w3)
 
     def spec_string(self) -> str:
-        if self.family == "product":
-            return f"product:lambda={self.params[0]:g}"
-        if self.family == "sum":
-            return f"sum:lambda={self.params[0]:g}"
-        if self.family == "mixed":
-            p, q, r = self.params
-            return f"mixed:p={p:g},q={q:g},r={r:g}"
-        return f"const:c={self.params[0]:g}"
+        return self.spec
 
 
 @dataclass(frozen=True)
@@ -264,8 +245,7 @@ def _parse_fields(text: str, spec: str) -> dict[str, float]:
     return fields
 
 
-def _require(fields: dict, names: Iterable[str], spec: str) -> list[float]:
-    names = list(names)
+def _require(fields: dict, names: Sequence[str], spec: str) -> list[float]:
     unknown = set(fields) - set(names)
     if unknown:
         raise KernelSpecError(f"unknown field {sorted(unknown)[0]!r} in {spec!r}")
@@ -286,23 +266,15 @@ def parse_kernel(spec: str) -> Kernel:
     family, _, rest = spec.strip().partition(":")
     family = family.strip().lower()
     if family not in _FAMILIES:
-        raise KernelSpecError(f"unknown kernel family {family!r} (expected one of {_FAMILIES})")
-    fields = _parse_fields(rest.strip(), spec)
-    if family in ("product", "sum"):
-        (lam,) = _require(fields, ["lambda"], spec)
-        if lam < 0:
-            raise KernelSpecError(f"field 'lambda' in {spec!r} must be >= 0, got {lam:g}")
-        return Kernel(family, (lam,))
-    if family == "mixed":
-        p, q, r = _require(fields, ["p", "q", "r"], spec)
-        for name, v in (("p", p), ("q", q), ("r", r)):
-            if v < 0:
-                raise KernelSpecError(f"field {name!r} in {spec!r} must be >= 0, got {v:g}")
-        return Kernel("mixed", (p, q, r))
-    (c,) = _require(fields, ["c"], spec)
-    if c < 0:
-        raise KernelSpecError(f"field 'c' in {spec!r} must be >= 0, got {c:g}")
-    return Kernel("const", (c,))
+        raise KernelSpecError(f"unknown kernel family {family!r} "
+                              f"(expected one of {tuple(_FAMILIES)})")
+    names, terms, degree = _FAMILIES[family]
+    vals = _require(_parse_fields(rest.strip(), spec), names, spec)
+    for name, v in zip(names, vals):
+        if v < 0:
+            raise KernelSpecError(f"field {name!r} in {spec!r} must be >= 0, got {v:g}")
+    fields = ",".join(f"{name}={v:g}" for name, v in zip(names, vals))
+    return Kernel(f"{family}:{fields}", tuple(terms(*vals)), degree(*vals))
 
 
 def parse_weight(spec: str) -> WeightFunction:

@@ -113,25 +113,30 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
+    @property
+    def _keys(self) -> np.ndarray:
+        """Atom locations in this measure's mode: grid indices or positions."""
+        return self.idx if self.is_grid else self._positions
+
+    def _like(self, keys, weights) -> "DiscreteMeasure":
+        """A measure in this one's mode and grid with atoms at ``_keys`` values."""
+        if self.is_grid:
+            return DiscreteMeasure.from_grid(keys, weights, self.h)
+        return DiscreteMeasure.from_points(keys, weights)
+
     def compact(self) -> "DiscreteMeasure":
         """Merge atoms at identical positions and drop zero weights.
 
         Grid atoms merge on equal index; continuous atoms merge only on
         exact float equality, so distinct physical atoms are never fused.
         """
-        if self.is_grid:
-            keys = self.idx
-        else:
-            keys = self.positions
-        if len(keys) == 0:
+        if len(self) == 0:
             return self
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq, inverse = np.unique(self._keys, return_inverse=True)
         w = np.zeros(len(uniq))
         np.add.at(w, inverse, self.weights)
         keep = w != 0.0
-        if self.is_grid:
-            return DiscreteMeasure.from_grid(uniq[keep], w[keep], self.h)
-        return DiscreteMeasure.from_points(uniq[keep], w[keep])
+        return self._like(uniq[keep], w[keep])
 
     # --- arithmetic -----------------------------------------------------
 
@@ -141,31 +146,21 @@ class DiscreteMeasure:
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         self._check_compatible(other)
-        if self.is_grid:
-            return DiscreteMeasure.from_grid(
-                np.concatenate([self.idx, other.idx]),
-                np.concatenate([self.weights, other.weights]), self.h)
-        return DiscreteMeasure.from_points(
-            np.concatenate([self.positions, other.positions]),
-            np.concatenate([self.weights, other.weights]))
+        return self._like(np.concatenate([self._keys, other._keys]),
+                          np.concatenate([self.weights, other.weights]))
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
-        if self.is_grid:
-            return DiscreteMeasure.from_grid(self.idx, self.weights * factor, self.h)
-        return DiscreteMeasure.from_points(self.positions, self.weights * factor)
+        return self._like(self._keys, self.weights * factor)
 
     def restricted(self, wmax: float) -> tuple["DiscreteMeasure", "DiscreteMeasure"]:
         """Split into (part on [0, wmax], part strictly above)."""
         inside = self.positions <= wmax
-        if self.is_grid:
-            return (DiscreteMeasure.from_grid(self.idx[inside], self.weights[inside], self.h),
-                    DiscreteMeasure.from_grid(self.idx[~inside], self.weights[~inside], self.h))
-        pos = self.positions
-        return (DiscreteMeasure.from_points(pos[inside], self.weights[inside]),
-                DiscreteMeasure.from_points(pos[~inside], self.weights[~inside]))
+        keys = self._keys
+        return (self._like(keys[inside], self.weights[inside]),
+                self._like(keys[~inside], self.weights[~inside]))
 
     def mass(self) -> float:
         return math.fsum(self.weights)
@@ -236,9 +231,7 @@ def phi_transform(mu: DiscreteMeasure, weight: WeightFunction) -> DiscreteMeasur
         return mu
     factors = np.asarray(weight(mu.positions), dtype=float)
     keep = factors != 0.0
-    if mu.is_grid:
-        return DiscreteMeasure.from_grid(mu.idx[keep], mu.weights[keep] * factors[keep], mu.h)
-    return DiscreteMeasure.from_points(mu.positions[keep], mu.weights[keep] * factors[keep])
+    return mu._like(mu._keys[keep], mu.weights[keep] * factors[keep])
 
 
 @dataclass(frozen=True)

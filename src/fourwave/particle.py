@@ -64,6 +64,13 @@ class ThinningError(RuntimeError):
     the interaction weight on the reachable support."""
 
 
+def _acceptance_error(p: float, w1: float, w2: float, w3: float) -> ThinningError:
+    """The error every driver raises for a candidate accepted with p > 1."""
+    return ThinningError(f"acceptance probability {p:.6g} > 1 at triple "
+                         f"({w1:.17g}, {w2:.17g}, {w3:.17g}); the kernel violates "
+                         "sub-multiplicativity on the reachable support")
+
+
 class MaxEventsError(RuntimeError):
     """Event log would exceed the configured cap."""
 
@@ -305,10 +312,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
             acc_p = np.where(valid, kvals / np.where(phis > 0, phis, 1.0), 0.0)
         if np.any(acc_p > 1.0 + 1e-12):
             c = int(np.argmax(acc_p))
-            raise ThinningError(
-                f"acceptance probability {acc_p[c]:.6g} > 1 at triple "
-                f"({vi[c] * h:.17g}, {vj[c] * h:.17g}, {vl[c] * h:.17g}); "
-                f"the kernel violates sub-multiplicativity on the reachable support")
+            raise _acceptance_error(acc_p[c], vi[c] * h, vj[c] * h, vl[c] * h)
         hit = kill_mask | (valid & (acc_u < acc_p))
         hits = np.nonzero(hit)[0]
         if len(hits) == 0:
@@ -392,7 +396,8 @@ def truncation_overflow_start(state: ParticleState, bound: float) -> float:
 def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, kernel,
                        weight: WeightFunction, t_end: float, *, seed: int = 0,
                        stream: int = 0, sample_times=None, record_events: bool = False,
-                       record_snapshots: bool = False, precheck: bool = True) -> Trajectory:
+                       record_snapshots: bool = False, max_events: int = 10_000_000,
+                       precheck: bool = True) -> Trajectory:
     """Truncated process on the window [0, bound] with overflow lam0.
 
     ``state`` is the full initial configuration; particles beyond the
@@ -420,7 +425,8 @@ def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, k
         _check_majorant(state, kernel, weight)
     return _run_engine(work, kernel, weight, t_end, make_rng(seed, stream),
                        bound_idx=bound_idx, lam_scaled=lam_scaled, sample_times=sample_times,
-                       record_events=record_events, record_snapshots=record_snapshots)
+                       record_events=record_events, record_snapshots=record_snapshots,
+                       max_events=max_events)
 
 
 def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -584,9 +590,7 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             k_here = float(kernel(vi * h, vj * h, vl * h)) if out >= 0 else 0.0
             acc = k_here / phis if phis > 0 else 0.0
             if acc > 1.0 + 1e-12:
-                raise ThinningError(
-                    f"acceptance probability {acc:.6g} > 1 at triple "
-                    f"({vi * h:.17g}, {vj * h:.17g}, {vl * h:.17g})")
+                raise _acceptance_error(acc, vi * h, vj * h, vl * h)
             # unless the whole triple lives in the lower window, the lower
             # level loses its pair members to the overflow: on the
             # interaction clock and on its complement (null for the upper

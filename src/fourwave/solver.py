@@ -180,6 +180,8 @@ def solve_truncated(mu0: DiscreteMeasure, lam0: float, kernel: Kernel,
     lam = float(lam0)
     system = _TruncatedSystem(kernel, cfg.h, len(w))
     sample_times = checked_sample_times(cfg.sample_times, cfg.t_end)
+    if len(sample_times) == 0:
+        raise ValueError("solve_truncated needs at least one sample time")
     dt = cfg.dt if cfg.dt is not None else default_dt(mu0, lam0)
     grid_w = np.arange(len(w)) * cfg.h
     mass0 = float(w.sum())
@@ -286,9 +288,10 @@ def phi2_bound(mu0: DiscreteMeasure, t: float) -> float:
 def picard_constant(kernel: Kernel, bound: float) -> float:
     """Explicit constant C with ||L^B(mu, lam)|| <= C ||(mu, lam)||^3.
 
-    Write m = ||mu||, l = |lam|, Kbar = max K on the window cube (the
-    built-in families are nondecreasing in each argument, so the corner
-    attains it), Pb = bound + 1 = max phi on the window and
+    Write m = ||mu||, l = |lam|, Kbar = max K on the window cube (every
+    family-table kernel has nonnegative coefficients and exponents, so it
+    is nondecreasing in each argument and the corner attains it),
+    Pb = bound + 1 = max phi on the window and
     Po = 2*bound + 1 >= phi at any interaction output.  Term by term:
 
       interaction scatter (4 atoms per ordered triple)   <= 2 Kbar m^3

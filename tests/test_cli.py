@@ -322,3 +322,54 @@ class TestManifestValidation:
         assert main(["simulate", "--manifest", str(bad),
                      "--out", str(tmp_path / "b")]) == 2
         assert "unknown key 'frobnicate'" in capsys.readouterr().err
+
+
+class TestEventCap:
+    def test_truncated_and_untruncated_exit3(self, tmp_path, capsys):
+        argv = ["simulate", "--kernel", "product:lambda=1", "--h", "0.015625", "--n", "200",
+                "--events", "--max-events", "5"]
+        for extra in ([], ["--bound", "2"]):
+            assert main(argv + extra + ["--out", str(tmp_path / "x")]) == 3
+            assert "cap of 5 records" in capsys.readouterr().err
+
+
+class TestCounts:
+    SIM = ["simulate", "--kernel", "const:c=0", "--n", "8", "--t-end", "0.1", "--h", "0.25"]
+
+    def test_below_one_refused_before_output(self, tmp_path, capsys):
+        for argv in (self.SIM + ["--replicas", "0"], self.SIM + ["--samples", "0"],
+                     ["solve", "--kernel", "const:c=0", "--samples", "0"]):
+            out = tmp_path / "x"
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_below_one_refused_on_replay(self, tmp_path, capsys):
+        assert main(self.SIM + ["--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["config"]["replicas"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        out = tmp_path / "b"
+        assert main(["simulate", "--manifest", str(bad), "--out", str(out)]) == 2
+        assert "--replicas must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestForeignManifest:
+    def test_refused(self, tmp_path, capsys):
+        main(["simulate", "--kernel", "const:c=0", "--n", "8", "--t-end", "0.1",
+              "--h", "0.25", "--out", str(tmp_path / "a")])
+        good = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        cases = {"sim": ("simulate", {"foo": 1}),
+                 "tool": ("simulate", {**good, "tool": "other"}),
+                 "config": ("simulate", {**good, "config": [1]}),
+                 "command": ("solve", good),
+                 "list": ("simulate", [good])}
+        for name, (command, data) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"out-{name}"
+            assert main([command, "--manifest", str(path), "--out", str(out)]) == 2, name
+            assert f"is not a fourwave {command} manifest" in capsys.readouterr().err
+            assert not out.exists()

@@ -489,6 +489,12 @@ class TestTruncated:
         with pytest.raises(ValueError, match="nu\\^B"):
             simulate_truncated(st, 0.5, 0.0, PROD1, AFFINE, 0.1, seed=0)
 
+    def test_event_cap(self):
+        st = init(96, exp_measure(), 2.0 ** -6, seed=4)
+        with pytest.raises(MaxEventsError):
+            simulate_truncated(st, 1.0, None, PROD1, AFFINE, 1.0, seed=13,
+                               record_events=True, max_events=2)
+
     def test_window_edge_within_tolerance(self):
         # 1 - 1e-12 is within the grid tolerance of 1.0: the particles at
         # w = 1.0 are inside the window, at the start as for later outputs
@@ -543,6 +549,30 @@ class TestCoupled:
         st = init(60, exp_measure(), 2.0 ** -6, seed=9)
         with pytest.raises(AuditError, match="domination"):
             simulate_coupled(st, 4.0, 4.0, PROD1, AFFINE, 0.3, seed=7)
+
+
+class TestInLoopRefusal:
+    """A kernel that spikes between the precheck's mesh points passes the
+    precheck; each driver then refuses the first candidate it cannot
+    accept, with one message."""
+
+    @staticmethod
+    def spike(w1, w2, w3):
+        return np.where(np.asarray(w1) == 0.75, 1e6, 0.0)
+
+    @pytest.mark.parametrize("driver", ["simulate", "truncated", "coupled"])
+    def test_refused_with_one_message(self, driver):
+        # eight particles at w = 0.75: the mesh linspace(0, 6, 12) misses 0.75
+        st = ParticleState.build(np.full(8, 12), 2.0 ** -4, AFFINE)
+        run = {"simulate": lambda: simulate(st, self.spike, AFFINE, 1.0, seed=0),
+               "truncated": lambda: simulate_truncated(st, 2.0, None, self.spike, AFFINE,
+                                                       1.0, seed=0),
+               "coupled": lambda: simulate_coupled(st, 1.0, 2.0, self.spike, AFFINE,
+                                                   1.0, seed=0)}[driver]
+        with pytest.raises(ThinningError, match=r"acceptance probability 186589 > 1 at "
+                           r"triple \(0\.75, 0\.75, 0\.75\); the kernel violates "
+                           r"sub-multiplicativity on the reachable support"):
+            run()
 
 
 class TestMartingale:

@@ -133,6 +133,12 @@ class TestSolveTruncated:
         with pytest.raises(ValueError, match="multiple"):
             SolverConfig(bound=1.0 + H / 3)
 
+    def test_empty_sample_grid_rejected(self):
+        cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.4, bound=4.0, h=H,
+                           sample_times=np.array([]))
+        with pytest.raises(ValueError, match="at least one sample time"):
+            solve_truncated(two_atoms(), 0.0, ZERO, cfg)
+
     def test_bad_sample_times_rejected(self):
         for times in ([0.0, 0.3, 0.1], [0.0, 0.5], [-0.1, 0.2]):
             cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.4, bound=4.0, h=H,
