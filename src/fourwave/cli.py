@@ -7,8 +7,9 @@ version; replaying it with ``--manifest`` reproduces the artifact
 directory bit for bit (no timestamps are recorded).  ``picard`` writes a
 manifest that no command reads back (it has no ``--manifest``);
 ``compare``, ``validate`` and ``report`` write none.  Exit codes: 0
-success, 2 configuration error, 3 runtime error (for instance a
-sub-multiplicativity abort or a failed validation).
+success, 2 configuration error (an input file that cannot be read
+included), 3 runtime error (for instance a sub-multiplicativity abort or a
+failed validation).
 
 The default output root is the current directory, overridable with the
 ``FOURWAVE_OUTPUT_ROOT`` environment variable; each subcommand writes only
@@ -143,10 +144,10 @@ def cmd_simulate(args) -> int:
     _require_counts(cfg, ["replicas", "samples"])
     kernel = parse_kernel(cfg["kernel"])
     weight = parse_weight(cfg["weight"])
+    mu0 = None if cfg["initial"] is None else _resolve_initial(cfg["initial"], cfg["h"])
     outdir = Path(args.out) if args.out else _output_root() / f"sim-seed{cfg['seed']}"
     outdir.mkdir(parents=True, exist_ok=True)
 
-    mu0 = None if cfg["initial"] is None else _resolve_initial(cfg["initial"], cfg["h"])
     state = init(cfg["n"], mu0, cfg["h"], cfg["seed"], weight)
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
@@ -205,9 +206,9 @@ def cmd_solve(args) -> int:
             raise CliConfigError(f"--bound {args.bound:g} is not --bound-schedule's largest window")
         cfg["bound"] = max(schedule)
     kernel = parse_kernel(cfg["kernel"])
+    mu0 = _resolve_initial(cfg["initial"], cfg["h"])
     outdir = Path(args.out) if args.out else _output_root() / "solve"
     outdir.mkdir(parents=True, exist_ok=True)
-    mu0 = _resolve_initial(cfg["initial"], cfg["h"])
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
     def run(dt, sample=None):
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
     except (ThinningError, SolverError, MaxEventsError, AuditError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

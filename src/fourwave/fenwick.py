@@ -9,6 +9,13 @@ numpy.  The prefix sums are exact while every partial sum is representable,
 as for dyadic weights (the affine interaction weight on a dyadic grid)
 whose total in units of the finest dyadic step stays below 2^53.
 
+A batch of fresh unsorted targets is searched one binary search at a
+time, and the search is bound by branch mispredictions: on a 2-core Xeon
+at n = 100-1600, 384 targets cost 30-50 us per call and 96 targets 8-15
+us, two to four times what repeated timings of one target array show.  The
+thinning engine therefore samples one window of candidates per call, not a
+whole chunk.
+
 The module and class keep their Fenwick names because the benchmark traces
 ``fourwave.fenwick.FenwickTree.sample_batch`` by that path.
 """

@@ -16,6 +16,14 @@ across jumps (count and energy conservation), so the majorant never
 drifts; for fractional weights S is re-read from the table after each
 accepted jump.
 
+Candidates are drawn in chunks of 128 (gaps, kill draws when the kill clock
+runs, triples, acceptance draws) and evaluated in windows of 32 up to the
+chunk's first hit: the state is fixed until then, so the path does not
+depend on the window size.  A candidate with acceptance probability above 1
+raises :class:`ThinningError` if it lies in an evaluated window, that is,
+up to the hit and in the rest of the hit's window; the discarded draws of
+later windows are not checked.
+
 The truncated variant confines particles to a window [0, B] with an
 overflow scalar: interaction outputs beyond B and truncation-clock kills
 move their weight into the overflow, conserving <phi, X> + Lambda exactly.
@@ -55,6 +63,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 128          # candidates drawn per batch between accepted events
+_WINDOW = 32          # candidates evaluated at a time, up to the first hit
 _AUDIT_EVERY = 10_000  # cached-sum audit cadence, in accepted events
 _CDF_BLOCK = 1 << 16  # atoms per block of init's two-level prefix table
 
@@ -298,44 +307,53 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
             break
         gaps = -np.log1p(-rng.random(_CHUNK)) / r_total
         times = t + np.cumsum(gaps)
-        kill_mask = (rng.random(_CHUNK) < r_kill / r_total) if r_kill > 0.0 else np.zeros(_CHUNK, dtype=bool)
+        kill_mask = rng.random(_CHUNK) < r_kill / r_total if r_kill > 0.0 else None
         tri_u = rng.random((_CHUNK, 3)) * s1
         acc_u = rng.random(_CHUNK)
-        slots = fw.sample_batch(tri_u.ravel()).reshape(_CHUNK, 3)
-        si, sj, sl = slots[:, 0], slots[:, 1], slots[:, 2]
-        vi, vj, vl = state.idx[si], state.idx[sj], state.idx[sl]
-        out = vi + vj - vl
-        phis = fw.leaf[si] * fw.leaf[sj] * fw.leaf[sl]
-        valid = (si != sj) & (out >= 0) & ~kill_mask & (phis > 0.0)
-        kvals = np.where(valid, kernel(vi * h, vj * h, vl * h), 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acc_p = np.where(valid, kvals / np.where(phis > 0, phis, 1.0), 0.0)
-        if np.any(acc_p > 1.0 + 1e-12):
-            c = int(np.argmax(acc_p))
-            raise _acceptance_error(acc_p[c], vi[c] * h, vj[c] * h, vl[c] * h)
-        hit = kill_mask | (valid & (acc_u < acc_p))
-        hits = np.nonzero(hit)[0]
-        if len(hits) == 0:
+        # the state is fixed until the chunk's first hit, so the candidates
+        # are evaluated window by window up to the window that holds it;
+        # later windows are discarded draws, neither evaluated nor checked
+        # for acceptance above 1
+        for lo in range(0, _CHUNK, _WINDOW):
+            si, sj, sl = fw.sample_batch(tri_u[lo:lo + _WINDOW]).T
+            vi, vj, vl = state.idx[si], state.idx[sj], state.idx[sl]
+            out = vi + vj - vl
+            phis = fw.leaf[si] * fw.leaf[sj] * fw.leaf[sl]
+            valid = (si != sj) & (out >= 0) & (phis > 0.0)
+            if kill_mask is not None:
+                valid &= ~kill_mask[lo:lo + _WINDOW]
+            acc_p = np.divide(kernel(vi * h, vj * h, vl * h), phis,
+                              out=np.zeros(len(phis)), where=valid)
+            if np.any(acc_p > 1.0 + 1e-12):
+                c = int(np.argmax(acc_p))
+                raise _acceptance_error(acc_p[c], vi[c] * h, vj[c] * h, vl[c] * h)
+            hit = valid & (acc_u[lo:lo + _WINDOW] < acc_p)
+            if kill_mask is not None:
+                hit |= kill_mask[lo:lo + _WINDOW]
+            cw = int(np.argmax(hit))
+            if hit[cw]:
+                break
+        else:
             t = float(times[-1])
             continue
-        c = int(hits[0])
+        c = lo + cw
         t_ev = float(times[c])
         if t_ev >= t_end:
             t = t_end
             break
         recorder.advance(t_ev, read)
         t = t_ev
-        if kill_mask[c]:
+        if kill_mask is not None and kill_mask[c]:
             victim = fw.sample(float(rng.random() * s1))
             lam_scaled += state.kill(victim)
             i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
-            i, j, l = int(si[c]), int(sj[c]), int(sl[c])
-            o = int(out[c])
+            i, j, l = int(si[cw]), int(sj[cw]), int(sl[cw])
+            o = int(out[cw])
             if truncated and o > bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
                 lam_scaled += state.escape(i, j, l)
-                w_new, branch = int(vl[c]) * h, "escape"
+                w_new, branch = int(vl[cw]) * h, "escape"
             else:
                 state.apply_jump(i, j, l)
                 w_new, branch = o * h, "interior"

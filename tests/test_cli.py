@@ -373,3 +373,26 @@ class TestForeignManifest:
             assert main([command, "--manifest", str(path), "--out", str(out)]) == 2, name
             assert f"is not a fourwave {command} manifest" in capsys.readouterr().err
             assert not out.exists()
+
+
+class TestMissingInput:
+    """A missing input file is a configuration error: exit 2, one line on
+    stderr, and no output directory."""
+
+    def test_exit2_without_output(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        ref = tmp_path / "ref"
+        assert main(["solve", "--kernel", "const:c=0", "--t-end", "0.1", "--samples", "2",
+                     "--out", str(ref)]) == 0
+        (tmp_path / "empty").mkdir()
+        capsys.readouterr()
+        cases = {"simulate": ["simulate", "--manifest", missing + ".json"],
+                 "solve": ["solve", "--kernel", "const:c=0", "--initial", missing + ".csv"],
+                 "compare": ["compare", str(tmp_path / "empty"), str(ref)]}
+        for name, argv in cases.items():
+            out = tmp_path / f"out-{name}"
+            assert main(argv + ["--out", str(out)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "Traceback" not in err, name
+            assert "No such file" in err, name
+            assert not out.exists(), name

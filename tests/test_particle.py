@@ -462,6 +462,39 @@ class TestSimulate:
                         record_events=True)
         assert np.all(traj.energy_idx == traj.energy_idx[0])
 
+    def test_window_size_leaves_path_unchanged(self, monkeypatch):
+        # a window of 1 evaluates candidate by candidate, a window of
+        # _CHUNK the whole chunk at once: the draws, and so the paths, are
+        # the same; the fractional run re-reads S after every jump, and the
+        # truncated run (nonzero overflow start) kills and escapes
+        frac = parse_weight("fractional:gamma=0.6666666666666666")
+        st = init(200, exp_measure(), 2.0 ** -6, seed=4)
+        low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
+        runs = [
+            lambda: simulate(st, PROD1, AFFINE, 1.0, seed=3, record_events=True,
+                             record_snapshots=True),
+            lambda: simulate(st, parse_kernel("sum:lambda=1"), AFFINE, 1.0, seed=3,
+                             record_events=True, record_snapshots=True),
+            lambda: simulate(init(200, exp_measure(), 2.0 ** -6, seed=4, weight=frac), PROD1,
+                             frac, 1.0, seed=3, record_events=True, record_snapshots=True),
+            lambda: simulate_truncated(low, 2.0, 0.01, PROD1, AFFINE, 1.0, seed=13,
+                                       record_events=True, record_snapshots=True),
+        ]
+        for run in runs:
+            default = run()
+            assert len(default.events) > 50
+            for size in (1, particle._CHUNK):
+                monkeypatch.setattr(particle, "_WINDOW", size)
+                other = run()
+                monkeypatch.undo()
+                # as bytes: kill records carry a NaN output frequency
+                assert default.events.tobytes() == other.events.tobytes()
+                assert np.array_equal(default.W, other.W)
+                assert np.array_equal(default.E, other.E)
+                for a, b in zip(default.snapshots, other.snapshots, strict=True):
+                    assert np.array_equal(a.idx, b.idx) and np.array_equal(a.weights, b.weights)
+        assert {"interior", "kill", "escape"} <= set(default.events.branch)
+
 
 class TestTruncated:
     def test_reduces_to_untruncated(self):
