@@ -146,8 +146,6 @@ def cmd_simulate(args) -> int:
     weight = parse_weight(cfg["weight"])
     mu0 = None if cfg["initial"] is None else _resolve_initial(cfg["initial"], cfg["h"])
     outdir = Path(args.out) if args.out else _output_root() / f"sim-seed{cfg['seed']}"
-    outdir.mkdir(parents=True, exist_ok=True)
-
     state = init(cfg["n"], mu0, cfg["h"], cfg["seed"], weight)
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
@@ -169,6 +167,7 @@ def cmd_simulate(args) -> int:
     streams = range(cfg["replicas"])
     for stream in streams:
         traj = run_one(stream)
+        outdir.mkdir(parents=True, exist_ok=True)  # after a run: a refused one writes nothing
         save_moments_csv(traj, outdir / f"moments_r{stream:03d}.csv")
         if cfg["events"]:
             save_events_jsonl(traj, outdir / f"events_r{stream:03d}.jsonl")
@@ -208,7 +207,6 @@ def cmd_solve(args) -> int:
     kernel = parse_kernel(cfg["kernel"])
     mu0 = _resolve_initial(cfg["initial"], cfg["h"])
     outdir = Path(args.out) if args.out else _output_root() / "solve"
-    outdir.mkdir(parents=True, exist_ok=True)
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
     def run(dt, sample=None):
@@ -221,14 +219,16 @@ def cmd_solve(args) -> int:
         scfg = SolverConfig(method=cfg["method"], dt=cfg["dt"], t_end=cfg["t_end"],
                             bound=cfg["bound"], h=cfg["h"], sample_times=times)
         traj, diags = solve_limit(mu0, kernel, scfg, schedule)
-        _json_dump({"schema": 1, "report": "overflow_schedule",
-                    "t": times.tolist(),
-                    "overflow": {f"{b:g}": lam.tolist() for b, lam in diags.items()}},
-                   outdir / "overflow_schedule.json")
     else:
         inner, outer = mu0.restricted(cfg["bound"])
         lam0 = cfg["lambda0"] + moment(outer, parse_weight("affine"))
         traj = run(cfg["dt"])
+    outdir.mkdir(parents=True, exist_ok=True)  # after the solve: a refused one writes nothing
+    if cfg["bound_schedule"]:
+        _json_dump({"schema": 1, "report": "overflow_schedule",
+                    "t": times.tolist(),
+                    "overflow": {f"{b:g}": lam.tolist() for b, lam in diags.items()}},
+                   outdir / "overflow_schedule.json")
     save_moments_csv(traj, outdir / "moments.csv")
     save_measure_csv(traj.snapshots[0], outdir / "initial.csv")
     save_measure_csv(traj.snapshots[-1], outdir / "final.csv")
@@ -345,10 +345,13 @@ def cmd_validate(args) -> int:
 
 def cmd_picard(args) -> int:
     kernel = parse_kernel(args.kernel)
-    h = args.h
     if args.initial:
         mu0 = load_measure_csv(args.initial)
+        if mu0.h is not None and args.h not in (None, mu0.h):
+            raise CliConfigError(f"--h {args.h!r} differs from the grid h={mu0.h!r} of --initial")
+        h = mu0.h
     else:
+        h = 2.0 ** -6 if args.h is None else args.h
         mu0 = DiscreteMeasure.from_grid([1, 2], [0.5, 0.5], h)
     phi0 = moment(mu0, parse_weight("affine"))
     if phi0 > 1.0:
@@ -452,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pic = sub.add_parser("picard", help="run the existence-scheme iterates")
     pic.add_argument("--kernel", required=True)
-    pic.add_argument("--h", type=float, default=2.0 ** -6)
+    pic.add_argument("--h", type=float, help="default 2^-6; the grid of --initial when given")
     pic.add_argument("--bound", type=float, default=4.0 * 2.0 ** -6)
     pic.add_argument("--iterations", type=int, default=20)
     pic.add_argument("--initial")

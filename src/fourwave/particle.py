@@ -32,6 +32,9 @@ so the lower process is dominated by the upper one pathwise, atom by atom.
 Each window is a windowed :class:`ParticleState` with its own prefix table,
 changed only by ``apply_jump``, ``escape`` and ``kill``, slot for slot; the
 residual clock draws from the phi^2 table of the lower window's leaves.
+
+Every driver records moments with a :class:`MomentRecorder` bound to its
+state, so this module alone knows the state's layout.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ from .collision import _stack_rows, grid_q_counting, q_counting
 from .fenwick import FenwickTree
 from .kernels import AFFINE, WeightFunction, check_submultiplicative
 from .measures import DiscreteMeasure
-from .trajectory import EVENT_DTYPE, MomentRecorder, Trajectory
+from .trajectory import EVENT_DTYPE, Trajectory, checked_sample_times
 
 __all__ = [
     "ParticleState",
+    "MomentRecorder",
     "ThinningError",
     "MaxEventsError",
     "AuditError",
@@ -198,6 +202,57 @@ class ParticleState:
             raise AuditError("phi table diverged")
 
 
+class MomentRecorder:
+    """Moment rows (and optional snapshots) of one :class:`ParticleState`
+    at fixed sample times, read from its live slots and prefix table; the
+    driver passes the scaled overflow n * Lambda (0 when untruncated, with
+    a nan Lambda column).  Sample times must be nondecreasing and lie in
+    [0, t_end]; ``None`` selects 17 evenly spaced times.
+    """
+
+    def __init__(self, state: ParticleState, sample_times, t_end: float,
+                 truncated: bool = False, snapshots: bool = False):
+        self.state, self.truncated = state, truncated
+        self.times = checked_sample_times(sample_times, t_end)
+        self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)
+        self._idx_rows = []  # exact integer energy
+        self._snaps = [] if snapshots else None
+
+    def advance(self, t_next: float, lam_scaled: float = 0.0) -> None:
+        """Record every sample time strictly before ``t_next`` from the
+        current (pre-event) state."""
+        while len(self._rows) < len(self.times) and self.times[len(self._rows)] < t_next:
+            self._record(lam_scaled)
+
+    def finish(self, lam_scaled: float = 0.0) -> None:
+        self.advance(np.inf, lam_scaled)
+
+    def _record(self, lam_scaled: float) -> None:
+        st = self.state
+        n, h = st.n, st.h
+        live = st.idx[st.alive]
+        phis = np.asarray(st.weight(live * h), dtype=float)
+        energy = int(live.sum())
+        self._rows.append((len(live) / n, energy * h / n, st.phi_total / n,
+                           float(np.sum(phis * phis)) / n,
+                           lam_scaled / n if self.truncated else np.nan,
+                           (st.phi_total + lam_scaled) / n))
+        self._idx_rows.append(energy)
+        if self._snaps is not None:
+            self._snaps.append(
+                DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), h).compact())
+
+    def build(self, **kw) -> Trajectory:
+        arr = np.asarray(self._rows, dtype=float).reshape(-1, 6)
+        return Trajectory(
+            sample_times=self.times,
+            W=arr[:, 0], E=arr[:, 1], phi=arr[:, 2], phi2=arr[:, 3],
+            overflow=arr[:, 4].copy() if self.truncated else None,
+            conserved_phi=arr[:, 5].copy(),
+            energy_idx=np.asarray(self._idx_rows, dtype=np.int64),
+            snapshots=self._snaps, n=self.state.n, h=self.state.h, **kw)
+
+
 # default initial law: Exp(EXP_START_MEAN) on the h-grid, cut at EXP_START_CUTOFF
 EXP_START_MEAN = 1.0
 EXP_START_CUTOFF = 40.0
@@ -281,19 +336,16 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
                 record_snapshots: bool = False, max_events: int = 10_000_000) -> Trajectory:
     n = state.n
     h = state.h
-    recorder = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=record_snapshots)
+    # the overflow is tracked as n * Lambda: a running sum of exact phi
+    # values, so <phi, X> + Lambda has an exactly invariant numerator
+    truncated = bound_idx is not None
+    recorder = MomentRecorder(state, sample_times, t_end, truncated, record_snapshots)
     events: list[tuple] | None = [] if record_events else None
     initial_idx = state.idx.copy() if record_events else None
 
     fw = state.fenwick
-    # the overflow is tracked as n * Lambda: a running sum of exact phi
-    # values, so <phi, X> + Lambda has an exactly invariant numerator
-    truncated = bound_idx is not None
     affine = weight.is_affine
     inv2n2 = 1.0 / (2.0 * n * n)
-
-    def read():
-        return state.idx[state.alive], fw.total, lam_scaled if truncated else None
 
     t = 0.0
     n_events = 0
@@ -341,7 +393,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         if t_ev >= t_end:
             t = t_end
             break
-        recorder.advance(t_ev, read)
+        recorder.advance(t_ev, lam_scaled)
         t = t_ev
         if kill_mask is not None and kill_mask[c]:
             victim = fw.sample(float(rng.random() * s1))
@@ -367,8 +419,8 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         if not affine or branch != "interior":
             s1 = fw.total
             r_pair = s1 * s1 * s1 * inv2n2
-    recorder.finish(read)
-    traj = recorder.build(truncated, initial_idx=initial_idx, events=None if events is None
+    recorder.finish(lam_scaled)
+    traj = recorder.build(initial_idx=initial_idx, events=None if events is None
                           else np.array(events, dtype=EVENT_DTYPE).view(np.recarray))
     traj.meta = {"t_end": t_end, "weight": weight.spec_string(),
                  "kernel": kernel.spec_string() if hasattr(kernel, "spec_string") else "custom"}
@@ -564,15 +616,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     upper, hi_idx, lam_hi_s = _windowed(state, bound_hi)
     lower, lo_idx, lam_lo_s = _windowed(state, bound_lo)
     fw, lo_phi = upper.fenwick, lower.fenwick
-    rec_lo = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
-    rec_hi = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=True)
-
-    def read_lo():
-        return lower.idx[lower.alive], lo_phi.total, lam_lo_s
-
-    def read_hi():
-        return upper.idx[upper.alive], fw.total, lam_hi_s
-
+    rec_lo = MomentRecorder(lower, sample_times, t_end, truncated=True, snapshots=True)
+    rec_hi = MomentRecorder(upper, sample_times, t_end, truncated=True, snapshots=True)
     inv_n2 = 1.0 / (n * n)
     # the residual clock kills lower particles with weight phi^2; the table
     # is rebuilt only after an event that changed the lower window
@@ -594,8 +639,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         if t_ev >= t_end:
             t = t_end
             break
-        rec_lo.advance(t_ev, read_lo)
-        rec_hi.advance(t_ev, read_hi)
+        rec_lo.advance(t_ev, lam_lo_s)
+        rec_hi.advance(t_ev, lam_hi_s)
         t = t_ev
         u_class = float(rng.random()) * r_total
         if u_class < r_pair:
@@ -650,10 +695,9 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
                              "is not alive, at its frequency, in the upper window")
         if lo_changed:
             lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
-    rec_lo.finish(read_lo)
-    rec_hi.finish(read_hi)
-    traj_lo = rec_lo.build(True)
-    traj_hi = rec_hi.build(True)
+    rec_lo.finish(lam_lo_s)
+    rec_hi.finish(lam_hi_s)
+    traj_lo, traj_hi = rec_lo.build(), rec_hi.build()
     for tr, b in ((traj_lo, bound_lo), (traj_hi, bound_hi)):
         tr.meta = {"t_end": t_end, "bound": b, "weight": weight.spec_string()}
     return traj_lo, traj_hi
@@ -669,17 +713,15 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     """Gillespie simulation with the full per-triple rate table.
 
     O(n^3) work per event; intended as the law-level oracle for the
-    thinning engine at small n.
+    thinning engine at small n.  Its phi column is the prefix table's
+    total, as in every driver: exact under the affine weight, possibly a
+    few ulp from a plain sum over the particles under a fractional one.
     """
     _require_state_weight(state, weight)
     work = state.copy()
     n, h = work.n, work.h
     rng = make_rng(seed, stream)
-    recorder = MomentRecorder(sample_times, t_end, n, h, weight, snapshots=record_snapshots)
-
-    def read():
-        return work.idx, None, None
-
+    recorder = MomentRecorder(work, sample_times, t_end, snapshots=record_snapshots)
     iu, ju = np.triu_indices(n, k=1)
     t = 0.0
     while t < t_end:
@@ -694,12 +736,12 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
         t_ev = t - math.log1p(-float(rng.random())) / total
         if t_ev >= t_end:
             break
-        recorder.advance(t_ev, read)
+        recorder.advance(t_ev)
         t = t_ev
         pick = int(np.searchsorted(np.cumsum(flat), float(rng.random()) * total, side="right"))
         pair, l = divmod(pick, n)
         work.apply_jump(int(iu[pair]), int(ju[pair]), int(l))
-    recorder.finish(read)
-    traj = recorder.build(False)
+    recorder.finish()
+    traj = recorder.build()
     traj.meta = {"t_end": t_end}
     return traj

@@ -74,9 +74,15 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r} (expected one of {_METHODS})")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        k = self.bound / self.h
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError("bound must be a multiple of the grid resolution h")
+        _window_points(self.bound, self.h)
+
+
+def _window_points(bound: float, h: float) -> int:
+    """Grid points of [0, bound]; ValueError unless bound is a multiple of h."""
+    k = bound / h
+    if abs(k - round(k)) > 1e-9:
+        raise ValueError("bound must be a multiple of the grid resolution h")
+    return round(k) + 1
 
 
 def default_dt(mu0: DiscreteMeasure, lam0: float) -> float:
@@ -91,7 +97,7 @@ def default_dt(mu0: DiscreteMeasure, lam0: float) -> float:
 def _dense_initial(mu0: DiscreteMeasure, bound: float, h: float) -> np.ndarray:
     if not mu0.is_grid or mu0.h != h:
         raise ValueError(f"initial measure must live on the h={h} grid")
-    m = int(round(bound / h)) + 1
+    m = _window_points(bound, h)
     if len(mu0) and int(mu0.idx.max()) >= m:
         raise ValueError("initial measure must be supported on [0, bound]")
     w = np.zeros(m)
@@ -337,7 +343,9 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
            iterations: int = 20, nsteps: int = 64) -> PicardReport:
     """Run the iterative scheme mu^{n+1} = mu0 + int_0^t L^B(mu^n, lam^n).
 
-    Requires the proof's normalisation <phi, mu0> + lam0 <= 1.  Iterate 0
+    Requires the proof's normalisation <phi, mu0> + lam0 <= 1, and a
+    ``bound`` on mu0's grid (ValueError otherwise), so that C is the
+    constant of the window the iterates live on.  Iterate 0
     is constant in time; the quadrature is trapezoidal on ``nsteps``
     uniform intervals over the contraction horizon T = 1/(4C).  Each
     iteration evaluates its nsteps + 1 time points in a few stacked calls
@@ -357,10 +365,10 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     h = mu0.h
     if h is None:
         raise ValueError("picard requires grid-mode initial data")
+    w0 = _dense_initial(mu0, bound, h)
     c = picard_constant(kernel, bound)
     horizon = 1.0 / (4.0 * c)
     times = np.linspace(0.0, horizon, nsteps + 1)
-    w0 = _dense_initial(mu0, bound, h)
     system = _TruncatedSystem(kernel, h, len(w0))
     nt, m = len(times), len(w0)
     dtv = np.diff(times)

@@ -1,5 +1,7 @@
 """Trajectory containers shared by the particle simulator and the
-deterministic solver, plus their on-disk formats.
+deterministic solver, plus their on-disk formats.  The particle drivers
+fill them through ``particle.MomentRecorder``; nothing here reads a
+particle state.
 
 Moment traces are CSV with header ``t,W,E,phi,phi2,Lambda`` (Lambda column
 empty for untruncated runs).  A particle run's accepted jumps are held in
@@ -20,8 +22,8 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
-__all__ = ["EVENT_DTYPE", "Trajectory", "MomentRecorder", "checked_sample_times",
-           "save_moments_csv", "load_moments_csv", "save_events_jsonl"]
+__all__ = ["EVENT_DTYPE", "Trajectory", "checked_sample_times", "save_moments_csv",
+           "load_moments_csv", "save_events_jsonl"]
 
 # one row per accepted jump; w_new is the surviving output frequency (the
 # catalyst copy for an escape), nan for a kill
@@ -62,67 +64,6 @@ class Trajectory:
     @property
     def truncated(self) -> bool:
         return self.overflow is not None
-
-
-class MomentRecorder:
-    """Collects moment rows (and optional snapshots) at fixed sample times
-    from a piecewise-constant evolution of n unit-weight particles on the
-    h-grid.
-
-    The state is supplied by ``read()``, which returns the live grid
-    indices, the phi total (None: sum it over the live particles) and the
-    scaled overflow n * Lambda (None for an untruncated run).  Sample times
-    must be nondecreasing and lie in [0, t_end]; ``None`` selects 17 evenly
-    spaced times.
-    """
-
-    def __init__(self, sample_times, t_end: float, n: int, h: float, weight,
-                 snapshots: bool = False):
-        self.times = checked_sample_times(sample_times, t_end)
-        self.n, self.h, self.weight = n, h, weight
-        self._ptr = 0
-        self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)
-        self._idx_rows = []  # exact integer energy
-        self._snaps = [] if snapshots else None
-
-    def advance(self, t_next: float, read) -> None:
-        """Record every sample time strictly before ``t_next`` using the
-        current (pre-event) state supplied by ``read()``."""
-        while self._ptr < len(self.times) and self.times[self._ptr] < t_next:
-            self._record(read)
-            self._ptr += 1
-
-    def finish(self, read) -> None:
-        self.advance(np.inf, read)
-
-    def _record(self, read) -> None:
-        live, phi_total, lam_scaled = read()
-        n, h = self.n, self.h
-        phis = np.asarray(self.weight(live * h), dtype=float)
-        if phi_total is None:
-            phi_total = float(phis.sum())
-        energy = int(live.sum())
-        self._rows.append((len(live) / n, energy * h / n, phi_total / n,
-                           float(np.sum(phis * phis)) / n,
-                           np.nan if lam_scaled is None else lam_scaled / n,
-                           (phi_total + (lam_scaled or 0.0)) / n))
-        self._idx_rows.append(energy)
-        if self._snaps is not None:
-            self._snaps.append(
-                DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), h).compact())
-
-    def build(self, truncated: bool, **kw) -> Trajectory:
-        arr = np.asarray(self._rows, dtype=float).reshape(-1, 6)
-        idx = np.asarray(self._idx_rows)
-        return Trajectory(
-            sample_times=self.times,
-            W=arr[:, 0], E=arr[:, 1], phi=arr[:, 2], phi2=arr[:, 3],
-            overflow=arr[:, 4].copy() if truncated else None,
-            conserved_phi=arr[:, 5].copy(),
-            energy_idx=idx if idx.dtype != object else None,
-            snapshots=self._snaps, n=self.n, h=self.h,
-            **kw,
-        )
 
 
 _MOMENTS_HEADER = "t,W,E,phi,phi2,Lambda"

@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fourwave.cli import main
+from fourwave.measures import DiscreteMeasure, save_measure_csv
 
 
 def read(p: Path) -> bytes:
@@ -214,6 +216,33 @@ class TestPicard:
         assert data["within_sqrt2"] is True
         assert len(data["sup_norms"]) == 21
 
+    def test_off_grid_bound_exit2(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(["picard", "--kernel", "product:lambda=1", "--bound", "0.3",
+                     "--out", str(out)]) == 2
+        assert "multiple of the grid resolution h" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_taken_from_initial(self, tmp_path, capsys):
+        h = 2.0 ** -7
+        initial = tmp_path / "mu0.csv"
+        save_measure_csv(DiscreteMeasure.from_grid([1, 2], [0.5, 0.5], h), initial)
+        base = ["picard", "--kernel", "product:lambda=1", "--initial", str(initial)]
+        for extra in ([], ["--h", repr(h)]):
+            out = tmp_path / f"p{len(extra)}"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["config"]["h"] == h
+        out = tmp_path / "refused"
+        assert main(base + ["--h", repr(2.0 ** -6), "--out", str(out)]) == 2
+        assert "differs from the grid h=0.0078125" in capsys.readouterr().err
+        assert not out.exists()
+        # a file without a grid is refused, with or without --h
+        initial.write_text("omega,weight\n0.5,1\n")
+        for extra in ([], ["--h", repr(h)]):
+            assert main(base + extra + ["--out", str(out)]) == 2
+            assert "picard requires grid-mode initial data" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestPicardReport:
     def test_iterations_evaluated(self, tmp_path, capsys):
@@ -396,3 +425,26 @@ class TestMissingInput:
             assert err.startswith("configuration error:") and "Traceback" not in err, name
             assert "No such file" in err, name
             assert not out.exists(), name
+
+
+class TestConfigErrorWritesNothing:
+    """A configuration error found only once the run starts is refused
+    like one found while reading the flags: exit 2, one line on stderr,
+    and no output directory."""
+
+    SIM = ["simulate", "--kernel", "product:lambda=1", "--n", "8"]
+    SOLVE = ["solve", "--kernel", "const:c=0"]
+
+    @pytest.mark.parametrize("argv", [
+        SIM + ["--h", "0.3"],
+        SIM + ["--t-end", "-1"],
+        SIM + ["--bound", "1", "--lambda0", "-1"],
+        SOLVE + ["--bound", "0.3"],
+        SOLVE + ["--dt", "-1"],
+    ], ids=["sim-h", "sim-t-end", "sim-lambda0", "solve-bound", "solve-dt"])
+    def test_exit2_without_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert not out.exists()

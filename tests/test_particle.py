@@ -9,7 +9,7 @@ from fourwave.collision import grid_q_counting, q_counting
 from fourwave.cli import default_initial_measure, main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
-from fourwave.measures import DiscreteMeasure, quantize
+from fourwave.measures import DiscreteMeasure, moment, quantize
 from fourwave.particle import (
     AuditError,
     MaxEventsError,
@@ -582,6 +582,52 @@ class TestCoupled:
         st = init(60, exp_measure(), 2.0 ** -6, seed=9)
         with pytest.raises(AuditError, match="domination"):
             simulate_coupled(st, 4.0, 4.0, PROD1, AFFINE, 0.3, seed=7)
+
+
+class TestRecorder:
+    """Each moment row is the moment of the snapshot recorded with it."""
+
+    @staticmethod
+    def check_rows(traj, weight):
+        n = traj.n
+        assert len(traj.snapshots) == len(traj.sample_times)
+        for k, snap in enumerate(traj.snapshots):
+            counts = np.rint(snap.weights * n).astype(np.int64)
+            assert traj.W[k] == counts.sum() / n
+            assert traj.energy_idx[k] == int(np.dot(snap.idx, counts))
+            assert traj.phi[k] == pytest.approx(moment(snap, weight), rel=1e-12)
+            assert traj.phi2[k] == pytest.approx(
+                moment(snap, lambda w: np.asarray(weight(w)) ** 2), rel=1e-12)
+        if traj.truncated:
+            np.testing.assert_allclose(traj.conserved_phi, traj.phi + traj.overflow,
+                                       rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(traj.conserved_phi, traj.phi)
+
+    def test_rows_match_snapshots(self):
+        frac = parse_weight("fractional:gamma=0.6666666666666666")
+        st = init(200, exp_measure(), 2.0 ** -6, seed=4)
+        low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
+        small = ParticleState.build(np.random.default_rng(2).integers(1, 16, 16), 2.0 ** -3)
+        trunc = simulate_truncated(low, 2.0, truncation_overflow_start(low, 2.0) + 0.01,
+                                   PROD1, AFFINE, 1.0, seed=13, record_events=True,
+                                   record_snapshots=True)
+        assert {"interior", "kill", "escape"} <= set(trunc.events.branch)
+        runs = [
+            (simulate(st, PROD1, AFFINE, 1.0, seed=3, record_snapshots=True), AFFINE),
+            (simulate(init(200, exp_measure(), 2.0 ** -6, seed=4, weight=frac), PROD1,
+                      frac, 1.0, seed=3, record_snapshots=True), frac),
+            (trunc, AFFINE),
+            *((tr, AFFINE) for tr in simulate_coupled(st, 1.0, 3.0, PROD1, AFFINE, 0.6,
+                                                      seed=7)),
+            (simulate_exact_clocks(small, PROD1, AFFINE, 1.0, seed=5,
+                                   record_snapshots=True), AFFINE),
+            (simulate_exact_clocks(ParticleState.build(small.idx, small.h, frac), PROD1, frac,
+                                   1.0, seed=5, record_snapshots=True), frac),
+        ]
+        for traj, weight in runs:
+            assert traj.phi2[-1] != traj.phi2[0]  # the state moved
+            self.check_rows(traj, weight)
 
 
 class TestInLoopRefusal:

@@ -252,6 +252,14 @@ class TestPicard:
                 break
             assert b / a < 1.0
 
+    def test_off_grid_bound_refused(self):
+        # rounding 0.3078125 / h would iterate on [0, 20 h] = [0, 0.3125]
+        # under the constant of [0, 0.3078125], whose horizon 1/(4C) is
+        # longer than the window's own
+        assert picard_constant(PROD1, 0.3078125) < picard_constant(PROD1, 20 * H)
+        with pytest.raises(ValueError, match="multiple of the grid resolution h"):
+            picard(self.mu0(), 0.0, PROD1, 0.3078125)
+
     def test_constant_formula(self):
         c = picard_constant(PROD1, 4 * H)
         pb = 4 * H + 1.0
