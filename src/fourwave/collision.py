@@ -149,10 +149,13 @@ def q_counting(x: DiscreteMeasure, kernel, f, n: int, method: str = "auto") -> f
     The counting measure keeps slot 3 free but forbids the same particle in
     slots 1 and 2, so the full triple product is reduced by the diagonal
     correction.  ``n`` must match the particle count encoded in the
-    weights (multiplicities allowed).
+    weights (multiplicities allowed): every count n * weight must be a
+    whole number to within 1e-9 of itself (at least 1e-9), and the counts
+    must sum to n.
     """
     counts = x.weights * n
-    if not np.allclose(counts, np.rint(counts), atol=1e-9) or round(float(counts.sum())) != n:
+    whole = np.abs(counts - np.rint(counts)) <= 1e-9 * np.maximum(counts, 1.0)
+    if not whole.all() or round(float(counts.sum())) != n:
         raise ValueError(f"weights are not multiplicities of 1/{n} particles")
     return q_pairing(x, kernel, f, method=method) - counting_correction(x, kernel, f, n)
 

@@ -27,6 +27,7 @@ a sampling-based checker returning a small report with the worst witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +82,18 @@ class Kernel:
     terms: tuple
     degree: float
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """Per term, its coefficient (None for 1) and the (argument,
+        exponent) factors eval multiplies: those with a nonzero exponent,
+        and in the first term a w**0 factor for each argument that no term
+        raises, so that K keeps the arguments' broadcast shape."""
+        raised = {k for _, exps in self.terms for k, e in enumerate(exps) if e != 0.0}
+        return tuple((None if coef == 1.0 else coef,
+                      tuple((k, e) for k, e in enumerate(exps)
+                            if e != 0.0 or (t == 0 and k not in raised)))
+                     for t, (coef, exps) in enumerate(self.terms))
+
     def rank_one_terms(self) -> list[tuple[float, tuple[float, float, float]]]:
         """Decomposition K = sum of coef * w1**e1 * w2**e2 * w3**e3 terms."""
         return list(self.terms)
@@ -88,15 +101,20 @@ class Kernel:
     def eval(self, w1, w2, w3):
         """Evaluate K; accepts scalars or broadcastable numpy arrays.
 
-        Total on the closed octant and never negative or NaN there.
+        Total on the closed octant and never negative or NaN there.  Factors
+        1.0 (a coefficient 1, w**0) are skipped where that changes no bits.
         """
-        out = 0.0
-        for coef, (e1, e2, e3) in self.terms:
-            out = out + coef * _pow(w1, e1) * _pow(w2, e2) * _pow(w3, e3)
+        args = (w1, w2, w3)
+        out = None
+        for coef, factors in self._plan:
+            term = coef
+            for k, e in factors:
+                term = _pow(args[k], e) if term is None else term * _pow(args[k], e)
+            term = 1.0 if term is None else term
+            out = term if out is None else out + term
         return out
 
-    def __call__(self, w1, w2, w3):
-        return self.eval(w1, w2, w3)
+    __call__ = eval
 
     def spec_string(self) -> str:
         return self.spec

@@ -256,12 +256,9 @@ def moment_set(mu: DiscreteMeasure, weight: WeightFunction) -> MomentSet:
 def save_measure_csv(mu: DiscreteMeasure, path) -> None:
     """Interchange format: header ``omega,weight``, ascending positions,
     one atom per row, 17 significant digits; grid mode adds ``# h=...``."""
-    lines = []
-    if mu.is_grid:
-        lines.append(f"# h={mu.h:.17g}")
+    lines = [f"# h={mu.h:.17g}"] if mu.is_grid else []
     lines.append("omega,weight")
-    for pos, w in zip(mu.positions, mu.weights):
-        lines.append(f"{pos:.17g},{w:.17g}")
+    lines.extend(map("{:.17g},{:.17g}".format, mu.positions.tolist(), mu.weights.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -273,24 +270,33 @@ def load_measure_csv(path) -> DiscreteMeasure:
     a row that is not two numbers and, under ``# h=``, on a position that
     is not exactly idx * h.  Blank lines and other ``#`` lines are skipped.
     """
-    h, rows = None, None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            body = line.lstrip("#").strip()
-            if line.startswith("#") and body.startswith("h="):
-                h = float(body[2:])
-            elif not line or line.startswith("#"):
-                continue
-            elif rows is None:
-                if line != "omega,weight":
-                    raise ValueError(f"{path}:{lineno}: expected header 'omega,weight', got {line!r}")
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    h, rows = None, None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        body = line.lstrip("#").strip()
+        if line.startswith("#") and body.startswith("h="):
+            h = float(body[2:])
+        elif not line or line.startswith("#"):
+            continue
+        elif rows is None:
+            if line != "omega,weight":
+                raise ValueError(f"{path}:{lineno}: expected header 'omega,weight', got {line!r}")
+            # a body of two-number rows converts in one pass; one with
+            # blank or # lines, or a malformed row, goes on line by line
+            try:
+                rows = [(float(a), float(b)) for a, b in (r.split(",") for r in lines[lineno:])]
+                break
+            except ValueError:
                 rows = []
-            else:
-                fields = line.split(",")
-                if len(fields) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-                rows.append([float(x) for x in fields])
+        else:
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+            rows.append([float(x) for x in fields])
     if rows is None:
         raise ValueError(f"{path}: missing header 'omega,weight'")
     pos, weights = np.asarray(rows, dtype=float).reshape(-1, 2).T

@@ -16,13 +16,20 @@ across jumps (count and energy conservation), so the majorant never
 drifts; for fractional weights S is re-read from the table after each
 accepted jump.
 
-Candidates are drawn in chunks of 128 (gaps, kill draws when the kill clock
-runs, triples, acceptance draws) and evaluated in windows of 32 up to the
-chunk's first hit: the state is fixed until then, so the path does not
-depend on the window size.  A candidate with acceptance probability above 1
-raises :class:`ThinningError` if it lies in an evaluated window, that is,
-up to the hit and in the rest of the hit's window; the discarded draws of
-later windows are not checked.
+Candidates come in chunks of 128.  A run takes its uniforms from one
+buffer, which ``rng.random`` refills in blocks, in the order of one call
+per use: per chunk 128 gaps, 128 kill draws when the kill clock runs, 384
+triple draws and 128 acceptance draws, then one victim draw after a kill.
+Philox output is contiguous across calls, so these are the numbers of
+those calls.  A chunk's first kill is found first; the triples before it
+are evaluated in windows of 32 up to the first hit, the last window cut at
+the kill, and the event is that kill if no triple hits.  The state is
+fixed until the event, so the path does not depend on the window size.  A
+candidate with acceptance probability above 1 raises
+:class:`ThinningError` if it lies in an evaluated window, that is, up to
+the hit and in the rest of the hit's window, but never at or past the
+chunk's first kill; the discarded draws of later candidates are not
+checked.
 
 The truncated variant confines particles to a window [0, B] with an
 overflow scalar: interaction outputs beyond B and truncation-clock kills
@@ -68,6 +75,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CHUNK = 128          # candidates drawn per batch between accepted events
 _WINDOW = 32          # candidates evaluated at a time, up to the first hit
+_DRAWS = 64 * _CHUNK   # uniforms a run's draw buffer holds beyond a chunk and a victim
 _AUDIT_EVERY = 10_000  # cached-sum audit cadence, in accepted events
 _CDF_BLOCK = 1 << 16  # atoms per block of init's two-level prefix table
 
@@ -114,7 +122,8 @@ class ParticleState:
     prefix sum, is a multiple of min(h, 1); the prefix sums are therefore
     exact, and equal to any other summation order, while the phi total in
     those units (sum(idx) + n/h for h <= 1) stays below 2^53.  ``build``
-    refuses any other affine configuration.
+    refuses any other affine configuration and marks the affine table
+    exact, so that its writes update the prefix sums in place.
     """
 
     idx: np.ndarray
@@ -139,7 +148,7 @@ class ParticleState:
                 raise ValueError("phi total in grid units, sum(idx) + n/h, reaches "
                                  "2^53: affine phi sums would not be exact")
         phi = np.asarray(weight(idx * h), dtype=float)
-        return ParticleState(idx.copy(), h, weight, FenwickTree(phi),
+        return ParticleState(idx.copy(), h, weight, FenwickTree(phi, exact=weight.is_affine),
                              np.ones(len(idx), dtype=bool), int(idx.sum()))
 
     @property
@@ -151,8 +160,8 @@ class ParticleState:
         return self.fenwick.total
 
     def copy(self) -> "ParticleState":
-        return ParticleState(self.idx.copy(), self.h, self.weight,
-                             FenwickTree(self.fenwick.leaf), self.alive.copy(), self.sum_idx)
+        return ParticleState(self.idx.copy(), self.h, self.weight, self.fenwick.copy(),
+                             self.alive.copy(), self.sum_idx)
 
     def apply_jump(self, i: int, j: int, l: int) -> None:
         """Apply the interior jump (i, j | l): slot i takes the output
@@ -166,8 +175,8 @@ class ParticleState:
             raise ValueError("inadmissible triple: w_i + w_j < w_l")
         self.idx[i] = out
         self.idx[j] = vl
-        self.fenwick.set(i, float(self.weight(out * self.h)))
-        self.fenwick.set(j, float(self.weight(vl * self.h)))
+        phi_out, phi_vl = self.weight(np.array([out * self.h, vl * self.h])).tolist()
+        self.fenwick.set_pair(i, phi_out, j, phi_vl)
 
     def kill(self, slot: int) -> float:
         """Remove the particle in ``slot``; returns its phi value."""
@@ -197,8 +206,9 @@ class ParticleState:
         phi = np.zeros(self.n)
         phi[self.alive] = np.asarray(self.weight(live * self.h), dtype=float)
         total = float(phi.sum())
-        if (self.fenwick.total != total if self.weight.is_affine
-                else not math.isclose(self.fenwick.total, total, rel_tol=1e-9)):
+        fw = self.fenwick
+        if (fw.total != total or not np.array_equal(fw._sums(), np.cumsum(fw.leaf))
+                if fw.exact else not math.isclose(fw.total, total, rel_tol=1e-9)):
             raise AuditError("phi table diverged")
 
 
@@ -347,6 +357,8 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
     affine = weight.is_affine
     inv2n2 = 1.0 / (2.0 * n * n)
 
+    u = np.empty(_DRAWS + 6 * _CHUNK + 1)  # the draw buffer of the module docstring
+    pos = len(u)
     t = 0.0
     n_events = 0
     s1 = fw.total
@@ -357,55 +369,71 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         r_total = r_pair + r_kill
         if r_total <= 0.0:
             break
-        gaps = -np.log1p(-rng.random(_CHUNK)) / r_total
-        times = t + np.cumsum(gaps)
-        kill_mask = rng.random(_CHUNK) < r_kill / r_total if r_kill > 0.0 else None
-        tri_u = rng.random((_CHUNK, 3)) * s1
-        acc_u = rng.random(_CHUNK)
-        # the state is fixed until the chunk's first hit, so the candidates
-        # are evaluated window by window up to the window that holds it;
-        # later windows are discarded draws, neither evaluated nor checked
-        # for acceptance above 1
-        for lo in range(0, _CHUNK, _WINDOW):
-            si, sj, sl = fw.sample_batch(tri_u[lo:lo + _WINDOW]).T
-            vi, vj, vl = state.idx[si], state.idx[sj], state.idx[sl]
-            out = vi + vj - vl
-            phis = fw.leaf[si] * fw.leaf[sj] * fw.leaf[sl]
-            valid = (si != sj) & (out >= 0) & (phis > 0.0)
-            if kill_mask is not None:
-                valid &= ~kill_mask[lo:lo + _WINDOW]
-            acc_p = np.divide(kernel(vi * h, vj * h, vl * h), phis,
-                              out=np.zeros(len(phis)), where=valid)
-            if np.any(acc_p > 1.0 + 1e-12):
-                c = int(np.argmax(acc_p))
-                raise _acceptance_error(acc_p[c], vi[c] * h, vj[c] * h, vl[c] * h)
-            hit = valid & (acc_u[lo:lo + _WINDOW] < acc_p)
-            if kill_mask is not None:
-                hit |= kill_mask[lo:lo + _WINDOW]
-            cw = int(np.argmax(hit))
+        used = (6 if r_kill > 0.0 else 5) * _CHUNK
+        if pos + used >= len(u):  # room for the chunk and a victim draw
+            rest = len(u) - pos
+            u[:rest] = u[pos:]
+            rng.random(out=u[rest:])
+            pos = 0
+        draws = u[pos:pos + used]
+        gaps, tri, acc = draws[:_CHUNK], draws[-4 * _CHUNK:-_CHUNK], draws[-_CHUNK:]
+        pos += used
+        c = kill = _CHUNK
+        if r_kill > 0.0:
+            kills = draws[_CHUNK:2 * _CHUNK] < r_kill / r_total
+            first = int(kills.argmax())
+            if kills[first]:
+                c = kill = first
+        # the state is fixed until the chunk's first hit, so the triples
+        # before its first kill are evaluated window by window up to the
+        # window that holds a hit, the last window cut at the kill; the
+        # event is that kill if no triple hits.  Later candidates are
+        # discarded draws, neither evaluated nor checked for acceptance
+        # above 1
+        for lo in range(0, kill, _WINDOW):
+            hi = min(lo + _WINDOW, kill)
+            s = fw.sample_batch(tri[3 * lo:3 * hi].reshape(-1, 3).T * s1)
+            v = state.idx[s]
+            leaves = fw.leaf[s]
+            out = v[0] + v[1] - v[2]
+            phis = leaves[0] * leaves[1] * leaves[2]
+            valid = (s[0] != s[1]) & (out >= 0) & (phis > 0.0)
+            w = v * h
+            acc_p = np.divide(kernel(w[0], w[1], w[2]), phis, out=np.zeros(hi - lo),
+                              where=valid)
+            if (acc_p > 1.0 + 1e-12).any():
+                cw = int(acc_p.argmax())
+                raise _acceptance_error(acc_p[cw], *w[:, cw])
+            # acc_p is 0 off the valid candidates, where no u in [0, 1) hits
+            hit = acc[lo:hi] < acc_p
+            cw = int(hit.argmax())
             if hit[cw]:
+                c = lo + cw
                 break
-        else:
-            t = float(times[-1])
+        # the time of the event, or of the chunk's last candidate: a
+        # sequential cumsum of the gaps up to it, whose bits do not depend
+        # on the gaps after it; log1p(-u) / -r has the bits of -log1p(-u) / r
+        t_ev = t + float((np.log1p(-gaps[:c + 1]) / -r_total).cumsum()[-1])
+        if c == _CHUNK:
+            t = t_ev
             continue
-        c = lo + cw
-        t_ev = float(times[c])
         if t_ev >= t_end:
             t = t_end
             break
         recorder.advance(t_ev, lam_scaled)
         t = t_ev
-        if kill_mask is not None and kill_mask[c]:
-            victim = fw.sample(float(rng.random() * s1))
+        if c == kill:
+            victim = fw.sample(float(u[pos] * s1))
+            pos += 1
             lam_scaled += state.kill(victim)
             i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
-            i, j, l = int(si[cw]), int(sj[cw]), int(sl[cw])
+            i, j, l = s[:, cw].tolist()
             o = int(out[cw])
             if truncated and o > bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
                 lam_scaled += state.escape(i, j, l)
-                w_new, branch = int(vl[cw]) * h, "escape"
+                w_new, branch = float(w[2, cw]), "escape"
             else:
                 state.apply_jump(i, j, l)
                 w_new, branch = o * h, "interior"

@@ -15,7 +15,6 @@ Python's shortest round-trip repr, so files round-trip exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,11 +69,12 @@ _MOMENTS_HEADER = "t,W,E,phi,phi2,Lambda"
 
 
 def save_moments_csv(traj: Trajectory, path) -> None:
-    lams = traj.overflow if traj.truncated else [None] * len(traj.sample_times)
+    cols = [traj.sample_times, traj.W, traj.E, traj.phi, traj.phi2]
+    if traj.truncated:
+        cols.append(traj.overflow)
+    row = ",".join(["{:.17g}"] * len(cols)) + ("" if traj.truncated else ",")
     lines = [_MOMENTS_HEADER]
-    for t, w, e, p, p2, lam in zip(traj.sample_times, traj.W, traj.E, traj.phi, traj.phi2, lams):
-        lam_txt = "" if lam is None else f"{lam:.17g}"
-        lines.append(f"{t:.17g},{w:.17g},{e:.17g},{p:.17g},{p2:.17g},{lam_txt}")
+    lines.extend(map(row.format, *(np.asarray(c).tolist() for c in cols)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -111,9 +111,10 @@ def save_events_jsonl(traj: Trajectory, path) -> None:
     ev = traj.events
     if ev is None:
         raise ValueError("trajectory carries no event log")
-    kill = (ev.branch == "kill").tolist()
+    # the bytes of json.dumps: a float's repr, null for a kill's w_new
+    w_new = ("null" if k else repr(w) for w, k in zip(ev.w_new.tolist(),
+                                                     (ev.branch == "kill").tolist()))
     with open(path, "w") as fh:
-        for t, i, j, l, w, k in zip(ev.time.tolist(), ev.i.tolist(), ev.j.tolist(),
-                                    ev.l.tolist(), ev.w_new.tolist(), kill):
-            fh.write(json.dumps({"t": t, "i": i, "j": j, "l": l,
-                                 "w_new": None if k else w}) + "\n")
+        fh.writelines(map('{{"t": {!r}, "i": {}, "j": {}, "l": {}, "w_new": {}}}\n'.format,
+                          ev.time.tolist(), ev.i.tolist(), ev.j.tolist(), ev.l.tolist(),
+                          w_new))

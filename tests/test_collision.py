@@ -19,7 +19,8 @@ from fourwave.collision import (
     trilinear_pairing,
 )
 from fourwave.kernels import AFFINE, parse_kernel
-from fourwave.measures import DiscreteMeasure, moment, tv_norm
+from fourwave.measures import (DiscreteMeasure, load_measure_csv, moment, save_measure_csv,
+                               tv_norm)
 
 RNG = np.random.default_rng(31415)
 
@@ -191,6 +192,22 @@ class TestQCounting:
         x = DiscreteMeasure.from_points([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             q_counting(x, CONST1, lambda v: np.asarray(v), 3)
+
+    def test_fractional_counts_rejected(self):
+        # the counts 1000.004 and 999.996 sum to n, and lie within a
+        # relative 1e-5 of whole numbers
+        x = DiscreteMeasure.from_grid([1, 3], [1000.004 / 2000, 999.996 / 2000], 0.25)
+        with pytest.raises(ValueError, match="multiplicities of 1/2000"):
+            q_counting(x, PROD1, np.cos, 2000)
+
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_counts_read_back_from_csv(self, tmp_path, n):
+        sites, counts = np.unique(np.random.default_rng(n).integers(0, 40, size=n),
+                                  return_counts=True)
+        x = DiscreteMeasure.from_grid(sites, counts / n, 0.25)
+        save_measure_csv(x, tmp_path / "x.csv")
+        back = load_measure_csv(tmp_path / "x.csv")
+        assert q_counting(back, PROD1, np.cos, n) == q_counting(x, PROD1, np.cos, n)
 
 
 class TestLBPairing:

@@ -50,6 +50,31 @@ class TestEval:
         a = np.array([1.0, 8.0])
         assert np.allclose(k.eval(a, a, a), a)
 
+    @pytest.mark.parametrize("spec", [
+        "product:lambda=1", "product:lambda=0", "sum:lambda=1", "sum:lambda=0",
+        "mixed:p=1,q=0.5,r=0.25", "mixed:p=1,q=0,r=0", "const:c=1", "const:c=0.02",
+    ])
+    def test_skipped_unit_factors_change_no_bits(self, spec):
+        # the plain sum over terms of coef * w1**e1 * w2**e2 * w3**e3, with
+        # 0**0 = 1: same bytes, shape and type, broadcasting included
+        def loop(k, w1, w2, w3):
+            out = 0.0
+            for coef, exps in k.terms:
+                term = coef
+                for w, e in zip((w1, w2, w3), exps):
+                    w = np.asarray(w, dtype=float)
+                    term = term * (np.ones_like(w) if e == 0.0 else w ** e)
+                out = out + term
+            return out
+
+        k = parse_kernel(spec)
+        col = RNG.uniform(0.0, 3.0, size=(4, 1))
+        for args in [(1.0, 2.0, 3.0), (0.0, 0.0, 0.0), tuple(RNG.uniform(0.0, 3.0, (3, 5))),
+                     (col, 2.0, RNG.uniform(0.0, 3.0, 3)), (1.5, 2.0, RNG.uniform(0.0, 3.0, 3))]:
+            want, got = loop(k, *args), k.eval(*args)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestChecks:
     def test_symmetry_builtin_families(self):

@@ -201,6 +201,25 @@ class TestCsv:
         if h is not None:
             assert np.array_equal(back.idx, mu.idx)
 
+    @staticmethod
+    def csv_reference(mu):
+        lines = [f"# h={mu.h:.17g}"] if mu.is_grid else []
+        lines.append("omega,weight")
+        for pos, w in zip(mu.positions, mu.weights):
+            lines.append(f"{pos:.17g},{w:.17g}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("mu", [
+        DiscreteMeasure.from_grid([0, 3, 17, 2 ** 40], [0.1, 1.0 / 3.0, -2.5e-300, 7.0],
+                                  2.0 ** -20),
+        DiscreteMeasure.from_points([0.0, 1.0 / 7.0, 2.5, 1e22], [1e-5, 0.3, -1.0 / 3.0, 4.0]),
+        DiscreteMeasure.from_points([], []),
+    ], ids=["grid", "points", "empty"])
+    def test_writer_bytes(self, tmp_path, mu):
+        path = tmp_path / "m.csv"
+        save_measure_csv(mu, path)
+        assert path.read_text() == self.csv_reference(mu)
+
     @pytest.mark.parametrize("text, match", [
         ("0.5,1.0\n", "header"),
         ("omega,mass\n0.5,1.0\n", "header"),
@@ -213,6 +232,37 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             load_measure_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("\n# note\nomega,mass\n0.5,1.0\n",
+         r":3: expected header 'omega,weight', got 'omega,mass'"),
+        ("# h=0.5\n\n", "missing header"),
+        ("", "missing header"),
+        ("omega,weight\n0.5,1.0\n0.75\n", ":3: expected 2 fields, got 1"),
+        ("omega,weight\n0.5,1.0\n\n# note\n0.5,1.0,2.0\n", ":5: expected 2 fields, got 3"),
+        ("omega,weight\n0.5,abc\n", "could not convert string to float: 'abc'"),
+        ("omega,weight\n0.5,1.0\n0.75, \n", "could not convert string to float: ''"),
+        ("# h=0.25\nomega,weight\n0.25,0.5\n\n0.3,0.5\n",
+         r"position \S*0\.3\S* is not on the grid h=0\.25"),
+    ])
+    def test_malformed_rejected_with_line(self, tmp_path, text, match):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_measure_csv(path)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_blank_and_comment_lines_in_body_skipped(self, tmp_path, grid):
+        head = "# h=0.25\n" if grid else ""
+        path = tmp_path / "m.csv"
+        path.write_text(head + "omega,weight\n0.25,0.5\n\n# a note, with a comma\n"
+                        "  \n 0.75 , 0.125 \n1.5,0.375")
+        back = load_measure_csv(path)
+        assert back.is_grid == grid
+        assert back.positions.tolist() == [0.25, 0.75, 1.5]
+        assert back.weights.tolist() == [0.5, 0.125, 0.375]
+        if grid:
+            assert back.idx.tolist() == [1, 3, 6]
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.csv"

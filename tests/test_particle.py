@@ -10,6 +10,7 @@ from fourwave.cli import default_initial_measure, main
 from fourwave.fenwick import FenwickTree
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, moment, quantize
+from fourwave.trajectory import EVENT_DTYPE
 from fourwave.particle import (
     AuditError,
     MaxEventsError,
@@ -113,6 +114,57 @@ class TestPrefixTable:
             assert fw.total == math.fsum(leaf)
             for k in range(n + 1):
                 assert fw.prefix(k) == math.fsum(leaf[:k])
+
+
+    def test_exact_writes_match_fresh_cumsum(self):
+        rng = np.random.default_rng(5)
+        leaf = rng.integers(0, 1 << 20, size=40) * 2.0 ** -12
+        fw = FenwickTree(leaf, exact=True)
+        cum = fw._sums()
+        for step in range(300):
+            i, j = (int(x) for x in rng.choice(40, size=2, replace=False))
+            a, b = (int(x) * 2.0 ** -16 for x in rng.integers(0, 1 << 30, size=2))
+            if step % 3 == 0:
+                fw.set(i, a)
+                leaf[i] = a
+            else:
+                if step % 3 == 2:  # a swap keeps the total
+                    a, b = float(leaf[j]), float(leaf[i])
+                fw.set_pair(i, a, j, b)
+                leaf[i], leaf[j] = a, b
+            assert np.array_equal(fw._sums(), np.cumsum(leaf))
+        assert fw._sums() is cum
+
+    def test_exact_table_updated_in_place(self):
+        # jumps, escapes and kills write a few hundred leaves of an affine
+        # state's table; its prefix sums stay the same array and equal a
+        # fresh cumsum bit for bit
+        st = init(300, exp_measure(h=2.0 ** -20), 2.0 ** -20, seed=3)
+        frac = init(300, exp_measure(), 2.0 ** -6, seed=3,
+                    weight=parse_weight("fractional:gamma=0.5"))
+        assert st.fenwick.exact and st.copy().fenwick.exact and not frac.fenwick.exact
+        cum = st.fenwick._sums()
+        rng = np.random.default_rng(7)
+        writes = 0
+        while writes < 400:
+            live = np.flatnonzero(st.alive)
+            i, j, l = (int(x) for x in rng.choice(live, size=3))
+            if writes % 10 == 9:
+                st.kill(i)
+                writes += 1
+            elif i != j and st.idx[i] + st.idx[j] >= st.idx[l]:
+                (st.escape if writes % 10 == 4 else st.apply_jump)(i, j, l)
+                writes += 2
+        assert st.fenwick._sums() is cum
+        assert np.array_equal(cum, np.cumsum(st.fenwick.leaf))
+        assert st.alive.sum() < 300
+        st.audit()
+
+    def test_audit_catches_a_diverged_prefix_sum(self):
+        st = init(32, exp_measure(), 2.0 ** -8, seed=12)
+        st.fenwick._sums()[5] += 1.0
+        with pytest.raises(AuditError, match="phi table"):
+            st.audit()
 
 
 class TestInit:
@@ -465,8 +517,9 @@ class TestSimulate:
     def test_window_size_leaves_path_unchanged(self, monkeypatch):
         # a window of 1 evaluates candidate by candidate, a window of
         # _CHUNK the whole chunk at once: the draws, and so the paths, are
-        # the same; the fractional run re-reads S after every jump, and the
-        # truncated run (nonzero overflow start) kills and escapes
+        # the same; the fractional run re-reads S after every jump, the
+        # first truncated run is mostly kills, and the second (nonzero
+        # overflow start) jumps, kills and escapes
         frac = parse_weight("fractional:gamma=0.6666666666666666")
         st = init(200, exp_measure(), 2.0 ** -6, seed=4)
         low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
@@ -477,6 +530,9 @@ class TestSimulate:
                              record_events=True, record_snapshots=True),
             lambda: simulate(init(200, exp_measure(), 2.0 ** -6, seed=4, weight=frac), PROD1,
                              frac, 1.0, seed=3, record_events=True, record_snapshots=True),
+            lambda: simulate_truncated(init(300, None, 2.0 ** -6, seed=7), 2.0, None, PROD1,
+                                       AFFINE, 1.0, seed=7, record_events=True,
+                                       record_snapshots=True),
             lambda: simulate_truncated(low, 2.0, 0.01, PROD1, AFFINE, 1.0, seed=13,
                                        record_events=True, record_snapshots=True),
         ]
@@ -538,6 +594,120 @@ class TestTruncated:
         assert truncation_overflow_start(st, 1.0 - 1e-12) == 0.0
         # half a grid step below, they are outside
         assert truncation_overflow_start(st, 1.0 - h / 2) == 2 * 2.0 / 5
+
+
+def reference_engine(state, kernel, t_end, seed, bound=None, lam0=None):
+    """The thinning engine candidate by candidate, with one scalar
+    rng.random call per uniform: per chunk 128 gaps, 128 kill draws when the
+    kill clock runs, 384 triple draws and 128 acceptance draws, then one
+    victim draw after a kill.  Returns the events and the W, E and
+    overflow rows at the default sample times."""
+    if bound is None:
+        work, bound_idx, lam = state.copy(), None, 0.0
+    else:
+        work, bound_idx, lam = particle._windowed(state, bound)
+        lam = lam if lam0 is None else lam0 * state.n
+    n, h, weight = work.n, work.h, work.weight
+    idx, alive, leaf = work.idx.tolist(), work.alive.tolist(), work.fenwick.leaf.copy()
+    rng = make_rng(seed)
+    times = np.linspace(0.0, t_end, 17)
+    rows, events = [], []
+
+    def record(until):
+        while len(rows) < len(times) and times[len(rows)] < until:
+            live = [v for v, a in zip(idx, alive) if a]
+            rows.append((len(live) / n, sum(live) * h / n, lam / n))
+
+    t = 0.0
+    while t < t_end:
+        cum = np.cumsum(leaf)
+        s1 = float(cum[-1])
+        lam_f = lam / n
+        r_pair = s1 * s1 * s1 * (1.0 / (2.0 * n * n))
+        r_kill = s1 * (lam_f * lam_f + 2.0 * lam_f * s1 / n) if bound is not None else 0.0
+        r_total = r_pair + r_kill
+        if r_total <= 0.0:
+            break
+        gaps = [rng.random() for _ in range(128)]
+        kills = [rng.random() for _ in range(128)] if r_kill > 0.0 else None
+        tri = [rng.random() for _ in range(384)]
+        acc = [rng.random() for _ in range(128)]
+        elapsed, hit = 0.0, None
+        for c in range(128):
+            gap = np.log1p(-gaps[c]) / -r_total
+            elapsed = gap if c == 0 else elapsed + gap
+            if kills is not None and kills[c] < r_kill / r_total:
+                hit = "kill"
+                break
+            i, j, l = (int(np.searchsorted(cum, u * s1, side="right"))
+                       for u in tri[3 * c:3 * c + 3])
+            out = idx[i] + idx[j] - idx[l]
+            phis = leaf[i] * leaf[j] * leaf[l]
+            if i != j and out >= 0 and phis > 0.0 and acc[c] < kernel(
+                    idx[i] * h, idx[j] * h, idx[l] * h) / phis:
+                hit = "jump"
+                break
+        t_ev = t + float(elapsed)
+        if hit is None:
+            t = t_ev
+            continue
+        if t_ev >= t_end:
+            break
+        record(t_ev)
+        t = t_ev
+        if hit == "kill":
+            i = int(np.searchsorted(cum, rng.random() * s1, side="right"))
+            lam += float(leaf[i])
+            alive[i], leaf[i] = False, 0.0
+            events.append((t, i, -1, -1, math.nan, "kill"))
+        elif bound is not None and out > bound_idx:
+            lam += float(weight(out * h))
+            idx[i], leaf[i] = idx[l], float(weight(idx[l] * h))
+            alive[j], leaf[j] = False, 0.0
+            events.append((t, i, j, l, idx[l] * h, "escape"))
+        else:
+            idx[i], idx[j] = out, idx[l]
+            leaf[i], leaf[j] = float(weight(out * h)), float(weight(idx[j] * h))
+            events.append((t, i, j, l, out * h, "interior"))
+    record(math.inf)
+    arr = np.array(rows)
+    return np.array(events, dtype=EVENT_DTYPE), arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+class TestEngineAgainstReference:
+    """The engine's draw buffer, windows and kill-first chunks give the
+    events and moments of the candidate-by-candidate reference."""
+
+    FRAC = parse_weight("fractional:gamma=0.6666666666666666")
+
+    def check(self, traj, ref, truncated):
+        events, W, E, overflow = ref
+        assert len(events) > 50
+        assert traj.events.tobytes() == events.tobytes()  # kill records hold NaN
+        assert np.array_equal(traj.W, W) and np.array_equal(traj.E, E)
+        assert np.array_equal(traj.overflow, overflow) if truncated else traj.overflow is None
+
+    @pytest.mark.parametrize("kernel, weight", [
+        (PROD1, AFFINE), (parse_kernel("sum:lambda=1"), AFFINE), (PROD1, FRAC),
+    ], ids=["product", "sum", "fractional"])
+    def test_simulate(self, kernel, weight):
+        st = init(200, exp_measure(), 2.0 ** -6, seed=4, weight=weight)
+        traj = simulate(st, kernel, weight, 1.0, seed=3, record_events=True)
+        self.check(traj, reference_engine(st, kernel, 1.0, 3), truncated=False)
+
+    def test_kill_dominated(self):
+        st = init(300, None, 2.0 ** -6, seed=7)
+        traj = simulate_truncated(st, 2.0, None, PROD1, AFFINE, 1.0, seed=7, record_events=True)
+        assert np.mean(traj.events.branch == "kill") > 0.9
+        self.check(traj, reference_engine(st, PROD1, 1.0, 7, bound=2.0), truncated=True)
+
+    def test_jumps_kills_and_escapes(self):
+        low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
+        traj = simulate_truncated(low, 2.0, 0.01, PROD1, AFFINE, 1.0, seed=13,
+                                  record_events=True)
+        assert {"interior", "kill", "escape"} <= set(traj.events.branch)
+        self.check(traj, reference_engine(low, PROD1, 1.0, 13, bound=2.0, lam0=0.01),
+                   truncated=True)
 
 
 class TestCoupled:
@@ -652,6 +822,21 @@ class TestInLoopRefusal:
                            r"triple \(0\.75, 0\.75, 0\.75\); the kernel violates "
                            r"sub-multiplicativity on the reachable support"):
             run()
+
+    def test_no_refusal_at_or_past_the_first_kill(self):
+        # the truncation clock takes ~88% of the candidates; at seed 0 each
+        # chunk's first candidate is a kill, so no triple is evaluated and
+        # the run kills all eight particles, while at seed 2 a triple comes
+        # before a chunk's first kill and is refused
+        st = ParticleState.build(np.full(8, 12), 2.0 ** -4, AFFINE)
+
+        def run(seed):
+            return simulate_truncated(st, 2.0, 2.0, self.spike, AFFINE, 10.0, seed=seed,
+                                      record_events=True, precheck=False)
+
+        assert run(0).events.branch.tolist() == ["kill"] * 8
+        with pytest.raises(ThinningError, match="acceptance probability 186589 > 1"):
+            run(2)
 
 
 class TestMartingale:

@@ -68,3 +68,53 @@ class TestEventsJsonl:
                 assert rec["j"] == rec["l"] == -1 and rec["w_new"] is None
             else:
                 assert rec["w_new"] == w
+
+
+class TestWriterBytes:
+    """The writers' bytes against local copies of the per-row f-string and
+    json.dumps formats they replace."""
+
+    @staticmethod
+    def moments_reference(traj):
+        lams = traj.overflow if traj.truncated else [None] * len(traj.sample_times)
+        lines = ["t,W,E,phi,phi2,Lambda"]
+        for t, w, e, p, p2, lam in zip(traj.sample_times, traj.W, traj.E, traj.phi,
+                                       traj.phi2, lams):
+            lam_txt = "" if lam is None else f"{lam:.17g}"
+            lines.append(f"{t:.17g},{w:.17g},{e:.17g},{p:.17g},{p2:.17g},{lam_txt}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def events_reference(traj):
+        ev = traj.events
+        kill = (ev.branch == "kill").tolist()
+        return "".join(json.dumps({"t": t, "i": i, "j": j, "l": l, "w_new": None if k else w})
+                       + "\n" for t, i, j, l, w, k in zip(ev.time.tolist(), ev.i.tolist(),
+                                                          ev.j.tolist(), ev.l.tolist(),
+                                                          ev.w_new.tolist(), kill))
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        idx = np.random.default_rng(2).integers(64, 192, size=48)
+        st = ParticleState.build(idx, 2.0 ** -6, AFFINE)
+        return simulate_truncated(st, 3.0, 0.0, parse_kernel("product:lambda=1"), AFFINE,
+                                  0.5, seed=13, record_events=True)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_moments(self, tmp_path, truncated):
+        path = tmp_path / "moments.csv"
+        traj = trace(truncated)
+        traj.phi2[1] = 1.0 / 3.0  # 17 significant digits, not a short repr
+        save_moments_csv(traj, path)
+        assert path.read_text() == self.moments_reference(traj)
+
+    def test_moments_of_a_run(self, tmp_path, run):
+        path = tmp_path / "moments.csv"
+        save_moments_csv(run, path)
+        assert path.read_text() == self.moments_reference(run)
+
+    def test_events_with_kills(self, tmp_path, run):
+        assert {"interior", "escape", "kill"} <= set(run.events.branch.tolist())
+        path = tmp_path / "events.jsonl"
+        save_events_jsonl(run, path)
+        assert path.read_text() == self.events_reference(run)
