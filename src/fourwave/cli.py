@@ -11,6 +11,10 @@ success, 2 configuration error (an input file that cannot be read
 included), 3 runtime error (for instance a sub-multiplicativity abort or a
 failed validation).
 
+``simulate``, ``solve`` and ``picard`` take the grid of a grid-mode,
+nonnegative ``--initial`` file and refuse any other ``--h``.  Every number
+read from a flag, a manifest, a kernel spec or a measure CSV must be finite.
+
 The default output root is the current directory, overridable with the
 ``FOURWAVE_OUTPUT_ROOT`` environment variable; each subcommand writes only
 inside its designated output directory.
@@ -20,18 +24,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import conservation_report, mean_field_convergence
-from .kernels import KernelSpecError, parse_kernel, parse_weight
+from .kernels import parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
-from .measures import (DiscreteMeasure, load_measure_csv, moment, quantize,
-                       save_measure_csv, tv_norm)
+from .measures import DiscreteMeasure, load_measure_csv, moment, save_measure_csv, tv_norm
 from .particle import (EXP_START_CUTOFF, EXP_START_MEAN, AuditError,
                        MaxEventsError, ThinningError, init, simulate,
                        simulate_truncated)
@@ -43,7 +48,7 @@ from .trajectory import (Trajectory, load_moments_csv, save_events_jsonl,
 CONFIG_ERROR, RUNTIME_ERROR = 2, 3
 
 
-class CliConfigError(Exception):
+class CliConfigError(ValueError):
     pass
 
 
@@ -77,44 +82,60 @@ def _require_counts(cfg: dict, keys: list[str]) -> None:
             raise CliConfigError(f"--{key} must be at least 1, got {cfg[key]}")
 
 
-def _merge_config(args: argparse.Namespace, manifest_cfg: dict, keys: list[str],
-                  defaults: dict) -> dict:
-    """Explicitly passed flags override the manifest, which overrides
-    ``defaults``; a null value counts as unset."""
-    unknown = set(manifest_cfg) - set(keys)
+def _merge_config(args: argparse.Namespace, command: str, defaults: dict) -> dict:
+    """One key per flag of ``command`` but ``--manifest`` and ``--out``: a
+    passed flag overrides the ``--manifest`` config, which overrides
+    ``defaults``; a null value counts as unset.  Floats must be finite."""
+    keys = set(vars(args)) - {"command", "func", "manifest", "out"}
+    manifest_cfg = _load_manifest_config(getattr(args, "manifest", None), command)
+    unknown = set(manifest_cfg) - keys
     if unknown:
         raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
     cfg = {}
-    for key in keys:
+    for key in sorted(keys):
         val = getattr(args, key)
         if val is None:
             val = manifest_cfg.get(key)
         cfg[key] = defaults.get(key) if val is None else val
+        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+            raise CliConfigError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
+    if cfg["kernel"] is None:
+        raise CliConfigError("--kernel is required")
     return cfg
 
 
-def default_initial_measure(h: float, mean: float = EXP_START_MEAN,
-                            cutoff: float = EXP_START_CUTOFF) -> DiscreteMeasure:
-    """Exponential(mean) frequency distribution discretised on the h-grid.
+def _initial(cfg: dict, command: str, default_h: float) -> DiscreteMeasure | None:
+    """The ``--initial`` measure, None without one; sets ``cfg["h"]``.  The
+    file's grid is the run's: a points-mode file, another h or a negative
+    weight is refused.  Without a file, h is ``default_h`` unless given."""
+    if cfg["initial"] is None:
+        cfg["h"] = default_h if cfg["h"] is None else cfg["h"]
+        return None
+    mu = load_measure_csv(cfg["initial"])
+    if mu.h is None:
+        raise CliConfigError(f"{command} requires grid-mode initial data")
+    if cfg["h"] not in (None, mu.h):
+        raise CliConfigError(f"--h {cfg['h']!r} differs from the grid h={mu.h!r} of --initial")
+    neg = np.flatnonzero(mu.weights < 0)
+    if len(neg):
+        raise CliConfigError(f"--initial {cfg['initial']}: weight {mu.weights[neg[0]]:g} "
+                             f"at omega={mu.positions[neg[0]]:g} is negative")
+    cfg["h"] = mu.h
+    return mu
+
+
+def default_initial_measure(h: float) -> DiscreteMeasure:
+    """Exp(EXP_START_MEAN) discretised on the h-grid up to EXP_START_CUTOFF.
 
     Materialises cutoff/h atoms; ``simulate`` draws its default start from
     the same law without it (``particle.init`` with ``mu0=None``).
     """
-    kmax = int(np.ceil(cutoff / h))
+    kmax = int(np.ceil(EXP_START_CUTOFF / h))
     k = np.arange(kmax + 1)
-    w = np.exp(-k * h / mean)
+    w = np.exp(-k * h / EXP_START_MEAN)
     w /= w.sum()
     keep = w > 1e-300
     return DiscreteMeasure.from_grid(k[keep], w[keep], h)
-
-
-def _resolve_initial(cfg_initial: str | None, h: float) -> DiscreteMeasure:
-    if cfg_initial is None:
-        return default_initial_measure(h)
-    mu = load_measure_csv(cfg_initial)
-    if not mu.is_grid or mu.h != h:
-        mu = quantize(mu, h)
-    return mu
 
 
 def _sample_times(t_end: float, samples: int) -> np.ndarray:
@@ -125,48 +146,29 @@ def _sample_times(t_end: float, samples: int) -> np.ndarray:
 # simulate
 # --------------------------------------------------------------------------
 
-_SIM_KEYS = ["kernel", "weight", "n", "seed", "h", "t_end", "samples", "replicas",
-             "bound", "lambda0", "events", "max_events", "initial", "snapshots",
-             "threads"]
-
-
 def cmd_simulate(args) -> int:
-    defaults = {"weight": "affine", "n": 1000, "seed": 0, "h": 2.0 ** -20,
-                "t_end": 1.0, "samples": 17, "replicas": 1, "lambda0": None,
-                "events": False, "max_events": 10_000_000, "snapshots": False,
-                "threads": 1}
-    cfg = _merge_config(args, _load_manifest_config(args.manifest, "simulate"), _SIM_KEYS,
-                        defaults)
-    if cfg["kernel"] is None:
-        raise CliConfigError("--kernel is required")
-    if cfg["n"] < 2:
-        raise CliConfigError("n >= 2 required")
+    defaults = {"weight": "affine", "n": 1000, "seed": 0, "t_end": 1.0, "samples": 17,
+                "replicas": 1, "lambda0": None, "events": False,
+                "max_events": 10_000_000, "snapshots": False, "threads": 1}
+    cfg = _merge_config(args, "simulate", defaults)
     _require_counts(cfg, ["replicas", "samples"])
     kernel = parse_kernel(cfg["kernel"])
     weight = parse_weight(cfg["weight"])
-    mu0 = None if cfg["initial"] is None else _resolve_initial(cfg["initial"], cfg["h"])
+    mu0 = _initial(cfg, "simulate", 2.0 ** -20)
     outdir = Path(args.out) if args.out else _output_root() / f"sim-seed{cfg['seed']}"
     state = init(cfg["n"], mu0, cfg["h"], cfg["seed"], weight)
     times = _sample_times(cfg["t_end"], cfg["samples"])
 
-    def run_one(stream: int) -> Trajectory:
-        precheck = stream == 0  # all replicas share ``state``: one check covers them
-        if cfg["bound"] is not None:
-            return simulate_truncated(state, cfg["bound"], cfg["lambda0"], kernel,
-                                      weight, cfg["t_end"], seed=cfg["seed"],
-                                      stream=stream, sample_times=times,
-                                      record_events=cfg["events"],
-                                      record_snapshots=cfg["snapshots"],
-                                      max_events=cfg["max_events"], precheck=precheck)
-        return simulate(state, kernel, weight, cfg["t_end"], seed=cfg["seed"],
-                        stream=stream, sample_times=times,
-                        record_events=cfg["events"],
-                        record_snapshots=cfg["snapshots"],
-                        max_events=cfg["max_events"], precheck=precheck)
-
-    streams = range(cfg["replicas"])
-    for stream in streams:
-        traj = run_one(stream)
+    for stream in range(cfg["replicas"]):
+        # all replicas share ``state``: one check covers them
+        kw = dict(seed=cfg["seed"], stream=stream, sample_times=times,
+                  record_events=cfg["events"], record_snapshots=cfg["snapshots"],
+                  max_events=cfg["max_events"], precheck=stream == 0)
+        if cfg["bound"] is None:
+            traj = simulate(state, kernel, weight, cfg["t_end"], **kw)
+        else:
+            traj = simulate_truncated(state, cfg["bound"], cfg["lambda0"], kernel, weight,
+                                      cfg["t_end"], **kw)
         outdir.mkdir(parents=True, exist_ok=True)  # after a run: a refused one writes nothing
         save_moments_csv(traj, outdir / f"moments_r{stream:03d}.csv")
         if cfg["events"]:
@@ -175,7 +177,7 @@ def cmd_simulate(args) -> int:
             for k, snap in enumerate(traj.snapshots):
                 save_measure_csv(snap, outdir / f"snap_r{stream:03d}_t{k:03d}.csv")
     _write_manifest(outdir, "simulate", cfg)
-    print(f"wrote {len(streams)} replica(s) to {outdir}")
+    print(f"wrote {cfg['replicas']} replica(s) to {outdir}")
     return 0
 
 
@@ -183,17 +185,10 @@ def cmd_simulate(args) -> int:
 # solve
 # --------------------------------------------------------------------------
 
-_SOLVE_KEYS = ["kernel", "h", "bound", "dt", "method", "t_end", "samples",
-               "initial", "lambda0", "bound_schedule", "richardson"]
-
-
 def cmd_solve(args) -> int:
-    defaults = {"h": 2.0 ** -6, "bound": 4.0, "method": "rk4", "t_end": 1.0,
-                "samples": 17, "lambda0": 0.0, "richardson": False}
-    cfg = _merge_config(args, _load_manifest_config(args.manifest, "solve"), _SOLVE_KEYS,
-                        defaults)
-    if cfg["kernel"] is None:
-        raise CliConfigError("--kernel is required")
+    defaults = {"bound": 4.0, "method": "rk4", "t_end": 1.0, "samples": 17,
+                "lambda0": 0.0, "richardson": False}
+    cfg = _merge_config(args, "solve", defaults)
     _require_counts(cfg, ["samples"])
     if cfg["bound_schedule"]:
         if cfg["richardson"] or cfg["lambda0"]:
@@ -201,28 +196,27 @@ def cmd_solve(args) -> int:
                                  "overflow: it takes neither --richardson nor --lambda0")
         # the schedule writes the largest window's trace: that is the bound run
         schedule = [float(b) for b in str(cfg["bound_schedule"]).split(",")]
+        if not all(map(math.isfinite, schedule)):
+            raise CliConfigError(f"--bound-schedule entries must be finite, "
+                                 f"got {cfg['bound_schedule']}")
         if args.bound is not None and args.bound != max(schedule):
             raise CliConfigError(f"--bound {args.bound:g} is not --bound-schedule's largest window")
         cfg["bound"] = max(schedule)
     kernel = parse_kernel(cfg["kernel"])
-    mu0 = _resolve_initial(cfg["initial"], cfg["h"])
+    mu0 = _initial(cfg, "solve", 2.0 ** -6)
+    if mu0 is None:
+        mu0 = default_initial_measure(cfg["h"])
     outdir = Path(args.out) if args.out else _output_root() / "solve"
     times = _sample_times(cfg["t_end"], cfg["samples"])
-
-    def run(dt, sample=None):
-        scfg = SolverConfig(method=cfg["method"], dt=dt, t_end=cfg["t_end"],
-                            bound=cfg["bound"], h=cfg["h"],
-                            sample_times=times if sample is None else sample)
-        return solve_truncated(inner, lam0, kernel, scfg)
+    scfg = SolverConfig(method=cfg["method"], dt=cfg["dt"], t_end=cfg["t_end"],
+                        bound=cfg["bound"], h=cfg["h"], sample_times=times)
 
     if cfg["bound_schedule"]:
-        scfg = SolverConfig(method=cfg["method"], dt=cfg["dt"], t_end=cfg["t_end"],
-                            bound=cfg["bound"], h=cfg["h"], sample_times=times)
         traj, diags = solve_limit(mu0, kernel, scfg, schedule)
     else:
         inner, outer = mu0.restricted(cfg["bound"])
         lam0 = cfg["lambda0"] + moment(outer, parse_weight("affine"))
-        traj = run(cfg["dt"])
+        traj = solve_truncated(inner, lam0, kernel, scfg)
     outdir.mkdir(parents=True, exist_ok=True)  # after the solve: a refused one writes nothing
     if cfg["bound_schedule"]:
         _json_dump({"schema": 1, "report": "overflow_schedule",
@@ -243,9 +237,9 @@ def cmd_solve(args) -> int:
         # endpoint-only sampling: intermediate sample times would shorten
         # substeps and pollute the order measurement
         ends = np.array([0.0, cfg["t_end"]])
-        finals = []
-        for dt in [dt0, dt0 / 2.0, dt0 / 4.0]:
-            finals.append(run(dt, sample=ends).snapshots[-1])
+        finals = [solve_truncated(inner, lam0, kernel,
+                                  replace(scfg, dt=dt, sample_times=ends)).snapshots[-1]
+                  for dt in [dt0, dt0 / 2.0, dt0 / 4.0]]
         e1 = tv_norm(finals[0] - finals[1])
         e2 = tv_norm(finals[1] - finals[2])
         table = {"schema": 1, "report": "richardson", "dt": dt0,
@@ -344,19 +338,15 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
-    kernel = parse_kernel(args.kernel)
-    if args.initial:
-        mu0 = load_measure_csv(args.initial)
-        if mu0.h is not None and args.h not in (None, mu0.h):
-            raise CliConfigError(f"--h {args.h!r} differs from the grid h={mu0.h!r} of --initial")
-        h = mu0.h
-    else:
-        h = 2.0 ** -6 if args.h is None else args.h
-        mu0 = DiscreteMeasure.from_grid([1, 2], [0.5, 0.5], h)
+    cfg = _merge_config(args, "picard", {})
+    kernel = parse_kernel(cfg["kernel"])
+    mu0 = _initial(cfg, "picard", 2.0 ** -6)
+    if mu0 is None:
+        mu0 = DiscreteMeasure.from_grid([1, 2], [0.5, 0.5], cfg["h"])
     phi0 = moment(mu0, parse_weight("affine"))
     if phi0 > 1.0:
         mu0 = mu0.scaled(1.0 / phi0)
-    rep = picard(mu0, 0.0, kernel, args.bound, iterations=args.iterations)
+    rep = picard(mu0, 0.0, kernel, cfg["bound"], iterations=cfg["iterations"])
     outdir = Path(args.out) if args.out else _output_root() / "picard"
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -366,10 +356,7 @@ def cmd_picard(args) -> int:
         "iterations_evaluated": rep.evaluated,
     }
     _json_dump(payload, outdir / "picard.json")
-    _write_manifest(outdir, "picard", {"kernel": args.kernel, "h": h,
-                                       "bound": args.bound,
-                                       "iterations": args.iterations,
-                                       "initial": args.initial})
+    _write_manifest(outdir, "picard", cfg)
     print(f"C = {rep.constant:.6g}, T = {rep.horizon:.6g}, "
           f"sup norms within sqrt(2): {rep.bound_sqrt2}")
     return 0 if rep.bound_sqrt2 else RUNTIME_ERROR
@@ -474,9 +461,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliConfigError, KernelSpecError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     except (ThinningError, SolverError, MaxEventsError, AuditError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

@@ -15,9 +15,9 @@ w3**e3`` and degree as functions of the fields.  :func:`parse_kernel` is
 the only constructor and the only reader of the table; a :class:`Kernel`
 keeps its terms, degree and normalised spec, and the fast grid evaluators
 in :mod:`fourwave.collision` and :mod:`fourwave.solver` read its terms.
-Fields must be nonnegative, hence so are all coefficients and exponents:
-every kernel is nondecreasing in each argument, and continuous on the
-octant by construction (not machine-checked).
+Fields must be finite and nonnegative, hence so are all coefficients and
+exponents: every kernel is nondecreasing in each argument, and continuous
+on the octant by construction (not machine-checked).
 
 The structural hypotheses the rest of the package relies on (symmetry,
 homogeneity, sub-multiplicative domination by a weight function) each have
@@ -260,6 +260,8 @@ def _parse_fields(text: str, spec: str) -> dict[str, float]:
             fields[name] = float(raw)
         except ValueError:
             raise KernelSpecError(f"field {name!r} in {spec!r}: {raw!r} is not a number") from None
+        if not np.isfinite(fields[name]):
+            raise KernelSpecError(f"field {name!r} in {spec!r} must be finite, got {raw!r}")
     return fields
 
 

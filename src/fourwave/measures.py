@@ -267,19 +267,22 @@ def load_measure_csv(path) -> DiscreteMeasure:
     """Read the interchange format of :func:`save_measure_csv`.
 
     Raises ValueError on a missing or foreign ``omega,weight`` header, on
-    a row that is not two numbers and, under ``# h=``, on a position that
-    is not exactly idx * h.  Blank lines and other ``#`` lines are skipped.
+    a row that is not two finite numbers or an ``# h=`` that is not
+    positive and finite (naming the line), and on a position off the
+    ``# h=`` grid.  Blank lines and other ``#`` lines are skipped.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
-    h, rows = None, None
+    h, rows, linenos = None, None, []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         body = line.lstrip("#").strip()
         if line.startswith("#") and body.startswith("h="):
             h = float(body[2:])
+            if not 0 < h < math.inf:
+                raise ValueError(f"{path}:{lineno}: expected a positive finite h, got {line!r}")
         elif not line or line.startswith("#"):
             continue
         elif rows is None:
@@ -289,6 +292,7 @@ def load_measure_csv(path) -> DiscreteMeasure:
             # blank or # lines, or a malformed row, goes on line by line
             try:
                 rows = [(float(a), float(b)) for a, b in (r.split(",") for r in lines[lineno:])]
+                linenos = range(lineno + 1, len(lines) + 1)
                 break
             except ValueError:
                 rows = []
@@ -297,9 +301,15 @@ def load_measure_csv(path) -> DiscreteMeasure:
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
             rows.append([float(x) for x in fields])
+            linenos.append(lineno)
     if rows is None:
         raise ValueError(f"{path}: missing header 'omega,weight'")
-    pos, weights = np.asarray(rows, dtype=float).reshape(-1, 2).T
+    table = np.asarray(rows, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        row = lines[linenos[bad[0]] - 1].strip()
+        raise ValueError(f"{path}:{linenos[bad[0]]}: expected finite numbers, got {row!r}")
+    pos, weights = table.T
     if h is None:
         return DiscreteMeasure.from_points(pos, weights)
     idx = np.rint(pos / h).astype(np.int64)

@@ -72,8 +72,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r} (expected one of {_METHODS})")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         _window_points(self.bound, self.h)
 
 
@@ -86,12 +86,15 @@ def _window_points(bound: float, h: float) -> int:
 
 
 def default_dt(mu0: DiscreteMeasure, lam0: float) -> float:
-    """0.05 * S / (<phi, mu0> + lam0)^2 with S = <phi^2, mu0>^-1."""
+    """0.05 * S / (<phi, mu0> + lam0)^2 with S = <phi^2, mu0>^-1, which must
+    be positive and finite."""
     phi = moment(mu0, AFFINE) + lam0
     phi2 = moment(mu0, lambda w: (np.asarray(w) + 1.0) ** 2)
-    if phi <= 0 or phi2 <= 0:
-        raise ValueError("initial data must have positive phi-moments")
-    return 0.05 / (phi2 * phi * phi)
+    dt = 0.05 / (phi2 * phi * phi) if phi > 0 and phi2 > 0 else 0.0
+    if not 0 < dt < math.inf:
+        raise ValueError(f"initial data must have positive, finite phi-moments and "
+                         f"step, got phi={phi!r}, phi2={phi2!r}")
+    return dt
 
 
 def _dense_initial(mu0: DiscreteMeasure, bound: float, h: float) -> np.ndarray:

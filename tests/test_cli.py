@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -448,3 +449,151 @@ class TestConfigErrorWritesNothing:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
         assert not out.exists()
+
+
+def _initial_csv(tmp_path: Path, body: str, h: float | None = 2.0 ** -6) -> str:
+    path = tmp_path / "mu0.csv"
+    path.write_text((f"# h={h!r}\n" if h else "") + "omega,weight\n" + body)
+    return str(path)
+
+
+def _refused(argv: list[str], out: Path, capsys) -> str:
+    """Exit 2, one configuration error line and no output directory."""
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+class TestNonFiniteRefused:
+    """NaN and infinite settings, kernel fields and CSV numbers exit 2
+    before any output, naming the field, flag or file line."""
+
+    def test_validate_kernel_fields(self, capsys):
+        for spec, field in (("product:lambda=nan", "lambda"), ("product:lambda=inf", "lambda"),
+                            ("mixed:p=1,q=nan,r=0", "q")):
+            assert main(["validate", "--kernel", spec]) == 2
+            captured = capsys.readouterr()
+            assert f"field '{field}'" in captured.err and "must be finite" in captured.err
+            assert "all checks passed" not in captured.out
+
+    @pytest.mark.parametrize("argv,named", [
+        (["simulate", "--kernel", "product:lambda=nan", "--n", "20", "--h", "0.015625"],
+         "field 'lambda'"),
+        (["simulate", "--kernel", "product:lambda=inf", "--n", "20", "--h", "0.015625"],
+         "field 'lambda'"),
+        (["solve", "--kernel", "product:lambda=1", "--dt", "nan"], "--dt must be finite"),
+        (["solve", "--kernel", "product:lambda=1", "--bound", "2", "--lambda0", "nan"],
+         "--lambda0 must be finite"),
+        (["simulate", "--kernel", "product:lambda=1", "--n", "20", "--h", "0.015625",
+          "--bound", "2", "--lambda0", "nan"], "--lambda0 must be finite"),
+        (["picard", "--kernel", "product:lambda=1", "--bound", "inf"], "--bound must be finite"),
+        (["picard", "--kernel", "product:lambda=1", "--bound", "nan"], "--bound must be finite"),
+        (["picard", "--kernel", "product:lambda=1", "--h", "nan"], "--h must be finite"),
+        (["solve", "--kernel", "product:lambda=1", "--bound-schedule", "1,nan"],
+         "--bound-schedule entries must be finite"),
+        (["simulate", "--kernel", "product:lambda=1", "--n", "20", "--h", "nan"],
+         "--h must be finite"),
+        (["simulate", "--kernel", "product:lambda=1", "--n", "20", "--t-end", "inf"],
+         "--t-end must be finite"),
+    ], ids=["sim-lambda-nan", "sim-lambda-inf", "solve-dt", "solve-lambda0", "sim-lambda0",
+            "picard-bound-inf", "picard-bound-nan", "picard-h", "solve-schedule", "sim-h",
+            "sim-t-end"])
+    def test_flags(self, tmp_path, capsys, argv, named):
+        assert named in _refused(argv, tmp_path / "out", capsys)
+
+    def test_manifest_values(self, tmp_path, capsys):
+        # json reads NaN and Infinity: a manifest is checked like the flags
+        runs = {"simulate": ["simulate", "--kernel", "const:c=0", "--n", "8", "--t-end", "0.1",
+                             "--h", "0.25", "--bound", "2", "--lambda0", "4"],
+                "solve": ["solve", "--kernel", "const:c=0", "--t-end", "0.1", "--samples", "2"]}
+        for command, key, value in (("simulate", "lambda0", math.nan),
+                                    ("simulate", "h", math.inf), ("solve", "dt", math.nan),
+                                    ("solve", "t_end", -math.inf)):
+            good = tmp_path / f"good-{command}"
+            if not good.exists():
+                assert main(runs[command] + ["--out", str(good)]) == 0
+            manifest = json.loads((good / "manifest.json").read_text())
+            manifest["config"][key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(manifest))
+            err = _refused([command, "--manifest", str(bad)], tmp_path / "out", capsys)
+            assert f"--{key.replace('_', '-')} must be finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "picard"])
+    @pytest.mark.parametrize("row", ["0.5,inf", "0.5,nan", "nan,0.5"])
+    def test_initial_rows(self, tmp_path, capsys, command, row):
+        initial = _initial_csv(tmp_path, "0.25,0.5\n" + row + "\n")
+        argv = [command, "--kernel", "product:lambda=1", "--initial", initial]
+        err = _refused(argv, tmp_path / "out", capsys)
+        assert f"mu0.csv:4: expected finite numbers, got '{row}'" in err
+
+
+class TestInitialRule:
+    """``simulate``, ``solve`` and ``picard`` read ``--initial`` under one
+    rule: the file's grid is the run's grid, and its weights are
+    nonnegative."""
+
+    RUNS = {"simulate": ["simulate", "--kernel", "product:lambda=1", "--n", "50",
+                         "--t-end", "0.2", "--seed", "3", "--samples", "3", "--snapshots"],
+            "solve": ["solve", "--kernel", "product:lambda=1", "--t-end", "0.2", "--samples", "3"],
+            "picard": ["picard", "--kernel", "product:lambda=1", "--bound", "1"]}
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "picard"])
+    def test_refused(self, tmp_path, capsys, command):
+        argv = self.RUNS[command] + ["--initial"]
+        points = _initial_csv(tmp_path, "0.3,1\n", h=None)
+        err = _refused(argv + [points], tmp_path / "out", capsys)
+        assert f"{command} requires grid-mode initial data" in err
+        other = _initial_csv(tmp_path, "0.25,0.5\n0.5,0.5\n", h=2.0 ** -7)
+        err = _refused(argv + [other, "--h", "0.015625"], tmp_path / "out", capsys)
+        assert "--h 0.015625 differs from the grid h=0.0078125 of --initial" in err
+        negative = _initial_csv(tmp_path, "0.25,0.5\n0.5,-0.25\n")
+        err = _refused(argv + [negative], tmp_path / "out", capsys)
+        assert "--initial" in err and "weight -0.25 at omega=0.5 is negative" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_file_grid_is_run_grid(self, tmp_path, command):
+        h = 2.0 ** -7
+        initial = _initial_csv(tmp_path, "0.25,0.5\n0.5,0.5\n", h=h)
+        argv = self.RUNS[command] + ["--initial", initial]
+        out, replay, flagged = tmp_path / "run", tmp_path / "replay", tmp_path / "flagged"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["h"] == h
+        snap = "snap_r000_t002.csv" if command == "simulate" else "final.csv"
+        assert (out / snap).read_text().startswith(f"# h={h!r}\n")
+        assert main([command, "--manifest", str(out / "manifest.json"),
+                     "--out", str(replay)]) == 0
+        assert main(argv + ["--h", repr(h), "--out", str(flagged)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        for other in (replay, flagged):
+            assert names == sorted(p.name for p in other.iterdir())
+            for name in names:
+                assert read(out / name) == read(other / name), name
+
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_manifest_h_differs(self, tmp_path, capsys, command):
+        # a manifest's h meets the rule as a flag's does
+        assert main(self.RUNS[command] + ["--h", "0.015625", "--out", str(tmp_path / "a")]) == 0
+        initial = _initial_csv(tmp_path, "0.25,0.5\n0.5,0.5\n", h=2.0 ** -7)
+        argv = [command, "--manifest", str(tmp_path / "a" / "manifest.json"), "--initial", initial]
+        err = _refused(argv, tmp_path / "out", capsys)
+        assert "--h 0.015625 differs from the grid h=0.0078125 of --initial" in err
+
+
+class TestManifestKeys:
+    def test_manifest_holds_the_parser_flags(self, tmp_path):
+        import argparse
+        from fourwave.cli import _build_parser
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        runs = {"simulate": ["simulate", "--kernel", "const:c=0", "--n", "8", "--t-end", "0.1",
+                             "--h", "0.25"],
+                "solve": ["solve", "--kernel", "const:c=0", "--t-end", "0.1", "--samples", "2"],
+                "picard": ["picard", "--kernel", "product:lambda=1"]}
+        for command, argv in runs.items():
+            out = tmp_path / command
+            assert main(argv + ["--out", str(out)]) == 0
+            flags = {a.dest for a in sub.choices[command]._actions} - {"help", "manifest", "out"}
+            assert set(json.loads((out / "manifest.json").read_text())["config"]) == flags

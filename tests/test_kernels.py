@@ -297,3 +297,21 @@ class TestParser:
             parse_kernel("mixed:p=1,q=0")
         with pytest.raises(KernelSpecError, match="not a number"):
             parse_kernel("product:lambda=abc")
+
+
+class TestNonFiniteFields:
+    """A NaN or infinite field is refused where specs are read, naming the
+    field, so the checkers never see it."""
+
+    @pytest.mark.parametrize("spec,field", [
+        ("product:lambda=nan", "lambda"), ("product:lambda=inf", "lambda"),
+        ("mixed:p=1,q=nan,r=0", "q"), ("sum:lambda=-inf", "lambda"), ("const:c=NaN", "c"),
+    ])
+    def test_kernel_field_refused(self, spec, field):
+        with pytest.raises(KernelSpecError, match=f"field '{field}' .* must be finite"):
+            parse_kernel(spec)
+
+    @pytest.mark.parametrize("spec", ["fractional:gamma=nan", "fractional:gamma=inf"])
+    def test_weight_field_refused(self, spec):
+        with pytest.raises(KernelSpecError, match="field 'gamma' .* must be finite"):
+            parse_weight(spec)

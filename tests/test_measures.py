@@ -270,3 +270,41 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "# h=0.5"
         assert lines[1] == "omega,weight"
+
+
+class TestNonFiniteRows:
+    """A non-finite position or weight is refused with its file line, on the
+    one-pass body and on the line-by-line path alike."""
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "nan,0.5", "0.5,inf", "-inf,1", "0.5,-inf"])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_one_pass_body(self, tmp_path, row, grid):
+        head = "# h=0.25\n" if grid else ""
+        path = tmp_path / "m.csv"
+        path.write_text(head + "omega,weight\n0.25,1\n" + row + "\n0.75,2\n")
+        line = 4 if grid else 3
+        with pytest.raises(ValueError, match=rf"m\.csv:{line}: expected finite numbers"):
+            load_measure_csv(path)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_line_by_line_path(self, tmp_path, grid):
+        # the blank and comment lines send the body down the line-by-line path
+        head = "# h=0.25\n" if grid else ""
+        path = tmp_path / "m.csv"
+        path.write_text(head + "omega,weight\n0.25,1\n\n# note\n 0.5 , nan \n0.75,2\n")
+        line = 6 if grid else 5
+        with pytest.raises(ValueError,
+                           match=rf"m\.csv:{line}: expected finite numbers, got '0.5 , nan'"):
+            load_measure_csv(path)
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-0.5"])
+    def test_grid_header(self, tmp_path, h):
+        path = tmp_path / "m.csv"
+        path.write_text(f"omega,weight\n# h={h}\n0.25,1\n")
+        with pytest.raises(ValueError, match=rf"m\.csv:2: expected a positive finite h"):
+            load_measure_csv(path)
+
+    def test_signed_weights_still_read(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# h=0.25\nomega,weight\n0.25,-1\n0.5,2\n")
+        assert load_measure_csv(path).weights.tolist() == [-1.0, 2.0]

@@ -387,3 +387,16 @@ class TestDefaultDt:
         mu = DiscreteMeasure.delta(1.0)
         # phi = 2, phi2 = 4, lam = 0: dt = 0.05 / (4 * 4)
         assert default_dt(mu, 0.0) == pytest.approx(0.05 / 16.0, rel=1e-14)
+
+
+class TestNonFiniteStep:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_config_refuses_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SolverConfig(dt=dt)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_default_dt_refuses_non_finite_step(self, weight):
+        mu = DiscreteMeasure.from_grid([1, 2], [0.5, weight], 2.0 ** -6)
+        with pytest.raises(ValueError, match="positive, finite phi-moments"):
+            default_dt(mu, 0.0)
