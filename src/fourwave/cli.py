@@ -82,20 +82,40 @@ def _require_counts(cfg: dict, keys: list[str]) -> None:
             raise CliConfigError(f"--{key} must be at least 1, got {cfg[key]}")
 
 
+def _manifest_value(action: argparse.Action, key: str, val):
+    """A manifest value as its flag would give it: a bool for a switch, an
+    int for an int flag, an int or float (as a float) for a float flag, one
+    of the choices or a string otherwise; a bool is no number."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if action.const is True:
+        want, ok = "true or false", isinstance(val, bool)
+    elif action.type is int:
+        want, ok = "an integer", number and isinstance(val, int)
+    elif action.type is float:
+        want, ok = "a number", number
+    elif action.choices:
+        want, ok = f"one of {', '.join(action.choices)}", val in action.choices
+    else:
+        want, ok = "a string", isinstance(val, str)
+    if not ok:
+        raise CliConfigError(f"manifest key {key!r} must be {want}, got {val!r}")
+    return action.type(val) if action.type else val
+
+
 def _merge_config(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """One key per flag of ``command`` but ``--manifest`` and ``--out``: a
     passed flag overrides the ``--manifest`` config, which overrides
-    ``defaults``; a null value counts as unset.  Floats must be finite."""
-    keys = set(vars(args)) - {"command", "func", "manifest", "out"}
+    ``defaults``; a null value counts as unset.  A manifest value must have
+    its flag's type (see :func:`_manifest_value`).  Floats must be finite."""
     manifest_cfg = _load_manifest_config(getattr(args, "manifest", None), command)
-    unknown = set(manifest_cfg) - keys
+    unknown = set(manifest_cfg) - set(args.flags)
     if unknown:
         raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
     cfg = {}
-    for key in sorted(keys):
+    for key in sorted(args.flags):
         val = getattr(args, key)
-        if val is None:
-            val = manifest_cfg.get(key)
+        if val is None and manifest_cfg.get(key) is not None:
+            val = _manifest_value(args.flags[key], key, manifest_cfg[key])
         cfg[key] = defaults.get(key) if val is None else val
         if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
             raise CliConfigError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
@@ -448,6 +468,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pic.add_argument("--initial")
     pic.add_argument("--out")
     pic.set_defaults(func=cmd_picard)
+
+    for run in (sim, sol, pic):
+        # a run's keys and their types: every flag but --manifest and --out
+        run.set_defaults(flags={a.dest: a for a in run._actions
+                                if a.dest not in ("help", "manifest", "out")})
 
     rep = sub.add_parser("report", help="conservation report from a moment trace")
     rep.add_argument("moments", help="path to a moments CSV")

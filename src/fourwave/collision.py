@@ -37,8 +37,10 @@ conserved, and the grid closure under w1 + w2 - w3 makes that exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -352,10 +354,18 @@ def _cap(d: np.ndarray, size: int) -> np.ndarray:
     return padded.cumsum(axis=-1)
 
 
-def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel):
-    """Kernel terms ``(coef, (e1, e2, e3))`` for coef * w1**e1 * w2**e2 *
-    w3**e3, with the grid powers x**e and slot vectors x**e * w keyed by
-    exponent (leading axes of a stack ``w`` kept).  Two terms that swap
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_constants(m: int, h: float, kernel: Kernel):
+    """What the grid core needs of extent m, grid h and a kernel, computed
+    once per key and read-only: the folded kernel terms, the grid powers
+    x**e keyed by exponent, and phi(w) = w + 1 on the escaping outputs
+    m .. 2m-2.  Keyed on the (hashable, frozen) Kernel itself: another h
+    or kernel of the same extent is another entry.  Two terms that swap
     slots 1 and 2 have equal pair sums and gains and swapped loss rates,
     so they fold into one with the summed coefficient: ``sum`` keeps 2 of
     its 3 terms and ``mixed`` 1 of 2."""
@@ -364,10 +374,20 @@ def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel):
         key = (min(e1, e2), max(e1, e2), e3)
         total, exps = folded.get(key, (0.0, (e1, e2, e3)))
         folded[key] = (total + coef, exps)
-    terms = list(folded.values())
-    grid = np.arange(w.shape[-1]) * h
-    powers = {e: grid ** e for _, exps in terms for e in exps}
-    return terms, powers, {e: x * w for e, x in powers.items()}
+    terms = tuple(folded.values())
+    grid = np.arange(m) * h
+    powers = MappingProxyType({e: _frozen(grid ** e) for _, exps in terms for e in exps})
+    phi_out = _frozen(np.asarray(AFFINE(np.arange(m, 2 * m - 1) * h), dtype=float))
+    return terms, powers, phi_out
+
+
+def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel):
+    """Folded kernel terms ``(coef, (e1, e2, e3))`` for coef * w1**e1 *
+    w2**e2 * w3**e3 (see :func:`_grid_constants`), with the grid powers
+    x**e and slot vectors x**e * w keyed by exponent (leading axes of a
+    stack ``w`` kept)."""
+    terms, powers, _ = _grid_constants(w.shape[-1], h, kernel)
+    return list(terms), powers, {e: x * w for e, x in powers.items()}
 
 
 def _loss_corr(cross: np.ndarray, const: np.ndarray, n: int, u: int, m: int) -> np.ndarray:
@@ -520,5 +540,5 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
             loss_rate += half * (lr1 + lr2)
     if bound_idx is None:
         return GridInteractionParts(gain, loss_rate, no_escape)
-    phi_out = np.asarray(AFFINE(np.arange(m, smax) * h), dtype=float)
+    phi_out = _grid_constants(m, h, kernel)[2]
     return GridInteractionParts(gain[..., :m], loss_rate, _row_dot(gain[..., m:], phi_out))

@@ -200,14 +200,53 @@ def weak_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.dot(_WEAK_METRIC_WEIGHTS, terms))
 
 
-def _weak_pairings(mu: DiscreteMeasure) -> np.ndarray:
-    if len(mu) == 0:
-        return np.zeros(len(WEAK_METRIC_FREQUENCIES))
-    phases = mu.positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
+@dataclass(frozen=True)
+class _PairedMeasure(DiscreteMeasure):
+    """A measure that carries its weak-metric pairings, for one compared
+    many times.  Built by :func:`_with_pairings` only from measures that
+    nothing mutates afterwards; the pairings are read-only."""
+
+    pairings: np.ndarray | None = None
+
+
+def _with_pairings(mus: list[DiscreteMeasure]) -> list[_PairedMeasure]:
+    """The measures, each carrying its weak-metric pairings.  Grid measures
+    on one h whose union of sites is at most twice the largest of them (so
+    memory stays within twice a per-measure table) evaluate the test
+    functions once per site of that union; a site's row holds the bits a
+    table of one measure gives it, so each pairing has the bits of
+    :func:`_weak_pairings`."""
+    shared = bool(mus) and all(mu.is_grid and mu.h == mus[0].h for mu in mus)
+    if shared:
+        sites = np.unique(np.concatenate([mu.idx for mu in mus]))
+        shared = len(sites) <= 2 * max(map(len, mus))
+    if shared:
+        table = _weak_table(sites * mus[0].h)
+    out = []
+    for mu in mus:
+        pairings = _weak_pairings(mu, table[np.searchsorted(sites, mu.idx)] if shared else None)
+        pairings.setflags(write=False)
+        out.append(_PairedMeasure(mu.weights, mu.h, mu.idx, mu._positions, pairings))
+    return out
+
+
+def _weak_table(positions: np.ndarray) -> np.ndarray:
+    """The test functions g_k at each position, one row per position."""
+    phases = positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
     table = np.empty_like(phases)
     table[:, 0::2] = np.cos(phases[:, 0::2])
     table[:, 1::2] = np.sin(phases[:, 1::2])
-    return mu.weights @ table
+    return table
+
+
+def _weak_pairings(mu: DiscreteMeasure, table: np.ndarray | None = None) -> np.ndarray:
+    """<g_k, mu> for every k, from ``table`` (the measure's rows of
+    :func:`_weak_table`) when given."""
+    if isinstance(mu, _PairedMeasure):
+        return mu.pairings
+    if len(mu) == 0:
+        return np.zeros(len(WEAK_METRIC_FREQUENCIES))
+    return mu.weights @ (_weak_table(mu.positions) if table is None else table)
 
 
 def quantize(mu: DiscreteMeasure, h: float) -> DiscreteMeasure:
@@ -266,21 +305,31 @@ def save_measure_csv(mu: DiscreteMeasure, path) -> None:
 def load_measure_csv(path) -> DiscreteMeasure:
     """Read the interchange format of :func:`save_measure_csv`.
 
-    Raises ValueError on a missing or foreign ``omega,weight`` header, on
-    a row that is not two finite numbers or an ``# h=`` that is not
-    positive and finite (naming the line), and on a position off the
-    ``# h=`` grid.  Blank lines and other ``#`` lines are skipped.
+    A body of two-number rows, as the writer makes, converts in one
+    ``np.array`` call; one with blank or ``#`` lines or a malformed row is
+    read line by line, which names the offending line.  Raises ValueError
+    on a missing or foreign ``omega,weight`` header, on a row that is not
+    two finite numbers or an ``# h=`` that is not a positive finite number
+    (naming ``path:line``), and on a position off the ``# h=`` grid.
+    Blank lines and other ``#`` lines are skipped.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
     h, rows, linenos = None, None, []
+
+    def numbers(fields, lineno, line):
+        try:
+            return [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected numbers, got {line!r} ({exc})") from None
+
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         body = line.lstrip("#").strip()
         if line.startswith("#") and body.startswith("h="):
-            h = float(body[2:])
+            h = numbers([body[2:]], lineno, line)[0]
             if not 0 < h < math.inf:
                 raise ValueError(f"{path}:{lineno}: expected a positive finite h, got {line!r}")
         elif not line or line.startswith("#"):
@@ -288,19 +337,21 @@ def load_measure_csv(path) -> DiscreteMeasure:
         elif rows is None:
             if line != "omega,weight":
                 raise ValueError(f"{path}:{lineno}: expected header 'omega,weight', got {line!r}")
-            # a body of two-number rows converts in one pass; one with
+            # a body of two-number rows converts in one call; one with
             # blank or # lines, or a malformed row, goes on line by line
             try:
-                rows = [(float(a), float(b)) for a, b in (r.split(",") for r in lines[lineno:])]
-                linenos = range(lineno + 1, len(lines) + 1)
-                break
+                table = np.array([r.split(",") for r in lines[lineno:]], dtype=float)
             except ValueError:
-                rows = []
+                table = None
+            if table is not None and table.shape[1:] in ((), (2,)):  # () if empty
+                rows, linenos = table, range(lineno + 1, len(lines) + 1)
+                break
+            rows = []
         else:
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-            rows.append([float(x) for x in fields])
+            rows.append(numbers(fields, lineno, line))
             linenos.append(lineno)
     if rows is None:
         raise ValueError(f"{path}: missing header 'omega,weight'")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fourwave import analysis
 from fourwave.analysis import (
     conservation_report,
     fit_loglog_slope,
@@ -11,8 +12,8 @@ from fourwave.analysis import (
     powerlaw_fit,
 )
 from fourwave.kernels import AFFINE, parse_kernel
-from fourwave.measures import DiscreteMeasure, quantize
-from fourwave.particle import init, simulate
+from fourwave.measures import DiscreteMeasure, phi_transform, quantize, weak_distance
+from fourwave.particle import init, make_rng, simulate
 from fourwave.solver import SolverConfig, solve_truncated
 
 PROD1 = parse_kernel("product:lambda=1")
@@ -86,6 +87,65 @@ class TestMeanFieldConvergence:
         # the compared distances inherit the TV domination of the metric
         for s, r, d in zip(traj.snapshots, ref.snapshots, dists):
             assert d <= tv_norm(phi_transform(s, AFFINE) - phi_transform(r, AFFINE)) + 1e-12
+
+    def test_same_report_as_recomputed_pairings(self, monkeypatch):
+        # each pairing is computed once, from one table per trajectory;
+        # weak_distance on plain measures, which computes both pairings on
+        # every call, gives the same bits
+        mu0 = exp_measure()
+        times = np.linspace(0.0, 0.2, 5)
+        cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.2, bound=8.0, h=H,
+                           sample_times=times)
+        ref = solve_truncated(mu0, 0.0, PROD1, cfg)
+        ensembles = {n: [simulate(init(n, mu0, H, seed=n + r), PROD1, AFFINE, 0.2, seed=3,
+                                  stream=r, sample_times=times, record_snapshots=True)
+                         for r in range(3)] for n in (40, 160)}
+        got = mean_field_convergence(ensembles, ref, AFFINE)
+        errors = {n: [max(weak_distance(phi_transform(s, AFFINE), phi_transform(q, AFFINE))
+                          for s, q in zip(traj.snapshots, ref.snapshots)) for traj in trajs]
+                  for n, trajs in ensembles.items()}
+        assert got.errors == errors
+        monkeypatch.setattr(analysis, "_with_pairings", lambda mus: mus)
+        assert mean_field_convergence(ensembles, ref, AFFINE).to_json() == got.to_json()
+
+
+def loop_bootstrap(per_n_errors, resamples=1000, quantiles=(0.025, 0.975)):
+    """The per-resample bootstrap: one median per (resample, n) and one
+    fit_loglog_slope per resample.  Returns the slopes and the interval."""
+    rng = make_rng(analysis._BOOTSTRAP_SEED)
+    ns = sorted(per_n_errors)
+    slopes = np.empty(resamples)
+    for r in range(resamples):
+        meds = []
+        for n in ns:
+            errs = per_n_errors[n]
+            meds.append(np.median(errs[rng.integers(0, len(errs), size=len(errs))]))
+        slopes[r], _ = fit_loglog_slope(ns, meds)
+    lo, hi = np.quantile(slopes, quantiles)
+    return slopes, (float(lo), float(hi))
+
+
+class TestBatchedBootstrap:
+    """Batched medians and _row_dot slopes give the per-resample loop's bits."""
+
+    def test_matches_per_resample_loop(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            ns = rng.choice([50, 100, 200, 400, 1000, 2000, 8000], size=rng.integers(2, 4),
+                            replace=False)
+            # few distinct values per n, so resamples hold ties
+            per_n = {int(n): rng.choice(rng.uniform(1e-4, 0.3, size=rng.integers(1, 6)),
+                                        size=rng.integers(1, 25)) for n in ns}
+            slopes, _ = loop_bootstrap(per_n, resamples=250)
+            assert np.array_equal(analysis._bootstrap_slopes(per_n, 250), slopes)
+
+    def test_interval_matches_per_resample_loop(self):
+        rng = np.random.default_rng(7)
+        for k in (1, 4, 9):
+            per_n = {1000: rng.uniform(0.01, 0.1, size=k), 2000: rng.uniform(0.01, 0.1, size=k)}
+            slopes, ci = loop_bootstrap(per_n)
+            assert np.array_equal(analysis._bootstrap_slopes(per_n, 1000), slopes)
+            assert analysis._bootstrap_slope_ci(per_n) == ci
 
 
 class TestMartingaleStats:

@@ -597,3 +597,50 @@ class TestManifestKeys:
             assert main(argv + ["--out", str(out)]) == 0
             flags = {a.dest for a in sub.choices[command]._actions} - {"help", "manifest", "out"}
             assert set(json.loads((out / "manifest.json").read_text())["config"]) == flags
+
+
+class TestManifestTypes:
+    """A manifest value must have its flag's type: a wrong one exits 2
+    naming the key, before any output; a JSON int serves a float flag."""
+
+    RUNS = {"simulate": ["simulate", "--kernel", "const:c=0", "--n", "8", "--t-end", "0.1",
+                         "--h", "0.25", "--replicas", "2"],
+            "solve": ["solve", "--kernel", "const:c=0", "--t-end", "0.1", "--samples", "2"]}
+
+    def edited(self, tmp_path, command, key, value):
+        good = tmp_path / f"good-{command}"
+        if not good.exists():
+            assert main(self.RUNS[command] + ["--out", str(good)]) == 0
+        manifest = json.loads((good / "manifest.json").read_text())
+        manifest["config"][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        return path
+
+    @pytest.mark.parametrize("command, key, value, want", [
+        ("simulate", "replicas", "2", "an integer"),
+        ("simulate", "replicas", True, "an integer"),
+        ("simulate", "n", 8.0, "an integer"),
+        ("simulate", "h", "0.25", "a number"),
+        ("simulate", "t_end", False, "a number"),
+        ("simulate", "kernel", 3, "a string"),
+        ("simulate", "events", "yes", "true or false"),
+        ("simulate", "snapshots", 1, "true or false"),
+        ("solve", "method", "rk5", "one of euler, rk4, if_euler"),
+        ("solve", "richardson", "no", "true or false"),
+        ("solve", "bound_schedule", [2, 1], "a string"),
+    ])
+    def test_wrong_type_refused(self, tmp_path, capsys, command, key, value, want):
+        bad = self.edited(tmp_path, command, key, value)
+        err = _refused([command, "--manifest", str(bad)], tmp_path / "out", capsys)
+        assert f"manifest key {key!r} must be {want}, got {value!r}" in err
+
+    def test_json_int_for_float_flag(self, tmp_path):
+        # "t_end": 1 runs as --t-end 1 does, manifest included
+        edited = self.edited(tmp_path, "simulate", "t_end", 1)
+        assert main(["simulate", "--manifest", str(edited), "--out", str(tmp_path / "a")]) == 0
+        assert main(self.RUNS["simulate"] + ["--t-end", "1", "--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name

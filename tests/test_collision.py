@@ -498,3 +498,58 @@ class TestLossCorrelation:
                                   np.broadcast_to((tot * tot)[..., None], lr[..., u - 1:].shape))
             if x.ndim == 2:
                 assert np.all(lr[1] == 0.0)  # the all-zero row
+
+
+class TestGridConstantCache:
+    """The grid core's folded terms, grid powers and escape weights are
+    computed once per (M, h, kernel) and shared read-only."""
+
+    SPECS = ("product:lambda=1", "sum:lambda=2", "mixed:p=1,q=0.5,r=0.25")
+
+    @staticmethod
+    def outputs(w, h, k):
+        m = w.shape[-1]
+        fvec = np.cos(np.arange(2 * m - 1) * h)
+        parts = [grid_interaction_parts(w, h, k, bound_idx=b) for b in (m - 1, None)]
+        return ([a for p in parts for a in (p.gain, p.loss_rate, np.asarray(p.escape_rate))]
+                + [np.asarray(grid_q_counting(w, h, k, fvec, 64))])
+
+    @pytest.mark.parametrize("shape", [(257,), (3, 257), (700,)])
+    def test_cold_and_warm_agree(self, shape):
+        w = RNG.uniform(0.0, 1.0, size=shape) / shape[-1]
+        for spec in self.SPECS:
+            k = parse_kernel(spec)
+            collision._grid_constants.cache_clear()
+            cold = self.outputs(w, 2.0 ** -6, k)
+            warm = self.outputs(w, 2.0 ** -6, k)
+            info = collision._grid_constants.cache_info()
+            assert info.misses == info.currsize == 1 and info.hits > 1
+            assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+
+    def test_extent_shared_only_with_same_h_and_kernel(self):
+        m, w = 129, RNG.uniform(0.0, 1.0, size=129) / 129
+        runs = [(2.0 ** -6, PROD1), (2.0 ** -5, PROD1), (2.0 ** -6, parse_kernel("sum:lambda=1"))]
+        cold = []
+        for h, k in runs:
+            collision._grid_constants.cache_clear()
+            cold.append(self.outputs(w, h, k))
+        collision._grid_constants.cache_clear()
+        for (h, k), want in zip(runs, cold):
+            assert all(np.array_equal(a, b) for a, b in zip(self.outputs(w, h, k), want))
+        assert collision._grid_constants.cache_info().currsize == len(runs)
+        for h, k in runs:
+            terms, powers, phi_out = collision._grid_constants(m, h, k)
+            assert terms == tuple(collision._rank_one_terms(w, h, k)[0])
+            for e, x in powers.items():
+                assert np.array_equal(x, (np.arange(m) * h) ** e)
+            assert np.array_equal(phi_out, np.arange(m, 2 * m - 1) * h + 1.0)
+
+    def test_cached_arrays_reject_writes(self):
+        terms, powers, phi_out = collision._grid_constants(65, 0.125, parse_kernel("sum:lambda=2"))
+        for x in (*powers.values(), phi_out):
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+        with pytest.raises(TypeError):
+            powers[9.0] = np.zeros(65)
+        with pytest.raises(TypeError):
+            terms[0] = (1.0, (0.0, 0.0, 0.0))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourwave import measures
 from fourwave.kernels import AFFINE, parse_weight
 from fourwave.measures import (
     DiscreteMeasure,
@@ -83,6 +84,34 @@ class TestWeakDistance:
     def test_symmetry_exact(self):
         mu, nu = random_measure(), random_measure()
         assert weak_distance(mu, nu) == weak_distance(nu, mu)
+
+    def test_carried_pairings_change_no_bits(self):
+        # a reference compared many times carries its pairings: identity and
+        # symmetry still hold exactly, against plain and carrying measures
+        for mu, nu in ((random_measure(), random_measure()),
+                       (DiscreteMeasure.from_grid([3, 9], [0.5, 0.25], 0.125),
+                        DiscreteMeasure.zero(0.125))):
+            pm, pn = measures._with_pairings([mu, nu])
+            assert weak_distance(pm, pm) == weak_distance(pm, mu) == 0.0
+            d = weak_distance(mu, nu)
+            for a, b in ((pm, nu), (mu, pn), (pm, pn)):
+                assert weak_distance(a, b) == weak_distance(b, a) == d
+            assert np.array_equal(pm.positions, mu.positions) and pm.h == mu.h
+            with pytest.raises(ValueError):
+                pm.pairings[0] = 1.0
+
+    def test_shared_grid_table_changes_no_bits(self):
+        # grid measures on one h share one table over their sites' union
+        # unless it exceeds twice the largest measure
+        h = 2.0 ** -6
+        mus = [DiscreteMeasure.from_grid(RNG.choice(700, size=k, replace=False),
+                                         RNG.uniform(0.0, 2.0, size=k), h)
+               for k in (1, 5, 40, 300, 0, 120)]
+        disjoint = [DiscreteMeasure.from_grid(np.arange(100) + 100 * j, np.ones(100), h)
+                    for j in range(3)]
+        for mus in (mus, mus[:1], disjoint, [random_measure(), random_measure(3)]):
+            for mu, pm in zip(mus, measures._with_pairings(mus)):
+                assert np.array_equal(pm.pairings, measures._weak_pairings(mu))
 
     def test_triangle_inequality(self):
         for _ in range(50):
@@ -263,6 +292,39 @@ class TestCsv:
         assert back.weights.tolist() == [0.5, 0.125, 0.375]
         if grid:
             assert back.idx.tolist() == [1, 3, 6]
+
+    @pytest.mark.parametrize("mu", [
+        DiscreteMeasure.from_grid(RNG.integers(0, 2 ** 30, size=300), RNG.standard_normal(300),
+                                  2.0 ** -20),
+        DiscreteMeasure.from_points(RNG.exponential(3.0, size=300),
+                                    RNG.uniform(1e-9, 1.0, size=300) ** 3),
+    ], ids=["grid", "points"])
+    def test_one_pass_body_matches_line_loop(self, tmp_path, mu):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        save_measure_csv(mu, fast)
+        # a comment line after the header sends the body down the line loop
+        slow.write_text(fast.read_text().replace("omega,weight\n", "omega,weight\n# loop\n"))
+        a, b = load_measure_csv(fast), load_measure_csv(slow)
+        assert a.h == b.h == mu.h
+        for x, y in ((a.positions, b.positions), (a.weights, b.weights), (a.idx, b.idx)):
+            assert (x is None and y is None) or np.array_equal(x, y)
+        assert np.array_equal(a.weights, mu.weights)
+
+    @pytest.mark.parametrize("head", ["", "# h=0.25\n"])
+    @pytest.mark.parametrize("note", ["", "\n# note\n"], ids=["one-pass", "line-loop"])
+    def test_non_number_named_with_line(self, tmp_path, head, note):
+        path = tmp_path / "m.csv"
+        path.write_text(head + "omega,weight\n0.25,1" + note + "\n0.5,abc\n0.75,2\n")
+        line = 3 + bool(head) + 2 * bool(note)
+        with pytest.raises(ValueError, match=rf"m\.csv:{line}: expected numbers, got '0\.5,abc' "
+                                             r"\(could not convert string to float: 'abc'\)"):
+            load_measure_csv(path)
+
+    def test_non_number_h_named_with_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# note\n# h=1/4\nomega,weight\n0.25,1\n")
+        with pytest.raises(ValueError, match=r"m\.csv:2: expected numbers, got '# h=1/4'"):
+            load_measure_csv(path)
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.csv"
