@@ -141,8 +141,8 @@ def mean_field_convergence(ensembles: dict[int, list[Trajectory]], reference: Tr
             if (len(traj.sample_times) != len(reference.sample_times)
                     or np.max(np.abs(traj.sample_times - reference.sample_times)) > 1e-12):
                 raise ValueError("sample-time grids do not match the reference")
-            snaps = _with_pairings([phi_transform(s, weight) for s in traj.snapshots])
-            err = max(weak_distance(s, r) for s, r in zip(snaps, ref_phi))
+            err = max(weak_distance(phi_transform(s, weight), r)
+                      for s, r in zip(traj.snapshots, ref_phi))
             errs.append(err)
         per_n[n] = np.asarray(errs)
     ns = sorted(per_n)

@@ -97,9 +97,12 @@ def _manifest_value(action: argparse.Action, key: str, val):
         want, ok = f"one of {', '.join(action.choices)}", val in action.choices
     else:
         want, ok = "a string", isinstance(val, str)
-    if not ok:
-        raise CliConfigError(f"manifest key {key!r} must be {want}, got {val!r}")
-    return action.type(val) if action.type else val
+    try:
+        if ok:
+            return action.type(val) if action.type else val
+    except OverflowError:  # an int too large for a float
+        pass
+    raise CliConfigError(f"manifest key {key!r} must be {want}, got {val!r}")
 
 
 def _merge_config(args: argparse.Namespace, command: str, defaults: dict) -> dict:
@@ -215,7 +218,7 @@ def cmd_solve(args) -> int:
             raise CliConfigError("--bound-schedule starts every window from its canonical "
                                  "overflow: it takes neither --richardson nor --lambda0")
         # the schedule writes the largest window's trace: that is the bound run
-        schedule = [float(b) for b in str(cfg["bound_schedule"]).split(",")]
+        schedule = [float(b) for b in cfg["bound_schedule"].split(",")]
         if not all(map(math.isfinite, schedule)):
             raise CliConfigError(f"--bound-schedule entries must be finite, "
                                  f"got {cfg['bound_schedule']}")

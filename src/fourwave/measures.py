@@ -210,43 +210,25 @@ class _PairedMeasure(DiscreteMeasure):
 
 
 def _with_pairings(mus: list[DiscreteMeasure]) -> list[_PairedMeasure]:
-    """The measures, each carrying its weak-metric pairings.  Grid measures
-    on one h whose union of sites is at most twice the largest of them (so
-    memory stays within twice a per-measure table) evaluate the test
-    functions once per site of that union; a site's row holds the bits a
-    table of one measure gives it, so each pairing has the bits of
-    :func:`_weak_pairings`."""
-    shared = bool(mus) and all(mu.is_grid and mu.h == mus[0].h for mu in mus)
-    if shared:
-        sites = np.unique(np.concatenate([mu.idx for mu in mus]))
-        shared = len(sites) <= 2 * max(map(len, mus))
-    if shared:
-        table = _weak_table(sites * mus[0].h)
+    """The measures, each carrying its :func:`_weak_pairings`."""
     out = []
     for mu in mus:
-        pairings = _weak_pairings(mu, table[np.searchsorted(sites, mu.idx)] if shared else None)
+        pairings = _weak_pairings(mu)
         pairings.setflags(write=False)
         out.append(_PairedMeasure(mu.weights, mu.h, mu.idx, mu._positions, pairings))
     return out
 
 
-def _weak_table(positions: np.ndarray) -> np.ndarray:
-    """The test functions g_k at each position, one row per position."""
-    phases = positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
-    table = np.empty_like(phases)
-    table[:, 0::2] = np.cos(phases[:, 0::2])
-    table[:, 1::2] = np.sin(phases[:, 1::2])
-    return table
-
-
-def _weak_pairings(mu: DiscreteMeasure, table: np.ndarray | None = None) -> np.ndarray:
-    """<g_k, mu> for every k, from ``table`` (the measure's rows of
-    :func:`_weak_table`) when given."""
+def _weak_pairings(mu: DiscreteMeasure) -> np.ndarray:
     if isinstance(mu, _PairedMeasure):
         return mu.pairings
     if len(mu) == 0:
         return np.zeros(len(WEAK_METRIC_FREQUENCIES))
-    return mu.weights @ (_weak_table(mu.positions) if table is None else table)
+    phases = mu.positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
+    table = np.empty_like(phases)
+    table[:, 0::2] = np.cos(phases[:, 0::2])
+    table[:, 1::2] = np.sin(phases[:, 1::2])
+    return mu.weights @ table
 
 
 def quantize(mu: DiscreteMeasure, h: float) -> DiscreteMeasure:

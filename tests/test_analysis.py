@@ -89,9 +89,9 @@ class TestMeanFieldConvergence:
             assert d <= tv_norm(phi_transform(s, AFFINE) - phi_transform(r, AFFINE)) + 1e-12
 
     def test_same_report_as_recomputed_pairings(self, monkeypatch):
-        # each pairing is computed once, from one table per trajectory;
-        # weak_distance on plain measures, which computes both pairings on
-        # every call, gives the same bits
+        # each reference pairing is computed once; weak_distance on plain
+        # measures, which computes both pairings on every call, gives the
+        # same bits
         mu0 = exp_measure()
         times = np.linspace(0.0, 0.2, 5)
         cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.2, bound=8.0, h=H,

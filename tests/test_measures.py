@@ -100,19 +100,6 @@ class TestWeakDistance:
             with pytest.raises(ValueError):
                 pm.pairings[0] = 1.0
 
-    def test_shared_grid_table_changes_no_bits(self):
-        # grid measures on one h share one table over their sites' union
-        # unless it exceeds twice the largest measure
-        h = 2.0 ** -6
-        mus = [DiscreteMeasure.from_grid(RNG.choice(700, size=k, replace=False),
-                                         RNG.uniform(0.0, 2.0, size=k), h)
-               for k in (1, 5, 40, 300, 0, 120)]
-        disjoint = [DiscreteMeasure.from_grid(np.arange(100) + 100 * j, np.ones(100), h)
-                    for j in range(3)]
-        for mus in (mus, mus[:1], disjoint, [random_measure(), random_measure(3)]):
-            for mu, pm in zip(mus, measures._with_pairings(mus)):
-                assert np.array_equal(pm.pairings, measures._weak_pairings(mu))
-
     def test_triangle_inequality(self):
         for _ in range(50):
             mu, nu, tau = random_measure(5), random_measure(5), random_measure(5)
