@@ -622,7 +622,7 @@ class TestManifestTypes:
         ("simulate", "replicas", True, "an integer"),
         ("simulate", "n", 8.0, "an integer"),
         ("simulate", "h", "0.25", "a number"),
-        ("simulate", "h", 10 ** 400, "a number"),
+        pytest.param("simulate", "h", 10 ** 400, "a number", id="simulate-h-int-too-large"),
         ("simulate", "t_end", False, "a number"),
         ("simulate", "kernel", 3, "a string"),
         ("simulate", "events", "yes", "true or false"),
