@@ -17,7 +17,7 @@ import numpy as np
 
 from .collision import _row_dot
 from .kernels import Kernel, WeightFunction
-from .measures import DiscreteMeasure, _with_pairings, phi_transform, weak_distance
+from .measures import DiscreteMeasure, phi_transform, weak_distance
 from .particle import extract_martingale, make_rng
 from .trajectory import Trajectory
 
@@ -126,12 +126,15 @@ def mean_field_convergence(ensembles: dict[int, list[Trajectory]], reference: Tr
     """Measure sup_t d(phi X^n_t, phi mu_t) per replica and fit err vs n.
 
     All trajectories must share the reference's sample-time grid and carry
-    measure snapshots.
+    measure snapshots.  They must also share its truncation (the same
+    window, or none): against a truncated reference whose phi-mass drains
+    into the overflow, untruncated ensembles measure that drain, and their
+    error does not fall with n.
     """
     if reference.snapshots is None:
         raise ValueError("reference trajectory carries no snapshots")
-    # each reference pairing is computed once, not once per replica
-    ref_phi = _with_pairings([phi_transform(s, weight) for s in reference.snapshots])
+    # each reference caches its pairings: computed once, not once per replica
+    ref_phi = [phi_transform(s, weight) for s in reference.snapshots]
     per_n: dict[int, np.ndarray] = {}
     for n, trajs in sorted(ensembles.items()):
         errs = []

@@ -79,7 +79,7 @@ def _load_manifest_config(path: str | None, command: str) -> dict:
 def _require_counts(cfg: dict, keys: list[str]) -> None:
     for key in keys:
         if cfg[key] < 1:
-            raise CliConfigError(f"--{key} must be at least 1, got {cfg[key]}")
+            raise CliConfigError(f"--{key.replace('_', '-')} must be at least 1, got {cfg[key]}")
 
 
 def _manifest_value(action: argparse.Action, key: str, val):
@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
                 "replicas": 1, "lambda0": None, "events": False,
                 "max_events": 10_000_000, "snapshots": False, "threads": 1}
     cfg = _merge_config(args, "simulate", defaults)
-    _require_counts(cfg, ["replicas", "samples"])
+    _require_counts(cfg, ["replicas", "samples", "max_events"])
     kernel = parse_kernel(cfg["kernel"])
     weight = parse_weight(cfg["weight"])
     mu0 = _initial(cfg, "simulate", 2.0 ** -20)
@@ -305,6 +305,11 @@ def _as_trajectory(snapshots: list[DiscreteMeasure], times: np.ndarray) -> Traje
 
 
 def cmd_compare(args) -> int:
+    """Weak distance of ``simulate --snapshots`` ensembles to a ``solve``
+    reference, per replica, fitted against n.  The ensembles need the
+    reference's sample times and truncation (``simulate --bound B`` against
+    ``solve --bound B``): untruncated ensembles against a truncated
+    reference measure the truncation, not the mean-field error."""
     for d in args.ensembles.split(",") + [args.reference]:
         if not Path(d).is_dir():
             raise CliConfigError(f"missing run directory {d!r}")

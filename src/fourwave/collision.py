@@ -56,7 +56,6 @@ __all__ = [
     "l_b_pairing",
     "counting_correction",
     "q_pairing_powermoment",
-    "grid_q_pairing",
     "grid_q_counting",
     "grid_interaction_parts",
 ]
@@ -122,7 +121,8 @@ def q_pairing(mu: DiscreteMeasure, kernel, f, method: str = "auto") -> float:
     """<f, Q(mu, mu, mu)> for a finite atomic (possibly signed) measure."""
     if method == "grid" or (method == "auto" and _grid_eligible(mu, kernel)):
         w, h = _dense_vector(mu)
-        return grid_q_pairing(w, h, kernel, f)
+        fvec = np.asarray(f(np.arange(2 * len(w) - 1) * h), dtype=float)
+        return grid_q_counting(w, h, kernel, fvec, None)
     return trilinear_pairing(mu, mu, mu, kernel, f)
 
 
@@ -400,12 +400,6 @@ def _loss_corr(cross: np.ndarray, const: np.ndarray, n: int, u: int, m: int) -> 
     corr[..., :u - 1] = np.cumsum(lags, axis=-1)[..., u - 1:]
     corr[..., u - 1:] = const[..., None]
     return corr
-
-
-def grid_q_pairing(w: np.ndarray, h: float, kernel: Kernel, f) -> float:
-    """<f, Q(mu)> for mu given as a dense weight vector on the h-grid."""
-    fvec = np.asarray(f(np.arange(2 * len(w) - 1) * h), dtype=float)
-    return grid_q_counting(w, h, kernel, fvec, None)
 
 
 def grid_q_counting(w: np.ndarray, h: float, kernel: Kernel, fvec: np.ndarray,

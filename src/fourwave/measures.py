@@ -11,13 +11,15 @@ modes exist:
 
 Weights may be signed; signed measures are first-class citizens because the
 collision algebra and the Picard iterates need them.  Operations are pure
-and instances should be treated as immutable.
+and instances must be treated as immutable: a measure caches its
+weak-metric pairings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +167,18 @@ class DiscreteMeasure:
     def mass(self) -> float:
         return math.fsum(self.weights)
 
+    @cached_property
+    def _weak_pairings(self) -> np.ndarray:
+        """<g_k, self> over the weak-metric test family, computed once per
+        measure (one compared many times pays for it once); read-only."""
+        phases = self.positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
+        table = np.empty_like(phases)
+        table[:, 0::2] = np.cos(phases[:, 0::2])
+        table[:, 1::2] = np.sin(phases[:, 1::2])
+        pairings = self.weights @ table  # zeros for no atoms
+        pairings.setflags(write=False)
+        return pairings
+
 
 def moment(mu: DiscreteMeasure, f) -> float:
     """Pairing <f, mu> = sum f(w_i) * weight_i with compensated summation.
@@ -196,39 +210,8 @@ def weak_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     # both pairings evaluated independently: d(mu, mu) == 0 and symmetry
     # hold exactly, not merely to rounding
-    terms = np.abs(_weak_pairings(mu) - _weak_pairings(nu))
+    terms = np.abs(mu._weak_pairings - nu._weak_pairings)
     return float(np.dot(_WEAK_METRIC_WEIGHTS, terms))
-
-
-@dataclass(frozen=True)
-class _PairedMeasure(DiscreteMeasure):
-    """A measure that carries its weak-metric pairings, for one compared
-    many times.  Built by :func:`_with_pairings` only from measures that
-    nothing mutates afterwards; the pairings are read-only."""
-
-    pairings: np.ndarray | None = None
-
-
-def _with_pairings(mus: list[DiscreteMeasure]) -> list[_PairedMeasure]:
-    """The measures, each carrying its :func:`_weak_pairings`."""
-    out = []
-    for mu in mus:
-        pairings = _weak_pairings(mu)
-        pairings.setflags(write=False)
-        out.append(_PairedMeasure(mu.weights, mu.h, mu.idx, mu._positions, pairings))
-    return out
-
-
-def _weak_pairings(mu: DiscreteMeasure) -> np.ndarray:
-    if isinstance(mu, _PairedMeasure):
-        return mu.pairings
-    if len(mu) == 0:
-        return np.zeros(len(WEAK_METRIC_FREQUENCIES))
-    phases = mu.positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
-    table = np.empty_like(phases)
-    table[:, 0::2] = np.cos(phases[:, 0::2])
-    table[:, 1::2] = np.sin(phases[:, 1::2])
-    return mu.weights @ table
 
 
 def quantize(mu: DiscreteMeasure, h: float) -> DiscreteMeasure:

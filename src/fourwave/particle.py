@@ -479,7 +479,9 @@ def simulate(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
 def _windowed(state: ParticleState, bound: float) -> tuple[ParticleState, int, float]:
     """A copy of ``state`` without the particles beyond the window, the
     window's last grid index, and n * <phi 1_{B^c}, X> (the phi-mass
-    killed, summed exactly)."""
+    killed, summed exactly).  ValueError for a negative ``bound``."""
+    if not bound >= 0:
+        raise ValueError(f"bound must be nonnegative, got {bound!r}")
     work = state.copy()
     bound_idx = int(math.floor(bound / work.h + 1e-9))
     outside = np.nonzero(work.alive & (work.idx > bound_idx))[0]

@@ -78,7 +78,10 @@ class SolverConfig:
 
 
 def _window_points(bound: float, h: float) -> int:
-    """Grid points of [0, bound]; ValueError unless bound is a multiple of h."""
+    """Grid points of [0, bound]; ValueError unless bound is a nonnegative
+    multiple of h."""
+    if not bound >= 0:
+        raise ValueError(f"bound must be nonnegative, got {bound!r}")
     k = bound / h
     if abs(k - round(k)) > 1e-9:
         raise ValueError("bound must be a multiple of the grid resolution h")
@@ -136,12 +139,6 @@ class _TruncatedSystem:
         dlam = parts.escape_rate + lfac * _row_dot(w, self.phi2)
         return dw, dlam
 
-    def loss_split(self, w, lam):
-        """(inflow, interaction outflow rate, coupling outflow rate, escape)."""
-        parts = self.interaction(w)
-        cpl_rate = self._coupling(w, lam)[..., None] * self.phi
-        return parts.gain, parts.loss_rate, cpl_rate, parts.escape_rate
-
 
 def _step(system: _TruncatedSystem, method: str, w, lam, dt):
     if method == "euler":
@@ -161,8 +158,8 @@ def _step(system: _TruncatedSystem, method: str, w, lam, dt):
     # overflow is credited with the coupling channel's share of the
     # decayed phi-mass: first-order consistent and bounded by the phi-mass
     # present, instead of feeding a runaway lambda^2 term.
-    gain0, int_rate, cpl_rate, _ = system.loss_split(w, lam)
-    total_rate = int_rate + cpl_rate
+    cpl_rate = system._coupling(w, lam)[..., None] * system.phi
+    total_rate = system.interaction(w).loss_rate + cpl_rate
     decay = np.exp(-dt * total_rate)
     w_half = w * decay
     removed = w - w_half

@@ -15,6 +15,7 @@ Python's shortest round-trip repr, so files round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,9 @@ def save_moments_csv(traj: Trajectory, path) -> None:
 def load_moments_csv(path) -> Trajectory:
     """Read a moment trace written by :func:`save_moments_csv`.
 
-    Raises ValueError on a foreign header or on a row that does not have
-    exactly six fields.
+    Raises ValueError on a foreign header, on a row that does not have
+    exactly six fields, and on a field that is not a finite number (naming
+    ``path:line``); an empty Lambda field marks an untruncated row.
     """
     rows, lams = [], []
     truncated = False
@@ -92,15 +94,20 @@ def load_moments_csv(path) -> Trajectory:
         if header != _MOMENTS_HEADER:
             raise ValueError(f"{path}: expected header {_MOMENTS_HEADER!r}, got {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
+            line = line.strip()
+            parts = line.split(",")
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            rows.append([float(x) for x in parts[:5]])
-            if parts[5]:
-                truncated = True
-                lams.append(float(parts[5]))
-            else:
-                lams.append(np.nan)
+            try:
+                row = [float(x) for x in (parts if parts[5] else parts[:5])]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: expected numbers, got {line!r} "
+                                 f"({exc})") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: expected finite numbers, got {line!r}")
+            truncated = truncated or bool(parts[5])
+            rows.append(row[:5])
+            lams.append(row[5] if parts[5] else np.nan)
     arr = np.asarray(rows).reshape(-1, 5)
     return Trajectory(
         sample_times=arr[:, 0], W=arr[:, 1], E=arr[:, 2], phi=arr[:, 3],

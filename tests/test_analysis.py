@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,10 +89,10 @@ class TestMeanFieldConvergence:
         for s, r, d in zip(traj.snapshots, ref.snapshots, dists):
             assert d <= tv_norm(phi_transform(s, AFFINE) - phi_transform(r, AFFINE)) + 1e-12
 
-    def test_same_report_as_recomputed_pairings(self, monkeypatch):
-        # each reference pairing is computed once; weak_distance on plain
-        # measures, which computes both pairings on every call, gives the
-        # same bits
+    def test_same_report_as_recomputed_pairings(self):
+        # each reference pairing is computed once and cached; weak_distance
+        # on fresh measures, which computes both pairings on every call,
+        # gives the same bits
         mu0 = exp_measure()
         times = np.linspace(0.0, 0.2, 5)
         cfg = SolverConfig(method="rk4", dt=0.05, t_end=0.2, bound=8.0, h=H,
@@ -105,8 +106,10 @@ class TestMeanFieldConvergence:
                           for s, q in zip(traj.snapshots, ref.snapshots)) for traj in trajs]
                   for n, trajs in ensembles.items()}
         assert got.errors == errors
-        monkeypatch.setattr(analysis, "_with_pairings", lambda mus: mus)
-        assert mean_field_convergence(ensembles, ref, AFFINE).to_json() == got.to_json()
+        fresh = [DiscreteMeasure.from_grid(s.idx.copy(), s.weights.copy(), s.h)
+                 for s in ref.snapshots]
+        again = mean_field_convergence(ensembles, replace(ref, snapshots=fresh), AFFINE)
+        assert again.to_json() == got.to_json()
 
 
 def loop_bootstrap(per_n_errors, resamples=1000, quantiles=(0.025, 0.975)):

@@ -275,6 +275,18 @@ class TestReport:
         assert "drift W" in capsys.readouterr().out
         assert main(["report", str(sim / "nothere.csv")]) == 2
 
+    @pytest.mark.parametrize("value, message", [("abc", "expected numbers"),
+                                                ("nan", "expected finite numbers"),
+                                                ("inf", "expected finite numbers")])
+    def test_bad_field_exit2_naming_line(self, tmp_path, capsys, value, message):
+        path = tmp_path / "moments.csv"
+        path.write_text(f"t,W,E,phi,phi2,Lambda\n0,1,1,2,5,\n0.5,1,{value},2,5,\n")
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}:3: {message}")
+        assert not out.exists()
+
 
 class TestOutputRoot:
     def test_env_var_root(self, tmp_path, monkeypatch):
@@ -384,6 +396,45 @@ class TestCounts:
         assert main(["simulate", "--manifest", str(bad), "--out", str(out)]) == 2
         assert "--replicas must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_max_events_below_one_refused(self, tmp_path, capsys):
+        argv = ["simulate", "--kernel", "product:lambda=1", "--h", "0.015625", "--n", "200",
+                "--events"]
+        for value in ("0", "-1"):
+            out = tmp_path / f"flag{value}"
+            assert main(argv + ["--max-events", value, "--out", str(out)]) == 2
+            assert "--max-events must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+        assert main(argv + ["--t-end", "0.1", "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["config"]["max_events"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        out = tmp_path / "b"
+        assert main(["simulate", "--manifest", str(bad), "--out", str(out)]) == 2
+        assert "--max-events must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNegativeBound:
+    """A negative --bound is refused, naming the bound, before any output;
+    --bound 0 runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kernel", "product:lambda=1", "--h", "0.015625", "--n", "10",
+         "--bound", "-1"],
+        ["solve", "--kernel", "product:lambda=1", "--bound", "-0.5"],
+        ["solve", "--kernel", "product:lambda=1", "--bound-schedule=-0.5,1"],
+        ["picard", "--kernel", "product:lambda=1", "--bound", "-0.0625"],
+    ], ids=["simulate", "solve", "solve-schedule", "picard"])
+    def test_refused(self, tmp_path, capsys, argv):
+        assert "bound must be nonnegative, got -" in _refused(argv, tmp_path / "out", capsys)
+
+    def test_zero_bound_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--kernel", "product:lambda=1", "--h", "0.015625",
+                     "--n", "10", "--t-end", "0.1", "--bound", "0", "--out", str(out)]) == 0
+        assert (out / "moments_r000.csv").exists()
 
 
 class TestForeignManifest:

@@ -10,7 +10,6 @@ from fourwave.collision import (
     counting_correction,
     grid_interaction_parts,
     grid_q_counting,
-    grid_q_pairing,
     l_b_pairing,
     q_counting,
     q_measure,

@@ -86,19 +86,32 @@ class TestWeakDistance:
         assert weak_distance(mu, nu) == weak_distance(nu, mu)
 
     def test_carried_pairings_change_no_bits(self):
-        # a reference compared many times carries its pairings: identity and
-        # symmetry still hold exactly, against plain and carrying measures
+        # a measure caches its pairings on first use: identity and symmetry
+        # hold exactly whichever side's cache is cold or warm, and the cache
+        # holds the pairing table's bits, read-only
+        def cold(mu):
+            return DiscreteMeasure(mu.weights, mu.h, mu.idx, mu._positions)
+
+        def pairings(mu):
+            phases = mu.positions[:, None] * measures.WEAK_METRIC_FREQUENCIES[None, :]
+            table = np.empty_like(phases)
+            table[:, 0::2] = np.cos(phases[:, 0::2])
+            table[:, 1::2] = np.sin(phases[:, 1::2])
+            return mu.weights @ table
+
         for mu, nu in ((random_measure(), random_measure()),
                        (DiscreteMeasure.from_grid([3, 9], [0.5, 0.25], 0.125),
                         DiscreteMeasure.zero(0.125))):
-            pm, pn = measures._with_pairings([mu, nu])
-            assert weak_distance(pm, pm) == weak_distance(pm, mu) == 0.0
-            d = weak_distance(mu, nu)
-            for a, b in ((pm, nu), (mu, pn), (pm, pn)):
-                assert weak_distance(a, b) == weak_distance(b, a) == d
-            assert np.array_equal(pm.positions, mu.positions) and pm.h == mu.h
-            with pytest.raises(ValueError):
-                pm.pairings[0] = 1.0
+            d = weak_distance(cold(mu), cold(nu))
+            assert weak_distance(cold(nu), cold(mu)) == d
+            assert weak_distance(mu, mu) == 0.0  # warms mu
+            assert weak_distance(mu, nu) == weak_distance(cold(nu), mu) == d
+            assert weak_distance(nu, mu) == weak_distance(mu, nu) == d  # both warm
+            assert weak_distance(nu, nu) == weak_distance(nu, cold(nu)) == 0.0
+            for m in (mu, nu):
+                assert np.array_equal(m._weak_pairings, pairings(m))
+                with pytest.raises(ValueError):
+                    m._weak_pairings[0] = 1.0
 
     def test_triangle_inequality(self):
         for _ in range(50):

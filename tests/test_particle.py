@@ -595,6 +595,21 @@ class TestTruncated:
         # half a grid step below, they are outside
         assert truncation_overflow_start(st, 1.0 - h / 2) == 2 * 2.0 / 5
 
+    def test_negative_bound_refused(self):
+        st = ParticleState.build([64, 64, 0, 16, 32], 2.0 ** -6, AFFINE)
+        calls = [lambda b: simulate_truncated(st, b, None, PROD1, AFFINE, 0.1, seed=2),
+                 lambda b: simulate_coupled(st, b, 2.0, PROD1, AFFINE, 0.1, seed=2),
+                 lambda b: simulate_coupled(st, b, b, PROD1, AFFINE, 0.1, seed=2),
+                 lambda b: truncation_overflow_start(st, b)]
+        for call in calls:
+            for bound in (-1.0, -2.0 ** -7, math.nan):
+                with pytest.raises(ValueError, match="bound must be nonnegative, got "):
+                    call(bound)
+        # the zero window holds the particles at w = 0 only
+        assert truncation_overflow_start(st, 0.0) == (2.0 + 2.0 + 1.25 + 1.5) / 5
+        traj = simulate_truncated(st, 0.0, None, PROD1, AFFINE, 0.1, seed=2)
+        assert traj.W[0] == 0.2
+
 
 def reference_engine(state, kernel, t_end, seed, bound=None, lam0=None):
     """The thinning engine candidate by candidate, with one scalar

@@ -197,6 +197,23 @@ class TestSolveLimit:
         assert diags[1.0][0] > diags[4.0][0]  # more phi-mass starts outside smaller windows
 
 
+class TestNegativeBound:
+    def test_refused_naming_the_bound(self):
+        calls = [lambda b: SolverConfig(bound=b, h=H),
+                 lambda b: solve_limit(two_atoms(), PROD1, SolverConfig(h=H), [b, 2.0]),
+                 lambda b: picard(TestPicard().mu0(), 0.0, PROD1, b)]
+        for call in calls:
+            for bound in (-0.5, -H, math.nan):
+                with pytest.raises(ValueError, match="bound must be nonnegative, got "):
+                    call(bound)
+
+    def test_zero_bound_is_one_point(self):
+        assert SolverConfig(bound=0.0, h=H).bound == 0.0
+        mu0 = DiscreteMeasure.from_grid([0], [0.5], H)
+        traj = solve_truncated(mu0, 0.0, PROD1, SolverConfig(bound=0.0, h=H, t_end=0.1))
+        assert traj.W[0] == 0.5
+
+
 class TestHorizons:
     def test_zeta_examples(self):
         assert zeta(DiscreteMeasure.delta(1.0)) == pytest.approx(1.0 / 8.0, rel=1e-14)

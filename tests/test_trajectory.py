@@ -42,6 +42,37 @@ class TestMomentsCsv:
         with pytest.raises(ValueError, match=":6: expected 6 fields"):
             load_moments_csv(path)
 
+    @pytest.mark.parametrize("field", ["abc", "1..5", ""])
+    def test_non_number_named_with_line(self, tmp_path, field):
+        path = tmp_path / "moments.csv"
+        save_moments_csv(trace(True), path)
+        with open(path, "a") as fh:
+            fh.write(f"1.5,1,{field},2,5,0.1\n")
+        with pytest.raises(ValueError, match=f"{path}:6: expected numbers, got "):
+            load_moments_csv(path)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_refused(self, tmp_path, truncated, value):
+        for column in range(6 if truncated else 5):
+            path = tmp_path / "moments.csv"
+            save_moments_csv(trace(truncated), path)
+            lines = path.read_text().splitlines()
+            fields = lines[2].split(",")
+            fields[column] = value
+            lines[2] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=f"{path}:3: expected finite numbers"):
+                load_moments_csv(path)
+
+    def test_empty_lambda_marks_untruncated_row(self, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_text("t,W,E,phi,phi2,Lambda\n0,1,1,2,5,\n0.5,1,1,2,5,0.25\n")
+        back = load_moments_csv(path)
+        assert back.truncated and back.overflow[1] == 0.25 and np.isnan(back.overflow[0])
+        path.write_text("t,W,E,phi,phi2,Lambda\n0,1,1,2,5,\n")
+        assert not load_moments_csv(path).truncated
+
 
 class TestEventsJsonl:
     def test_round_trip_every_branch(self, tmp_path):
