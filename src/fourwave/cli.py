@@ -299,9 +299,7 @@ def _load_run_snapshots(run_dir: Path) -> tuple[dict, list[list[DiscreteMeasure]
 
 
 def _as_trajectory(snapshots: list[DiscreteMeasure], times: np.ndarray) -> Trajectory:
-    z = np.zeros(len(times))
-    return Trajectory(sample_times=times, W=z, E=z, phi=z, phi2=z, overflow=None,
-                      snapshots=snapshots)
+    return Trajectory.from_rows(times, np.zeros((len(times), 6)), False, snapshots=snapshots)
 
 
 def cmd_compare(args) -> int:

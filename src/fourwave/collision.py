@@ -15,7 +15,7 @@ Two evaluation routes exist:
 * a direct ordered-triple sum (``method="direct"``), the reference
   implementation, vectorised in blocks and costing O(m^3);
 * a grid route (``method="grid"``) for measures on a common dyadic grid and
-  kernels that decompose into rank-one terms: every slot reduces to
+  a :class:`Kernel`, whose terms are rank-one: every slot reduces to
   discrete convolutions and prefix sums over grid extent M, with each
   slot-swapped pair of kernel terms folded into one.  Vectors shorter
   than ``_FFT_CROSSOVER`` (640) run through the exact O(M^2)
@@ -120,9 +120,10 @@ def trilinear_pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: DiscreteMea
 def q_pairing(mu: DiscreteMeasure, kernel, f, method: str = "auto") -> float:
     """<f, Q(mu, mu, mu)> for a finite atomic (possibly signed) measure."""
     if method == "grid" or (method == "auto" and _grid_eligible(mu, kernel)):
-        w, h = _dense_vector(mu)
-        fvec = np.asarray(f(np.arange(2 * len(w) - 1) * h), dtype=float)
-        return grid_q_counting(w, h, kernel, fvec, None)
+        mu = mu.compact()
+        w = mu.dense(int(mu.idx.max(initial=0)) + 1)
+        fvec = np.asarray(f(np.arange(2 * len(w) - 1) * mu.h), dtype=float)
+        return grid_q_counting(w, mu.h, kernel, fvec, None)
     return trilinear_pairing(mu, mu, mu, kernel, f)
 
 
@@ -177,12 +178,11 @@ def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeas
         return DiscreteMeasure.zero(mu.h)
     if method == "grid" or (method == "auto"
                             and _grid_eligible(mu, kernel, _MEASURE_TRIPLE_COST)):
-        w, h = _dense_vector(mu)
-        parts = grid_interaction_parts(w, h, kernel, bound_idx=None)
+        w = mu.dense(int(mu.idx.max()) + 1)
+        parts = grid_interaction_parts(w, mu.h, kernel, bound_idx=None)
         dw = parts.gain
         dw[: len(w)] -= parts.loss_rate * w
-        idx = np.nonzero(dw)[0]
-        return DiscreteMeasure.from_grid(idx, dw[idx], h)
+        return DiscreteMeasure.from_dense(dw, mu.h)
     return _q_measure_direct(mu, kernel)
 
 
@@ -260,7 +260,7 @@ def q_pairing_powermoment(mu: DiscreteMeasure, kernel: Kernel, p: int) -> float:
     if lo <= 0 or pos.max() > 2.0 * lo:
         raise ValueError("power-moment route needs support in [a, 2a], a > 0")
     total = 0.0
-    for coef, (e1, e2, e3) in kernel.rank_one_terms():
+    for coef, (e1, e2, e3) in kernel.terms:
         def mom(extra: float, exp: float) -> float:
             return float(np.sum(pos ** (extra + exp) * w)) if extra or exp else float(np.sum(w))
 
@@ -301,18 +301,10 @@ _GRID_COST, _MEASURE_TRIPLE_COST = 1.5, 10.0
 
 
 def _grid_eligible(mu: DiscreteMeasure, kernel, triple_cost: float = 1.0) -> bool:
-    if not (mu.is_grid and hasattr(kernel, "rank_one_terms") and len(mu) > _DIRECT_BLOCK):
+    if not (mu.is_grid and isinstance(kernel, Kernel) and len(mu) > _DIRECT_BLOCK):
         return False
     extent = int(mu.idx.max()) + 1
     return _GRID_COST * extent * math.log2(extent) < triple_cost * len(mu) ** 3
-
-
-def _dense_vector(mu: DiscreteMeasure) -> tuple[np.ndarray, float]:
-    mu = mu.compact()
-    m = int(mu.idx.max()) + 1 if len(mu) else 1
-    w = np.zeros(m)
-    w[mu.idx] = mu.weights
-    return w, mu.h
 
 
 # Grid values (rows times M) per stacked call of the grid core in picard
@@ -370,7 +362,7 @@ def _grid_constants(m: int, h: float, kernel: Kernel):
     so they fold into one with the summed coefficient: ``sum`` keeps 2 of
     its 3 terms and ``mixed`` 1 of 2."""
     folded = {}
-    for coef, (e1, e2, e3) in kernel.rank_one_terms():
+    for coef, (e1, e2, e3) in kernel.terms:
         key = (min(e1, e2), max(e1, e2), e3)
         total, exps = folded.get(key, (0.0, (e1, e2, e3)))
         folded[key] = (total + coef, exps)
@@ -379,15 +371,6 @@ def _grid_constants(m: int, h: float, kernel: Kernel):
     powers = MappingProxyType({e: _frozen(grid ** e) for _, exps in terms for e in exps})
     phi_out = _frozen(np.asarray(AFFINE(np.arange(m, 2 * m - 1) * h), dtype=float))
     return terms, powers, phi_out
-
-
-def _rank_one_terms(w: np.ndarray, h: float, kernel: Kernel):
-    """Folded kernel terms ``(coef, (e1, e2, e3))`` for coef * w1**e1 *
-    w2**e2 * w3**e3 (see :func:`_grid_constants`), with the grid powers
-    x**e and slot vectors x**e * w keyed by exponent (leading axes of a
-    stack ``w`` kept)."""
-    terms, powers, _ = _grid_constants(w.shape[-1], h, kernel)
-    return list(terms), powers, {e: x * w for e, x in powers.items()}
 
 
 def _loss_corr(cross: np.ndarray, const: np.ndarray, n: int, u: int, m: int) -> np.ndarray:
@@ -425,7 +408,8 @@ def grid_q_counting(w: np.ndarray, h: float, kernel: Kernel, fvec: np.ndarray,
     smax = 2 * m - 1
     f = fvec[:smax]
     fm = f[:m]
-    terms, powers, slots = _rank_one_terms(w, h, kernel)
+    terms, powers, _ = _grid_constants(m, h, kernel)
+    slots = {e: x * w for e, x in powers.items()}
     if w.ndim == 1:
         fwd, conv = (lambda x: x), (lambda x, y: np.convolve(x, y)[:smax])
     else:
@@ -494,7 +478,8 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
     smax = 2 * m - 1
     gain = np.zeros(w.shape[:-1] + (smax,))
     loss_rate = np.zeros(w.shape)
-    terms, powers, slots = _rank_one_terms(w, h, kernel)
+    terms, powers, phi_out = _grid_constants(m, h, kernel)
+    slots = {e: x * w for e, x in powers.items()}
     if w.ndim == 1 and m < _FFT_CROSSOVER:
         for coef, (e1, e2, e3) in terms:
             half = 0.5 * coef
@@ -534,5 +519,4 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
             loss_rate += half * (lr1 + lr2)
     if bound_idx is None:
         return GridInteractionParts(gain, loss_rate, no_escape)
-    phi_out = _grid_constants(m, h, kernel)[2]
     return GridInteractionParts(gain[..., :m], loss_rate, _row_dot(gain[..., m:], phi_out))

@@ -75,7 +75,8 @@ def _pow(base, exponent: float):
 @dataclass(frozen=True)
 class Kernel:
     """One model kernel, built by :func:`parse_kernel`: its normalised spec,
-    rank-one terms and homogeneity degree (K(s*w) = s**degree * K(w) for
+    rank-one terms ``(coef, (e1, e2, e3))`` with K = sum of coef * w1**e1 *
+    w2**e2 * w3**e3, and homogeneity degree (K(s*w) = s**degree * K(w) for
     s > 0).  A pure value object, safe to share across threads."""
 
     spec: str
@@ -94,10 +95,6 @@ class Kernel:
                             if e != 0.0 or (t == 0 and k not in raised)))
                      for t, (coef, exps) in enumerate(self.terms))
 
-    def rank_one_terms(self) -> list[tuple[float, tuple[float, float, float]]]:
-        """Decomposition K = sum of coef * w1**e1 * w2**e2 * w3**e3 terms."""
-        return list(self.terms)
-
     def eval(self, w1, w2, w3):
         """Evaluate K; accepts scalars or broadcastable numpy arrays.
 
@@ -115,9 +112,6 @@ class Kernel:
         return out
 
     __call__ = eval
-
-    def spec_string(self) -> str:
-        return self.spec
 
 
 @dataclass(frozen=True)

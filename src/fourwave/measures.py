@@ -86,6 +86,14 @@ class DiscreteMeasure:
         return DiscreteMeasure(weights[order], h, idx[order], None)
 
     @staticmethod
+    def from_dense(w, h: float) -> "DiscreteMeasure":
+        """The grid measure with an atom of weight w[k] at each nonzero
+        entry k of a dense weight vector: the inverse of :meth:`dense`."""
+        w = np.asarray(w, dtype=float)
+        idx = np.flatnonzero(w)
+        return DiscreteMeasure.from_grid(idx, w[idx], h)
+
+    @staticmethod
     def delta(position: float, weight: float = 1.0, h: float | None = None) -> "DiscreteMeasure":
         if h is None:
             return DiscreteMeasure.from_points([position], [weight])
@@ -139,6 +147,15 @@ class DiscreteMeasure:
         np.add.at(w, inverse, self.weights)
         keep = w != 0.0
         return self._like(uniq[keep], w[keep])
+
+    def dense(self, m: int) -> np.ndarray:
+        """Dense weight vector over grid indices 0 .. m-1, atoms at one index
+        summed by ``np.add.at`` in atom order; ValueError in continuous mode."""
+        if not self.is_grid:
+            raise ValueError("a dense weight vector needs a grid-mode measure")
+        w = np.zeros(m)
+        np.add.at(w, self.idx, self.weights)
+        return w
 
     # --- arithmetic -----------------------------------------------------
 

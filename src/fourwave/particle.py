@@ -53,7 +53,7 @@ import numpy as np
 
 from .collision import _stack_rows, grid_q_counting, q_counting
 from .fenwick import FenwickTree
-from .kernels import AFFINE, WeightFunction, check_submultiplicative
+from .kernels import AFFINE, Kernel, WeightFunction, check_submultiplicative
 from .measures import DiscreteMeasure
 from .trajectory import EVENT_DTYPE, Trajectory, checked_sample_times
 
@@ -253,12 +253,8 @@ class MomentRecorder:
                 DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), h).compact())
 
     def build(self, **kw) -> Trajectory:
-        arr = np.asarray(self._rows, dtype=float).reshape(-1, 6)
-        return Trajectory(
-            sample_times=self.times,
-            W=arr[:, 0], E=arr[:, 1], phi=arr[:, 2], phi2=arr[:, 3],
-            overflow=arr[:, 4].copy() if self.truncated else None,
-            conserved_phi=arr[:, 5].copy(),
+        return Trajectory.from_rows(
+            self.times, self._rows, self.truncated,
             energy_idx=np.asarray(self._idx_rows, dtype=np.int64),
             snapshots=self._snaps, n=self.state.n, h=self.state.h, **kw)
 
@@ -451,7 +447,7 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
     traj = recorder.build(initial_idx=initial_idx, events=None if events is None
                           else np.array(events, dtype=EVENT_DTYPE).view(np.recarray))
     traj.meta = {"t_end": t_end, "weight": weight.spec_string(),
-                 "kernel": kernel.spec_string() if hasattr(kernel, "spec_string") else "custom"}
+                 "kernel": kernel.spec if isinstance(kernel, Kernel) else "custom"}
     return traj
 
 
@@ -537,7 +533,7 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     (times, M) evaluated at 0, both sides of every jump, and t_end.
 
     The path's states are evaluated in blocks.  States with more than 32
-    occupied sites and a rank-one kernel take the grid route, one stacked
+    occupied sites and a :class:`Kernel` take the grid route, one stacked
     grid_q_counting call per block; the others the direct triple sum, which
     keeps the bracket cancellations bit-exact.  No value depends on the block size.
     """
@@ -591,7 +587,7 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
                   [-1.0, -1.0, 1.0, 1.0])
         counts = np.cumsum(block, axis=0, out=block)[-1]
         occupied = np.count_nonzero(block, axis=1)
-        grid = (occupied > 32) & hasattr(kernel, "rank_one_terms") & new[lo:hi]
+        grid = (occupied > 32) & isinstance(kernel, Kernel) & new[lo:hi]
         direct = ~grid & new[lo:hi]
         if np.any(occupied[direct] > 300):
             raise ValueError(
@@ -600,9 +596,8 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
         if np.any(grid):
             drift[lo:hi][grid] = grid_q_counting(block[grid] / n, h, kernel, fvec, n)
         for r in np.flatnonzero(direct):
-            nz = np.nonzero(block[r])[0]
-            meas = DiscreteMeasure.from_grid(nz, block[r, nz] / n, h)
-            drift[lo + r] = q_counting(meas, kernel, f, n)
+            drift[lo + r] = q_counting(DiscreteMeasure.from_dense(block[r] / n, h),
+                                       kernel, f, n)
     drift = drift[np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))]
 
     # M at 0, at both sides of every jump and at t_end

@@ -106,10 +106,7 @@ def _dense_initial(mu0: DiscreteMeasure, bound: float, h: float) -> np.ndarray:
     m = _window_points(bound, h)
     if len(mu0) and int(mu0.idx.max()) >= m:
         raise ValueError("initial measure must be supported on [0, bound]")
-    w = np.zeros(m)
-    if len(mu0):
-        np.add.at(w, mu0.idx, mu0.weights)
-    return w
+    return mu0.dense(m)
 
 
 class _TruncatedSystem:
@@ -212,21 +209,13 @@ def solve_truncated(mu0: DiscreteMeasure, lam0: float, kernel: Kernel,
         phi_now = float(np.dot(system.phi, w))
         rows.append((float(w.sum()), float(np.dot(grid_w, w)), phi_now,
                      float(np.dot(system.phi2, w)), lam, phi_now + lam))
-        snaps.append(_snapshot(w, cfg.h))
-    arr = np.asarray(rows)
-    traj = Trajectory(sample_times=sample_times, W=arr[:, 0], E=arr[:, 1],
-                      phi=arr[:, 2], phi2=arr[:, 3], overflow=arr[:, 4],
-                      conserved_phi=arr[:, 5], snapshots=snaps, h=cfg.h)
+        snaps.append(DiscreteMeasure.from_dense(w, cfg.h))
+    traj = Trajectory.from_rows(sample_times, rows, True, snapshots=snaps, h=cfg.h)
     traj.meta = {"t_end": cfg.t_end, "method": cfg.method, "dt": dt,
                  "bound": cfg.bound,
                  "conservation_residual": worst_resid,
                  "conserved_start": conserved0}
     return traj
-
-
-def _snapshot(w: np.ndarray, h: float) -> DiscreteMeasure:
-    nz = np.nonzero(w)[0]
-    return DiscreteMeasure.from_grid(nz, w[nz], h)
 
 
 def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
@@ -239,6 +228,7 @@ def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
     bounds = sorted(bound_schedule)
     if moment(mu0, AFFINE) == math.inf:
         raise ValueError("initial phi-moment must be finite")
+    m = _window_points(bounds[-1], cfg.h)
     runs = []
     for b in bounds:
         inner, outer = mu0.restricted(b)
@@ -248,11 +238,7 @@ def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
         runs.append(solve_truncated(inner, lam0, kernel, sub))
     for lo, hi, b in zip(runs, runs[1:], bounds):
         for snap_lo, snap_hi in zip(lo.snapshots, hi.snapshots):
-            dense_lo = np.zeros(int(round(bounds[-1] / cfg.h)) + 1)
-            dense_hi = dense_lo.copy()
-            dense_lo[snap_lo.idx] = snap_lo.weights
-            dense_hi[snap_hi.idx] = snap_hi.weights
-            worst = float((dense_lo - dense_hi).max())
+            worst = float((snap_lo.dense(m) - snap_hi.dense(m)).max())
             if worst > 1e-9:
                 raise SolverError(
                     f"window monotonicity violated by {worst:.3e} between "

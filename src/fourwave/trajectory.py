@@ -1,7 +1,7 @@
 """Trajectory containers shared by the particle simulator and the
-deterministic solver, plus their on-disk formats.  The particle drivers
-fill them through ``particle.MomentRecorder``; nothing here reads a
-particle state.
+deterministic solver, plus their on-disk formats.  Both build them from
+moment rows with ``Trajectory.from_rows``, the particle drivers through
+``particle.MomentRecorder``; nothing here reads a particle state.
 
 Moment traces are CSV with header ``t,W,E,phi,phi2,Lambda`` (Lambda column
 empty for untruncated runs).  A particle run's accepted jumps are held in
@@ -61,6 +61,16 @@ class Trajectory:
     h: float | None = None
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_rows(cls, times, rows, truncated: bool, **kw) -> "Trajectory":
+        """A trajectory from moment rows (W, E, phi, phi2, Lambda, <phi, .> +
+        Lambda), one per sample time; Lambda is the ``overflow`` only when
+        ``truncated``, and ``kw`` sets the other fields."""
+        arr = np.asarray(rows, dtype=float).reshape(-1, 6)
+        return cls(sample_times=times, W=arr[:, 0], E=arr[:, 1], phi=arr[:, 2],
+                   phi2=arr[:, 3], overflow=arr[:, 4].copy() if truncated else None,
+                   conserved_phi=arr[:, 5].copy(), **kw)
+
     @property
     def truncated(self) -> bool:
         return self.overflow is not None
@@ -83,11 +93,13 @@ def save_moments_csv(traj: Trajectory, path) -> None:
 def load_moments_csv(path) -> Trajectory:
     """Read a moment trace written by :func:`save_moments_csv`.
 
-    Raises ValueError on a foreign header, on a row that does not have
-    exactly six fields, and on a field that is not a finite number (naming
-    ``path:line``); an empty Lambda field marks an untruncated row.
+    Raises ValueError on a foreign header or no rows (naming ``path``), and
+    on a row without exactly six fields, a field that is not a finite
+    number, or a Lambda field empty where the rows before have one or the
+    reverse (naming ``path:line``).  Empty Lambda fields mark an untruncated
+    trace; a truncated one gets ``conserved_phi`` = phi + Lambda.
     """
-    rows, lams = [], []
+    rows = []
     truncated = False
     with open(path) as fh:
         header = fh.readline().strip()
@@ -105,13 +117,18 @@ def load_moments_csv(path) -> Trajectory:
                                  f"({exc})") from None
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"{path}:{lineno}: expected finite numbers, got {line!r}")
-            truncated = truncated or bool(parts[5])
-            rows.append(row[:5])
-            lams.append(row[5] if parts[5] else np.nan)
-    arr = np.asarray(rows).reshape(-1, 5)
-    return Trajectory(
-        sample_times=arr[:, 0], W=arr[:, 1], E=arr[:, 2], phi=arr[:, 3],
-        phi2=arr[:, 4], overflow=np.asarray(lams) if truncated else None)
+            if rows and bool(parts[5]) != truncated:
+                raise ValueError(f"{path}:{lineno}: Lambda field {'set' if parts[5] else 'empty'}"
+                                 f", unlike the rows before, in {line!r}")
+            truncated = bool(parts[5])
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no moment rows after the header")
+    arr = np.asarray(rows)
+    lam = arr[:, 5] if truncated else None
+    return Trajectory(sample_times=arr[:, 0], W=arr[:, 1], E=arr[:, 2], phi=arr[:, 3],
+                      phi2=arr[:, 4], overflow=lam,
+                      conserved_phi=None if lam is None else arr[:, 3] + lam)
 
 
 def save_events_jsonl(traj: Trajectory, path) -> None:

@@ -287,6 +287,28 @@ class TestReport:
         assert err.startswith(f"configuration error: {path}:3: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, where", [("", ": no moment rows"),
+                                             ("0,1,1,2,5,\n0.5,1,1,2,5,0.25\n", ":3: Lambda")])
+    def test_rowless_or_mixed_trace_exit2(self, tmp_path, capsys, body, where):
+        path = tmp_path / "moments.csv"
+        path.write_text("t,W,E,phi,phi2,Lambda\n" + body)
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {path}{where}")
+        assert not out.exists()
+
+    def test_truncated_trace_checks_phi_plus_lambda(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--kernel", "product:lambda=1", "--n", "40", "--bound", "1",
+                     "--t-end", "0.2", "--seed", "5", "--h", str(2.0 ** -6),
+                     "--out", str(sim)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["report", str(sim / "moments_r000.csv"), "--out", str(out)]) == 0
+        assert "drift <phi,.>+Lambda n/a" not in capsys.readouterr().out
+        drift = json.loads((out / "conservation.json").read_text())["drift_phi_plus_lambda"]
+        assert drift is not None and drift <= 1e-12
+
 
 class TestOutputRoot:
     def test_env_var_root(self, tmp_path, monkeypatch):

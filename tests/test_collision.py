@@ -267,6 +267,17 @@ class TestGridRoute:
         dense = DiscreteMeasure.from_grid(np.arange(60), rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
         assert q_pairing(dense, PROD1, f) == q_pairing(dense, PROD1, f, method="grid")
 
+    def test_bare_callable_kernel_keeps_direct_route(self):
+        # the grid route needs a Kernel's rank-one terms: a plain function
+        # with the same values takes the direct sum on any measure
+        rng = np.random.default_rng(11)
+        f = lambda x: np.cos(0.7 * np.asarray(x))
+        mu = DiscreteMeasure.from_grid(np.arange(60), rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
+        bare = lambda a, b, c: PROD1(a, b, c)
+        assert len(mu) > collision._DIRECT_BLOCK
+        assert q_pairing(mu, bare, f) == trilinear_pairing(mu, mu, mu, bare, f)
+        assert q_pairing(mu, PROD1, f) == q_pairing(mu, PROD1, f, method="grid")
+
     def test_q_measure_grid_matches_direct(self):
         mu = random_measure(30, grid_h=0.25)
         a = q_measure(mu, PROD1, method="direct")
@@ -429,10 +440,10 @@ class TestFoldedCore:
         expect = {self.SUM2: [(2.0 / 3.0, (2.0, 0.0, 0.0)), (1.0 / 3.0, (0.0, 0.0, 2.0))],
                   self.MIXED: [(1.0, (1.0, 0.5, 0.25))]}
         for spec, terms in expect.items():
-            assert collision._rank_one_terms(w, 0.25, parse_kernel(spec))[0] == terms
+            assert list(collision._grid_constants(len(w), 0.25, parse_kernel(spec))[0]) == terms
         for spec in ("product:lambda=1", "const:c=2"):
             k = parse_kernel(spec)
-            assert collision._rank_one_terms(w, 0.25, k)[0] == k.rank_one_terms()
+            assert collision._grid_constants(len(w), 0.25, k)[0] == k.terms
 
     def test_kernel_keeps_every_term(self):
         third = 1.0 / 3.0
@@ -442,7 +453,7 @@ class TestFoldedCore:
         x1, x2, x3 = np.meshgrid(*[np.linspace(0.0, 3.0, 7)] * 3, indexing="ij")
         for spec, terms in expect.items():
             k = parse_kernel(spec)
-            assert k.rank_one_terms() == terms
+            assert list(k.terms) == terms
             want = 0.0
             for coef, (e1, e2, e3) in terms:
                 want = want + coef * x1 ** e1 * x2 ** e2 * x3 ** e3
@@ -455,7 +466,8 @@ class TestFoldedCore:
         a = q_measure(mu, k, method="direct")
         assert tv_norm(q_measure(mu, k, method="grid") - a) <= 1e-11 * max(1.0, tv_norm(a))
         # the same scatter from a stack, which takes the rfft path
-        w, h = collision._dense_vector(mu)
+        c = mu.compact()
+        w, h = c.dense(int(c.idx.max()) + 1), c.h
         rows = np.stack([w, 0.5 * w])
         parts = grid_interaction_parts(rows, h, k, bound_idx=None)
         for r, scale in enumerate((1.0, 0.125)):  # Q is cubic: Q(w / 2) = Q(w) / 8
@@ -538,7 +550,7 @@ class TestGridConstantCache:
         assert collision._grid_constants.cache_info().currsize == len(runs)
         for h, k in runs:
             terms, powers, phi_out = collision._grid_constants(m, h, k)
-            assert terms == tuple(collision._rank_one_terms(w, h, k)[0])
+            assert terms == collision._grid_constants(m + 1, h, k)[0]
             for e, x in powers.items():
                 assert np.array_equal(x, (np.arange(m) * h) ** e)
             assert np.array_equal(phi_out, np.arange(m, 2 * m - 1) * h + 1.0)

@@ -276,7 +276,7 @@ class TestWeights:
 class TestParser:
     def test_round_trip(self):
         for spec in ["product:lambda=1", "sum:lambda=2", "mixed:p=1,q=0,r=0", "const:c=1"]:
-            assert parse_kernel(spec).spec_string() == spec
+            assert parse_kernel(spec).spec == spec
 
     def test_unknown_family(self):
         with pytest.raises(KernelSpecError, match="unknown kernel family 'frob'"):

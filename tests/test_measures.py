@@ -194,6 +194,40 @@ class TestCompactAndGrid:
             _ = a + b
 
 
+class TestDenseVector:
+    def test_round_trip(self):
+        w = np.array([0.0, 0.5, 0.0, 0.0, 1.0 / 3.0, -2.0, 0.0])
+        mu = DiscreteMeasure.from_dense(w, 0.25)
+        assert mu.is_grid and mu.h == 0.25
+        assert mu.idx.tolist() == [1, 4, 5] and mu.weights.tolist() == [0.5, 1.0 / 3.0, -2.0]
+        assert np.array_equal(mu.dense(len(w)), w)
+        again = DiscreteMeasure.from_dense(mu.dense(len(w)), 0.25)
+        assert np.array_equal(again.idx, mu.idx) and np.array_equal(again.weights, mu.weights)
+
+    def test_duplicates_summed_as_add_at(self):
+        idx = RNG.integers(0, 6, size=40)
+        weights = RNG.uniform(-1.0, 1.0, size=40) / 3.0
+        mu = DiscreteMeasure.from_grid(idx, weights, 0.5)
+        want = np.zeros(9)
+        for i, x in zip(mu.idx.tolist(), mu.weights.tolist()):  # in atom order
+            want[i] += x
+        assert np.array_equal(mu.dense(9), want)
+
+    def test_zero_entries_dropped(self):
+        mu = DiscreteMeasure.from_dense([0.0, -0.0, 2.0, 0.0], 1.0)
+        assert mu.idx.tolist() == [2] and mu.weights.tolist() == [2.0]
+
+    def test_empty(self):
+        mu = DiscreteMeasure.from_dense(np.zeros(5), 0.5)
+        assert len(mu) == 0 and mu.h == 0.5
+        assert np.array_equal(mu.dense(3), np.zeros(3))
+        assert np.array_equal(DiscreteMeasure.zero(0.5).dense(4), np.zeros(4))
+
+    def test_points_mode_refused(self):
+        with pytest.raises(ValueError, match="grid-mode"):
+            DiscreteMeasure.from_points([0.5, 1.0], [1.0, 1.0]).dense(4)
+
+
 class TestCsv:
     def test_round_trip_continuous(self, tmp_path):
         mu = random_measure(20)

@@ -455,6 +455,12 @@ class TestSimulate:
         assert len(traj.events) == 0
         assert np.all(traj.E == traj.E[0])
 
+    def test_kernel_recorded_by_type(self):
+        st = init(32, exp_measure(), 2.0 ** -6, seed=2)
+        bare = lambda a, b, c: PROD1(a, b, c)
+        assert simulate(st, PROD1, AFFINE, 0.1, seed=9).meta["kernel"] == "product:lambda=1"
+        assert simulate(st, bare, AFFINE, 0.1, seed=9).meta["kernel"] == "custom"
+
     def test_determinism_same_seed(self):
         st = init(64, exp_measure(), 2.0 ** -6, seed=2)
         a = simulate(st, PROD1, AFFINE, 0.5, seed=11, stream=3, record_events=True)

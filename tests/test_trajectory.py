@@ -66,12 +66,32 @@ class TestMomentsCsv:
                 load_moments_csv(path)
 
     def test_empty_lambda_marks_untruncated_row(self, tmp_path):
+        # empty Lambda fields mark an untruncated trace; one that mixes
+        # empty and set fields is refused at its first row that differs
         path = tmp_path / "moments.csv"
-        path.write_text("t,W,E,phi,phi2,Lambda\n0,1,1,2,5,\n0.5,1,1,2,5,0.25\n")
-        back = load_moments_csv(path)
-        assert back.truncated and back.overflow[1] == 0.25 and np.isnan(back.overflow[0])
         path.write_text("t,W,E,phi,phi2,Lambda\n0,1,1,2,5,\n")
         assert not load_moments_csv(path).truncated
+        for body, odd in (("0,1,1,2,5,\n0.5,1,1,2,5,0.25\n", "set"),
+                          ("0,1,1,2,5,0.25\n0.5,1,1,2,5,\n", "empty")):
+            path.write_text("t,W,E,phi,phi2,Lambda\n" + body)
+            with pytest.raises(ValueError, match=f"{path}:3: Lambda field {odd}"):
+                load_moments_csv(path)
+
+    def test_header_without_rows_refused(self, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_text("t,W,E,phi,phi2,Lambda\n")
+        with pytest.raises(ValueError, match=f"{path}: no moment rows"):
+            load_moments_csv(path)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_conserved_phi_of_a_truncated_trace(self, tmp_path, truncated):
+        path = tmp_path / "moments.csv"
+        save_moments_csv(trace(truncated), path)
+        back = load_moments_csv(path)
+        if truncated:
+            assert np.array_equal(back.conserved_phi, back.phi + back.overflow)
+        else:
+            assert back.conserved_phi is None
 
 
 class TestEventsJsonl:
