@@ -29,10 +29,14 @@ Two evaluation routes exist:
   value does not depend on the other rows.  The grid extent has no
   upper limit.  Both routes compute the same sum; the grid route is what
   makes the large-n workloads tractable and it is cross-checked against
-  the direct route in the test-suite.
+  the direct route in the test-suite.  ``method="auto"`` takes it for a
+  grid measure and a :class:`Kernel` whenever it is the cheaper one.
 
 The bracket vanishes identically for affine f: mass and energy are
-conserved, and the grid closure under w1 + w2 - w3 makes that exact.
+conserved, and the grid closure under w1 + w2 - w3 makes that exact.  The
+direct route sums each bracket; the grid route first subtracts f's affine
+interpolant on the grid.  So for f = a + b*w on a dyadic grid both routes
+give exactly 0.
 """
 
 from __future__ import annotations
@@ -119,12 +123,10 @@ def trilinear_pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: DiscreteMea
 
 def q_pairing(mu: DiscreteMeasure, kernel, f, method: str = "auto") -> float:
     """<f, Q(mu, mu, mu)> for a finite atomic (possibly signed) measure."""
-    if method == "grid" or (method == "auto" and _grid_eligible(mu, kernel)):
-        mu = mu.compact()
-        w = mu.dense(int(mu.idx.max(initial=0)) + 1)
-        fvec = np.asarray(f(np.arange(2 * len(w) - 1) * mu.h), dtype=float)
-        return grid_q_counting(w, mu.h, kernel, fvec, None)
-    return trilinear_pairing(mu, mu, mu, kernel, f)
+    top = _grid_top(mu, kernel, method)
+    if top is None:
+        return trilinear_pairing(mu, mu, mu, kernel, f)
+    return _grid_pairing(mu, top, kernel, f, None)
 
 
 def counting_correction(x: DiscreteMeasure, kernel, f, n: int) -> float:
@@ -154,13 +156,17 @@ def q_counting(x: DiscreteMeasure, kernel, f, n: int, method: str = "auto") -> f
     correction.  ``n`` must match the particle count encoded in the
     weights (multiplicities allowed): every count n * weight must be a
     whole number to within 1e-9 of itself (at least 1e-9), and the counts
-    must sum to n.
+    must sum to n.  The direct route subtracts ``counting_correction`` from
+    the triple sum; the grid route evaluates the diagonal in the grid core.
     """
     counts = x.weights * n
     whole = np.abs(counts - np.rint(counts)) <= 1e-9 * np.maximum(counts, 1.0)
     if not whole.all() or round(float(counts.sum())) != n:
         raise ValueError(f"weights are not multiplicities of 1/{n} particles")
-    return q_pairing(x, kernel, f, method=method) - counting_correction(x, kernel, f, n)
+    top = _grid_top(x, kernel, method)
+    if top is None:
+        return trilinear_pairing(x, x, x, kernel, f) - counting_correction(x, kernel, f, n)
+    return _grid_pairing(x, top, kernel, f, n)
 
 
 def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeasure:
@@ -176,9 +182,9 @@ def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeas
     mu = mu.compact()
     if len(mu) == 0:
         return DiscreteMeasure.zero(mu.h)
-    if method == "grid" or (method == "auto"
-                            and _grid_eligible(mu, kernel, _MEASURE_TRIPLE_COST)):
-        w = mu.dense(int(mu.idx.max()) + 1)
+    top = _grid_top(mu, kernel, method, _MEASURE_TRIPLE_COST)
+    if top is not None:
+        w = mu.dense(top + 1)
         parts = grid_interaction_parts(w, mu.h, kernel, bound_idx=None)
         dw = parts.gain
         dw[: len(w)] -= parts.loss_rate * w
@@ -294,17 +300,38 @@ _FFT_CROSSOVER = 640
 
 # The grid route costs about _GRID_COST * M log2 M against the direct
 # route's m^3 (m atoms, grid extent M), in units of one ordered triple of
-# q_pairing: its break-even measured 0.5-1.2 (product) and 1-3.5 (sum,
-# mixed) for m = 50-120, M = 257-131073 on a 2-core x86-64 host.
+# q_pairing.  On a 2-core x86-64 host (numpy 2.4) the break-even read
+# 0.5-1.2 (product) and 1-3.5 (sum, mixed) for m = 50-120, M = 257-131073;
+# for q_pairing and q_counting at m = 8-48, M = 8-4097 it read about 1
+# (product, mixed) and 1.3-4.5 (sum), and below m = 8 both routes cost
+# 20-50 us, mostly call overhead.  Over those m = 2-48 cases 1.0 came
+# within 1.5% of the faster route's summed time, 1.5 within 9%.
 # q_measure's direct route costs _MEASURE_TRIPLE_COST times more per triple.
-_GRID_COST, _MEASURE_TRIPLE_COST = 1.5, 10.0
+_GRID_COST, _MEASURE_TRIPLE_COST = 1.0, 10.0
 
 
-def _grid_eligible(mu: DiscreteMeasure, kernel, triple_cost: float = 1.0) -> bool:
-    if not (mu.is_grid and isinstance(kernel, Kernel) and len(mu) > _DIRECT_BLOCK):
-        return False
-    extent = int(mu.idx.max()) + 1
-    return _GRID_COST * extent * math.log2(extent) < triple_cost * len(mu) ** 3
+def _grid_top(mu: DiscreteMeasure, kernel, method: str, triple_cost: float = 1.0) -> int | None:
+    """mu's top grid index if ``method`` sends mu to the grid route, else
+    None: "grid" always (a continuous-mode mu raises ValueError), "auto"
+    for a nonempty grid measure and a Kernel by the cost rule above."""
+    if method == "grid":
+        if not mu.is_grid:
+            raise ValueError("the grid route needs a grid-mode measure (grid closure)")
+        return int(mu.idx.max(initial=0))
+    if method != "auto" or not (mu.is_grid and isinstance(kernel, Kernel) and len(mu)):
+        return None
+    top = int(mu.idx.max())
+    return top if _GRID_COST * (top + 1) * math.log2(top + 1) < triple_cost * len(mu) ** 3 else None
+
+
+def _grid_pairing(mu: DiscreteMeasure, top: int, kernel: Kernel, f, n: int | None) -> float:
+    """grid_q_counting on mu's dense weight vector, over the extent of its
+    compacted atoms (atoms at one site sum as compact() sums them)."""
+    w = mu.dense(top + 1)
+    if w[-1] == 0.0:  # the top site's atoms cancel: compact() would drop it
+        w = w[:int(np.flatnonzero(w).max(initial=0)) + 1]
+    fvec = np.asarray(f(np.arange(2 * len(w) - 1) * mu.h), dtype=float)
+    return grid_q_counting(w, mu.h, kernel, fvec, n)
 
 
 # Grid values (rows times M) per stacked call of the grid core in picard
@@ -406,7 +433,10 @@ def grid_q_counting(w: np.ndarray, h: float, kernel: Kernel, fvec: np.ndarray,
     if m == 0:
         return 0.0 if w.ndim == 1 else np.zeros(w.shape[:-1])
     smax = 2 * m - 1
-    f = fvec[:smax]
+    # the bracket annihilates a + b w, so f less its affine interpolant
+    # through sites 0 and 1 gives the same sum, and an affine f on a dyadic
+    # grid leaves exactly 0 on every path
+    f = fvec[:smax] - (fvec[0] + (fvec[1] - fvec[0] if smax > 1 else 0.0) * np.arange(smax))
     fm = f[:m]
     terms, powers, _ = _grid_constants(m, h, kernel)
     slots = {e: x * w for e, x in powers.items()}

@@ -534,8 +534,10 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
 
     The path's states are evaluated in blocks.  States with more than 32
     occupied sites and a :class:`Kernel` take the grid route, one stacked
-    grid_q_counting call per block; the others the direct triple sum, which
-    keeps the bracket cancellations bit-exact.  No value depends on the block size.
+    grid_q_counting call per block; every other state is one q_counting
+    call, which picks its route by cost (for a bare callable kernel, the
+    direct triple sum).  An affine f gives exactly 0 on either route.  No
+    value depends on the block size.
     """
     ev = traj.events
     if ev is None or traj.initial_idx is None:

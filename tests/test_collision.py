@@ -278,6 +278,42 @@ class TestGridRoute:
         assert q_pairing(mu, bare, f) == trilinear_pairing(mu, mu, mu, bare, f)
         assert q_pairing(mu, PROD1, f) == q_pairing(mu, PROD1, f, method="grid")
 
+    def test_grid_route_refuses_continuous_mode(self):
+        mu = DiscreteMeasure.from_points([0.5, 1.5], [0.5, 0.5])
+        f = lambda x: np.cos(np.asarray(x))
+        with pytest.raises(ValueError, match="grid-mode"):
+            q_pairing(mu, PROD1, f, method="grid")
+        with pytest.raises(ValueError, match="grid-mode"):
+            q_counting(mu, PROD1, f, 2, method="grid")
+
+    def test_grid_route_reads_uncompacted_atoms(self):
+        # repeated sites sum, and a top site whose atoms cancel leaves the
+        # extent of the compacted measure, so the bits are compact()'s
+        f = lambda x: np.cos(0.7 * np.asarray(x))
+        mu = DiscreteMeasure.from_grid([1, 3, 3, 9, 9], [0.5, 0.3, 0.4, 0.2, -0.2], 0.25)
+        assert q_pairing(mu, PROD1, f, method="grid") == q_pairing(mu.compact(), PROD1, f,
+                                                                    method="grid")
+        x = DiscreteMeasure.from_grid([2, 5, 5, 11], [0.25, 0.25, 0.5, 0.0], 0.25)
+        assert q_counting(x, PROD1, f, 4, method="grid") == q_counting(x.compact(), PROD1, f, 4,
+                                                                        method="grid")
+
+    @pytest.mark.parametrize("m, extent", [(2, 3), (3, 8), (5, 16), (8, 40), (16, 130),
+                                           (32, 130), (48, 257)])
+    def test_auto_route_matches_direct_for_few_atoms(self, m, extent):
+        # the martingale's small states: every case takes the grid route
+        rng = np.random.default_rng(m)
+        n = 5 * m
+        sites = np.append(rng.choice(extent - 1, size=m - 1, replace=False), extent - 1)
+        counts = 1 + rng.multinomial(n - m, np.full(m, 1.0 / m))
+        x = DiscreteMeasure.from_grid(sites, counts / n, 2.0 ** -3)
+        for spec in ("product:lambda=1", "sum:lambda=1", "mixed:p=1,q=0.5,r=0.25"):
+            k = parse_kernel(spec)
+            assert collision._grid_top(x, k, "auto") == extent - 1
+            for f in (lambda v: np.cos(np.asarray(v)),
+                      lambda v: np.tanh(np.asarray(v, dtype=float) - 1.0)):
+                ref = q_counting(x, k, f, n, method="direct")
+                assert abs(q_counting(x, k, f, n) - ref) <= 1e-12 * abs(ref), spec
+
     def test_q_measure_grid_matches_direct(self):
         mu = random_measure(30, grid_h=0.25)
         a = q_measure(mu, PROD1, method="direct")
@@ -417,6 +453,21 @@ class TestStackedCore:
             if m >= collision._FFT_CROSSOVER:
                 # a vector from the crossover on is a one-row stack
                 assert grid_q_counting(w[0], h, k, fvec, n) == got[0]
+
+    @pytest.mark.parametrize("m", [5, 257, 639, 640, 2049])
+    @pytest.mark.parametrize("spec", KERNELS[:3])
+    def test_affine_f_gives_exact_zero(self, m, spec):
+        # f less its affine interpolant is exactly 0 on a dyadic grid, on
+        # the np.convolve, one-row rfft and stacked rfft paths alike
+        k = parse_kernel(spec)
+        h = 2.0 ** -6
+        w, _, _ = self.stack(m)
+        grid = np.arange(2 * m - 1) * h
+        for fvec in (1.0 + grid, 2.0 + 3.0 * grid):
+            for n in (None, 1000):
+                assert np.all(grid_q_counting(w, h, k, fvec, n) == 0.0)
+                for row in w:
+                    assert grid_q_counting(row, h, k, fvec, n) == 0.0
 
     def test_leading_axes(self):
         w, _, _ = self.stack(257)

@@ -991,9 +991,10 @@ class TestMartingale:
         return np.array(mvals + [f_now - f0 - integral]), unchanged
 
     def test_direct_route_matches_per_jump_loop(self):
-        # up to 32 occupied sites every state takes the direct route, and
-        # the blocks, the copies of unchanged states and the cumulative
-        # sums give the loop's values bit for bit
+        # up to 32 occupied sites every state is one q_counting call on the
+        # route its cost picks, as in the loop, and the blocks, the copies
+        # of unchanged states and the cumulative sums give the loop's values
+        # bit for bit
         f = lambda x: np.tanh(np.asarray(x, dtype=float) - 1.0)
         for seed in (1, 2, 3):
             st = init(60, exp_measure(seed=seed, h=2.0 ** -3), 2.0 ** -3, seed=seed)
@@ -1001,6 +1002,18 @@ class TestMartingale:
             ref, unchanged = self.per_jump_reference(traj, f, PROD1)
             assert len(traj.events) > 20 and unchanged > 0
             assert np.array_equal(extract_martingale(traj, f, PROD1)[1], ref)
+
+    def test_bare_callable_route_matches_per_jump_loop(self):
+        # a bare callable kernel keeps every state on the direct triple sum,
+        # which the loop pins bit for bit
+        f = lambda x: np.tanh(np.asarray(x, dtype=float) - 1.0)
+        bare = lambda x1, x2, x3: PROD1(x1, x2, x3)
+        for seed in (1, 2, 3):
+            st = init(60, exp_measure(seed=seed, h=2.0 ** -3), 2.0 ** -3, seed=seed)
+            traj = simulate(st, PROD1, AFFINE, 3.0, seed=seed, record_events=True, precheck=False)
+            ref, unchanged = self.per_jump_reference(traj, f, bare)
+            assert len(traj.events) > 20 and unchanged > 0
+            assert np.array_equal(extract_martingale(traj, f, bare)[1], ref)
 
     def test_ensemble_mean_zero(self):
         st = init(20, exp_measure(), 2.0 ** -4, seed=5)
