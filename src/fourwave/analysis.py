@@ -194,8 +194,8 @@ class MartingaleReport:
         return "\n".join(lines)
 
 
-def martingale_stats(ensembles: dict[int, list[Trajectory]], f, kernel: Kernel,
-                     f_sup: float | None = None) -> MartingaleReport:
+def martingale_stats(ensembles: dict[int, list[Trajectory]], f,
+                     kernel: Kernel) -> MartingaleReport:
     """Per-replica sup_t |M_t|^2 via the exact pathwise decomposition.
 
     The comparison constant is the kernel maximum over the reachable
@@ -218,10 +218,9 @@ def martingale_stats(ensembles: dict[int, list[Trajectory]], f, kernel: Kernel,
         sups = np.asarray(sups)
         estimates.append(float(sups.mean()))
         stderrs.append(float(sups.std(ddof=1) / math.sqrt(len(sups))))
-    if f_sup is None:
-        mesh = np.linspace(0.0, max(traj.n * traj.E[0] for trs in ensembles.values()
-                                    for traj in trs), 4097)
-        f_sup = float(np.max(np.abs(np.asarray(f(mesh), dtype=float))))
+    mesh = np.linspace(0.0, max(traj.n * traj.E[0] for trs in ensembles.values()
+                                for traj in trs), 4097)
+    f_sup = float(np.max(np.abs(np.asarray(f(mesh), dtype=float))))
     bounds = [32.0 * f_sup ** 2 * lam_bound ** 2 * t_end / n for n in ns]
     slope, stderr = _safe_slope(ns, estimates)
     return MartingaleReport(ns, estimates, stderrs, bounds, slope, stderr,

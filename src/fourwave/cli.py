@@ -6,10 +6,13 @@ Subcommands: ``simulate``, ``solve``, ``compare``, ``validate``,
 version; replaying it with ``--manifest`` reproduces the artifact
 directory bit for bit (no timestamps are recorded).  ``picard`` writes a
 manifest that no command reads back (it has no ``--manifest``);
-``compare``, ``validate`` and ``report`` write none.  Exit codes: 0
-success, 2 configuration error (an input file that cannot be read
-included), 3 runtime error (for instance a sub-multiplicativity abort or a
-failed validation).
+``compare``, ``validate`` and ``report`` write none.  A replay and
+``compare`` read a manifest through one reader, which refuses another
+tool's or command's manifest, an unknown key and a mistyped value (even
+one a flag overrides); ``compare`` reads the snapshot files it names.
+Exit codes: 0 success, 2 configuration error (an input file that cannot
+be read included), 3 runtime error (for instance a sub-multiplicativity
+abort or a failed validation).
 
 ``simulate``, ``solve`` and ``picard`` take the grid of a grid-mode,
 nonnegative ``--initial`` file and refuse any other ``--h``.  Every number
@@ -65,17 +68,6 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
                 "command": command, "config": config}, outdir / "manifest.json")
 
 
-def _load_manifest_config(path: str | None, command: str) -> dict:
-    """The config of a ``command`` manifest written by this tool; {} for None."""
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not (isinstance(data, dict) and data.get("tool") == "fourwave"
-            and data.get("command") == command and isinstance(data.get("config"), dict)):
-        raise CliConfigError(f"{path} is not a fourwave {command} manifest")
-    return data["config"]
-
-
 def _require_counts(cfg: dict, keys: list[str]) -> None:
     for key in keys:
         if cfg[key] < 1:
@@ -83,9 +75,9 @@ def _require_counts(cfg: dict, keys: list[str]) -> None:
 
 
 def _manifest_value(action: argparse.Action, key: str, val):
-    """A manifest value as its flag would give it: a bool for a switch, an
-    int for an int flag, an int or float (as a float) for a float flag, one
-    of the choices or a string otherwise; a bool is no number."""
+    """A value as its flag gives it: a bool for a switch, an int for an int
+    flag, a finite int or float (as a float) for a float flag, one of the
+    choices or a string otherwise; a bool is no number."""
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if action.const is True:
         want, ok = "true or false", isinstance(val, bool)
@@ -98,30 +90,44 @@ def _manifest_value(action: argparse.Action, key: str, val):
     else:
         want, ok = "a string", isinstance(val, str)
     try:
-        if ok:
-            return action.type(val) if action.type else val
+        typed = action.type(val) if ok and action.type else val
     except OverflowError:  # an int too large for a float
-        pass
-    raise CliConfigError(f"manifest key {key!r} must be {want}, got {val!r}")
+        ok = False
+    if not ok:
+        raise CliConfigError(f"manifest key {key!r} must be {want}, got {val!r}")
+    if isinstance(typed, float) and not math.isfinite(typed):
+        raise CliConfigError(f"--{key.replace('_', '-')} must be finite, got {typed}")
+    return typed
+
+
+def _read_manifest(path, runs: dict) -> tuple[str, dict]:
+    """(command, config) of a manifest this tool wrote for one of ``runs``
+    (each command's flags by key): an unknown key is refused, null values
+    are dropped and every other value goes through :func:`_manifest_value`."""
+    data = json.loads(Path(path).read_text())
+    command = data.get("command") if isinstance(data, dict) else None
+    if not (isinstance(command, str) and command in runs and data.get("tool") == "fourwave"
+            and isinstance(data.get("config"), dict)):
+        raise CliConfigError(f"{path} is not a fourwave {' or '.join(runs)} manifest")
+    flags, cfg = runs[command], data["config"]
+    unknown = set(cfg) - set(flags)
+    if unknown:
+        raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
+    return command, {key: _manifest_value(flags[key], key, cfg[key])
+                     for key in sorted(cfg) if cfg[key] is not None}
 
 
 def _merge_config(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """One key per flag of ``command`` but ``--manifest`` and ``--out``: a
     passed flag overrides the ``--manifest`` config, which overrides
-    ``defaults``; a null value counts as unset.  A manifest value must have
-    its flag's type (see :func:`_manifest_value`).  Floats must be finite."""
-    manifest_cfg = _load_manifest_config(getattr(args, "manifest", None), command)
-    unknown = set(manifest_cfg) - set(args.flags)
-    if unknown:
-        raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
+    ``defaults``; a null value counts as unset."""
+    path = getattr(args, "manifest", None)
+    manifest = _read_manifest(path, {command: args.flags})[1] if path else {}
     cfg = {}
-    for key in sorted(args.flags):
+    for key, action in sorted(args.flags.items()):
         val = getattr(args, key)
-        if val is None and manifest_cfg.get(key) is not None:
-            val = _manifest_value(args.flags[key], key, manifest_cfg[key])
+        val = manifest.get(key) if val is None else _manifest_value(action, key, val)
         cfg[key] = defaults.get(key) if val is None else val
-        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
-            raise CliConfigError(f"--{key.replace('_', '-')} must be finite, got {cfg[key]}")
     if cfg["kernel"] is None:
         raise CliConfigError("--kernel is required")
     return cfg
@@ -281,25 +287,25 @@ def cmd_solve(args) -> int:
 # compare
 # --------------------------------------------------------------------------
 
-def _load_run_snapshots(run_dir: Path) -> tuple[dict, list[list[DiscreteMeasure]], np.ndarray]:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    cfg = manifest["config"]
-    times = _sample_times(cfg["t_end"], cfg["samples"])
-    if manifest["command"] == "solve":
-        snaps = [[load_measure_csv(run_dir / f"snap_t{k:03d}.csv")
-                  for k in range(len(times))]]
-    else:
-        snaps = []
-        stream = 0
-        while (run_dir / f"snap_r{stream:03d}_t000.csv").exists():
-            snaps.append([load_measure_csv(run_dir / f"snap_r{stream:03d}_t{k:03d}.csv")
-                          for k in range(len(times))])
-            stream += 1
-    return cfg, snaps, times
-
-
-def _as_trajectory(snapshots: list[DiscreteMeasure], times: np.ndarray) -> Trajectory:
-    return Trajectory.from_rows(times, np.zeros((len(times), 6)), False, snapshots=snapshots)
+def _run_trajectories(d: str, runs: dict) -> tuple[int, list[Trajectory]]:
+    """n and the snapshot trajectories of the run in ``d``, named by its
+    manifest: ``snap_tKKK.csv`` for a solve (n = 1), ``snap_rRRR_tKKK.csv``
+    for each replica R of a ``simulate --snapshots`` run, K < samples."""
+    if not Path(d).is_dir():
+        raise CliConfigError(f"missing run directory {d!r}")
+    command, cfg = _read_manifest(Path(d) / "manifest.json", runs)
+    try:
+        times = _sample_times(cfg["t_end"], cfg["samples"])
+        n, stems = (1, ["snap_"]) if command == "solve" else (cfg["n"], [
+            f"snap_r{r:03d}_" for r in range(cfg["replicas"] if cfg["snapshots"] else 0)])
+    except KeyError as exc:
+        raise CliConfigError(f"the manifest in {d!r} sets no {exc}") from None
+    if not stems:
+        raise CliConfigError(f"no snapshots in {d!r} (rerun with --snapshots)")
+    snapshots = [[load_measure_csv(Path(d) / f"{stem}t{k:03d}.csv") for k in range(len(times))]
+                 for stem in stems]
+    return n, [Trajectory.from_rows(times, np.zeros((len(times), 6)), False, snapshots=s)
+               for s in snapshots]
 
 
 def cmd_compare(args) -> int:
@@ -308,24 +314,14 @@ def cmd_compare(args) -> int:
     reference's sample times and truncation (``simulate --bound B`` against
     ``solve --bound B``): untruncated ensembles against a truncated
     reference measure the truncation, not the mean-field error."""
-    for d in args.ensembles.split(",") + [args.reference]:
-        if not Path(d).is_dir():
-            raise CliConfigError(f"missing run directory {d!r}")
-    ref_cfg, ref_snaps, ref_times = _load_run_snapshots(Path(args.reference))
-    reference = _as_trajectory(ref_snaps[0], ref_times)
+    reference = _run_trajectories(args.reference, args.runs)[1][0]
     ensembles, dirs = {}, {}
     for d in args.ensembles.split(","):
-        cfg, snaps, times = _load_run_snapshots(Path(d))
-        n = cfg.get("n") or 1
+        n, trajs = _run_trajectories(d, args.runs)
         if n in dirs:
             raise CliConfigError(f"ensembles {dirs[n]!r} and {d!r} both have n={n}: "
                                  "each particle count may appear once")
-        dirs[n] = d
-        if len(times) != len(ref_times) or np.max(np.abs(times - ref_times)) > 1e-12:
-            raise CliConfigError("sample-time grids of ensemble and reference differ")
-        if not snaps:
-            raise CliConfigError(f"no snapshots found in {d!r} (rerun with --snapshots)")
-        ensembles[n] = [_as_trajectory(s, times) for s in snaps]
+        dirs[n], ensembles[n] = d, trajs
     report = mean_field_convergence(ensembles, reference, parse_weight("affine"))
     outdir = Path(args.out) if args.out else _output_root() / "compare"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -393,10 +389,7 @@ def cmd_picard(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    path = Path(args.moments)
-    if not path.exists():
-        raise CliConfigError(f"no moment trace at {path}")
-    rep = conservation_report(load_moments_csv(path))
+    rep = conservation_report(load_moments_csv(args.moments))
     print(rep.to_text())
     if args.out:
         outdir = Path(args.out)
@@ -479,6 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # a run's keys and their types: every flag but --manifest and --out
         run.set_defaults(flags={a.dest: a for a in run._actions
                                 if a.dest not in ("help", "manifest", "out")})
+    cmp_.set_defaults(runs={"simulate": sim.get_default("flags"),
+                            "solve": sol.get_default("flags")})
 
     rep = sub.add_parser("report", help="conservation report from a moment trace")
     rep.add_argument("moments", help="path to a moments CSV")

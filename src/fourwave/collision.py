@@ -312,13 +312,18 @@ _GRID_COST, _MEASURE_TRIPLE_COST = 1.0, 10.0
 
 def _grid_top(mu: DiscreteMeasure, kernel, method: str, triple_cost: float = 1.0) -> int | None:
     """mu's top grid index if ``method`` sends mu to the grid route, else
-    None: "grid" always (a continuous-mode mu raises ValueError), "auto"
-    for a nonempty grid measure and a Kernel by the cost rule above."""
+    None: "grid" always (a continuous-mode mu or a bare callable kernel
+    raises ValueError), "direct" never, "auto" for a nonempty grid measure
+    and a Kernel by the cost rule above; any other method raises ValueError."""
+    if method not in ("auto", "grid", "direct"):
+        raise ValueError(f"method must be 'auto', 'grid' or 'direct', got {method!r}")
     if method == "grid":
         if not mu.is_grid:
             raise ValueError("the grid route needs a grid-mode measure (grid closure)")
+        if not isinstance(kernel, Kernel):
+            raise ValueError("the grid route needs a Kernel, not a bare callable")
         return int(mu.idx.max(initial=0))
-    if method != "auto" or not (mu.is_grid and isinstance(kernel, Kernel) and len(mu)):
+    if method == "direct" or not (mu.is_grid and isinstance(kernel, Kernel) and len(mu)):
         return None
     top = int(mu.idx.max())
     return top if _GRID_COST * (top + 1) * math.log2(top + 1) < triple_cost * len(mu) ** 3 else None

@@ -13,11 +13,11 @@ They are the rows of one table, ``_FAMILIES``: a family's fields in spec
 order, and its rank-one (separable) terms ``coef * w1**e1 * w2**e2 *
 w3**e3`` and degree as functions of the fields.  :func:`parse_kernel` is
 the only constructor and the only reader of the table; a :class:`Kernel`
-keeps its terms, degree and normalised spec, and the fast grid evaluators
-in :mod:`fourwave.collision` and :mod:`fourwave.solver` read its terms.
-Fields must be finite and nonnegative, hence so are all coefficients and
-exponents: every kernel is nondecreasing in each argument, and continuous
-on the octant by construction (not machine-checked).
+keeps its terms, degree and normalised spec, and only
+:mod:`fourwave.collision` reads its terms.  Fields must be finite and
+nonnegative, hence so are all coefficients and exponents: every kernel is
+nondecreasing in each argument, and continuous on the octant by
+construction (not machine-checked).
 
 The structural hypotheses the rest of the package relies on (symmetry,
 homogeneity, sub-multiplicative domination by a weight function) each have

@@ -22,7 +22,7 @@ explicit operator constant computed in :func:`picard_constant`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -233,9 +233,7 @@ def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
     for b in bounds:
         inner, outer = mu0.restricted(b)
         lam0 = moment(outer, AFFINE)
-        sub = SolverConfig(method=cfg.method, dt=cfg.dt, t_end=cfg.t_end, bound=b,
-                           h=cfg.h, sample_times=cfg.sample_times)
-        runs.append(solve_truncated(inner, lam0, kernel, sub))
+        runs.append(solve_truncated(inner, lam0, kernel, replace(cfg, bound=b)))
     for lo, hi, b in zip(runs, runs[1:], bounds):
         for snap_lo, snap_hi in zip(lo.snapshots, hi.snapshots):
             worst = float((snap_lo.dense(m) - snap_hi.dense(m)).max())

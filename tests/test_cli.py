@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,47 @@ class TestCompare:
         report = json.loads((out / "convergence.json").read_text())
         assert report["n"] == [100]
         assert all(e > 0 for e in report["errors"]["100"])
+
+    def test_unreadable_run_refused(self, tmp_path, capsys):
+        # each run directory is read through its manifest: one that is no
+        # simulate or solve manifest, lacks or mistypes a key, or names a
+        # snapshot file that is not there exits 2, naming what is wrong
+        h = str(2.0 ** -6)
+        ref, ens, bare, pic = (tmp_path / name for name in ("ref", "ens", "bare", "pic"))
+        assert main(["solve", "--kernel", "const:c=0", "--t-end", "0.2", "--dt", "0.05",
+                     "--samples", "3", "--h", h, "--out", str(ref)]) == 0
+        sim = ["simulate", "--kernel", "const:c=0", "--n", "20", "--t-end", "0.2", "--seed", "1",
+               "--h", h, "--samples", "3", "--replicas", "2"]
+        assert main(sim + ["--snapshots", "--out", str(ens)]) == 0
+        assert main(sim + ["--out", str(bare)]) == 0
+        assert main(["picard", "--kernel", "product:lambda=1", "--out", str(pic)]) == 0
+
+        def edited(name, edit):
+            run = tmp_path / name
+            shutil.copytree(ens, run)
+            manifest = json.loads((run / "manifest.json").read_text())
+            edit(manifest)
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            return run
+
+        no_config = edited("no-config", lambda m: m.pop("config"))
+        no_t_end = edited("no-t-end", lambda m: m["config"].pop("t_end"))
+        text = edited("text", lambda m: m["config"].update(samples="17"))
+        more = edited("more", lambda m: m["config"].update(samples=4))
+        cases = {
+            "picard": ([pic], ref, f"{pic / 'manifest.json'} is not a fourwave simulate or "
+                                   "solve manifest"),
+            "no-config": ([ens], no_config, f"{no_config / 'manifest.json'} is not a fourwave"),
+            "no-t-end": ([no_t_end], ref, f"the manifest in {str(no_t_end)!r} sets no 't_end'"),
+            "text": ([ens, text], ref, "manifest key 'samples' must be an integer, got '17'"),
+            "no-snapshots": ([ens], bare, f"no snapshots in {str(bare)!r}"),
+            "missing-file": ([more], ref, f"No such file or directory: "
+                                          f"'{more / 'snap_r000_t003.csv'}'"),
+        }
+        capsys.readouterr()
+        for name, (ensembles, reference, named) in cases.items():
+            argv = ["compare", ",".join(map(str, ensembles)), str(reference)]
+            assert named in _refused(argv, tmp_path / "out", capsys), name
 
 
 class TestValidate:
@@ -708,6 +750,13 @@ class TestManifestTypes:
         bad = self.edited(tmp_path, command, key, value)
         err = _refused([command, "--manifest", str(bad)], tmp_path / "out", capsys)
         assert f"manifest key {key!r} must be {want}, got {value!r}" in err
+
+    def test_wrong_type_refused_under_a_flag(self, tmp_path, capsys):
+        # the whole manifest is checked before a flag overrides one of its keys
+        bad = self.edited(tmp_path, "simulate", "replicas", "2")
+        argv = ["simulate", "--manifest", str(bad), "--replicas", "2"]
+        err = _refused(argv, tmp_path / "out", capsys)
+        assert "manifest key 'replicas' must be an integer, got '2'" in err
 
     def test_json_int_for_float_flag(self, tmp_path):
         # "t_end": 1 runs as --t-end 1 does, manifest included

@@ -286,6 +286,22 @@ class TestGridRoute:
         with pytest.raises(ValueError, match="grid-mode"):
             q_counting(mu, PROD1, f, 2, method="grid")
 
+    def test_unroutable_call_refused(self):
+        # the grid route needs a Kernel's rank-one terms, and an unknown
+        # method is refused rather than taken as the direct route
+        mu = DiscreteMeasure.from_grid([1, 2, 5], [0.25, 0.25, 0.5], 0.25)
+        f = lambda x: np.cos(np.asarray(x))
+        bare = lambda a, b, c: PROD1(a, b, c)
+        calls = (lambda k, method: q_pairing(mu, k, f, method=method),
+                 lambda k, method: q_counting(mu, k, f, 4, method=method),
+                 lambda k, method: q_measure(mu, k, method=method))
+        for call in calls:
+            with pytest.raises(ValueError, match="grid route needs a Kernel"):
+                call(bare, "grid")
+            with pytest.raises(ValueError, match="method must be 'auto', 'grid' or 'direct', "
+                                                 "got 'fft'"):
+                call(PROD1, "fft")
+
     def test_grid_route_reads_uncompacted_atoms(self):
         # repeated sites sum, and a top site whose atoms cancel leaves the
         # extent of the compacted measure, so the bits are compact()'s
