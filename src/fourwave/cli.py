@@ -9,7 +9,8 @@ manifest that no command reads back (it has no ``--manifest``);
 ``compare``, ``validate`` and ``report`` write none.  A replay and
 ``compare`` read a manifest through one reader, which refuses another
 tool's or command's manifest, an unknown key and a mistyped value (even
-one a flag overrides); ``compare`` reads the snapshot files it names.
+one a flag overrides), naming it; ``compare`` reads the snapshot files
+it names, of a ``simulate`` reference the first replica's only.
 Exit codes: 0 success, 2 configuration error (an input file that cannot
 be read included), 3 runtime error (for instance a sub-multiplicativity
 abort or a failed validation).
@@ -103,18 +104,22 @@ def _manifest_value(action: argparse.Action, key: str, val):
 def _read_manifest(path, runs: dict) -> tuple[str, dict]:
     """(command, config) of a manifest this tool wrote for one of ``runs``
     (each command's flags by key): an unknown key is refused, null values
-    are dropped and every other value goes through :func:`_manifest_value`."""
+    are dropped and every other value goes through :func:`_manifest_value`.
+    Every refusal names ``path``."""
     data = json.loads(Path(path).read_text())
     command = data.get("command") if isinstance(data, dict) else None
     if not (isinstance(command, str) and command in runs and data.get("tool") == "fourwave"
             and isinstance(data.get("config"), dict)):
         raise CliConfigError(f"{path} is not a fourwave {' or '.join(runs)} manifest")
     flags, cfg = runs[command], data["config"]
-    unknown = set(cfg) - set(flags)
-    if unknown:
-        raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
-    return command, {key: _manifest_value(flags[key], key, cfg[key])
-                     for key in sorted(cfg) if cfg[key] is not None}
+    try:
+        unknown = set(cfg) - set(flags)
+        if unknown:
+            raise CliConfigError(f"unknown key {sorted(unknown)[0]!r} in manifest config")
+        return command, {key: _manifest_value(flags[key], key, cfg[key])
+                         for key in sorted(cfg) if cfg[key] is not None}
+    except CliConfigError as exc:
+        raise CliConfigError(f"{path}: {exc}") from None
 
 
 def _merge_config(args: argparse.Namespace, command: str, defaults: dict) -> dict:
@@ -287,10 +292,10 @@ def cmd_solve(args) -> int:
 # compare
 # --------------------------------------------------------------------------
 
-def _run_trajectories(d: str, runs: dict) -> tuple[int, list[Trajectory]]:
+def _run_trajectories(d: str, runs: dict, replicas: int | None = None) -> tuple[int, list[Trajectory]]:
     """n and the snapshot trajectories of the run in ``d``, named by its
     manifest: ``snap_tKKK.csv`` for a solve (n = 1), ``snap_rRRR_tKKK.csv``
-    for each replica R of a ``simulate --snapshots`` run, K < samples."""
+    for replica R < ``replicas`` (default: all) of a ``simulate`` run, K < samples."""
     if not Path(d).is_dir():
         raise CliConfigError(f"missing run directory {d!r}")
     command, cfg = _read_manifest(Path(d) / "manifest.json", runs)
@@ -303,7 +308,7 @@ def _run_trajectories(d: str, runs: dict) -> tuple[int, list[Trajectory]]:
     if not stems:
         raise CliConfigError(f"no snapshots in {d!r} (rerun with --snapshots)")
     snapshots = [[load_measure_csv(Path(d) / f"{stem}t{k:03d}.csv") for k in range(len(times))]
-                 for stem in stems]
+                 for stem in stems[:replicas]]
     return n, [Trajectory.from_rows(times, np.zeros((len(times), 6)), False, snapshots=s)
                for s in snapshots]
 
@@ -314,7 +319,7 @@ def cmd_compare(args) -> int:
     reference's sample times and truncation (``simulate --bound B`` against
     ``solve --bound B``): untruncated ensembles against a truncated
     reference measure the truncation, not the mean-field error."""
-    reference = _run_trajectories(args.reference, args.runs)[1][0]
+    reference = _run_trajectories(args.reference, args.runs, replicas=1)[1][0]
     ensembles, dirs = {}, {}
     for d in args.ensembles.split(","):
         n, trajs = _run_trajectories(d, args.runs)

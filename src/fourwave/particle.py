@@ -31,14 +31,15 @@ the hit and in the rest of the hit's window, but never at or past the
 chunk's first kill; the discarded draws of later candidates are not
 checked.
 
-The truncated variant confines particles to a window [0, B] with an
-overflow scalar: interaction outputs beyond B and truncation-clock kills
-move their weight into the overflow, conserving <phi, X> + Lambda exactly.
-A coupled two-window driver shares one clock stream between nested windows
-so the lower process is dominated by the upper one pathwise, atom by atom.
-Each window is a windowed :class:`ParticleState` with its own prefix table,
-changed only by ``apply_jump``, ``escape`` and ``kill``, slot for slot; the
-residual clock draws from the phi^2 table of the lower window's leaves.
+The truncated variant is the pair (X, Lambda) on a window [0, B], held
+by the state with its window: a kill moves phi-mass into the overflow
+and an escape (an output beyond B) is the jump plus a kill of the
+output, so <phi, X> + Lambda is conserved exactly.  A coupled driver
+runs nested windows on one clock stream, so the lower process is
+dominated by the upper one pathwise, atom by atom; each window is a
+windowed :class:`ParticleState`, changed only by ``apply_jump``,
+``escape`` and ``kill``, slot for slot, and the residual clock draws
+from the phi^2 table of the lower window's leaves.
 
 Every driver records moments with a :class:`MomentRecorder` bound to its
 state, so this module alone knows the state's layout.
@@ -113,11 +114,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class ParticleState:
-    """Multiset of n grid frequencies with the phi-weight prefix-sum table.
+    """Multiset of n grid frequencies with the phi-weight prefix-sum table,
+    the window and the overflow.
 
-    ``idx`` holds int64 grid indices per slot; dead slots (truncated runs
-    only) are flagged in ``alive`` and carry zero table weight.  Cached
-    ``sum_idx`` equals the alive integer frequency total at all times.
+    ``idx`` holds int64 grid indices per slot; dead (killed) slots are
+    flagged in ``alive`` and carry zero table weight.  Cached ``sum_idx``
+    equals the alive integer frequency total at all times.  ``bound_idx``
+    is the window's last grid index (None: untruncated) and ``lam`` is
+    n * Lambda, the sum of the exact phi values that ``kill`` removed.
     With the affine weight and a dyadic h every phi value, and so every
     prefix sum, is a multiple of min(h, 1); the prefix sums are therefore
     exact, and equal to any other summation order, while the phi total in
@@ -132,6 +136,8 @@ class ParticleState:
     fenwick: FenwickTree
     alive: np.ndarray
     sum_idx: int
+    bound_idx: int | None = None
+    lam: float = 0.0
 
     @staticmethod
     def build(idx, h: float, weight: WeightFunction = AFFINE) -> "ParticleState":
@@ -161,7 +167,7 @@ class ParticleState:
 
     def copy(self) -> "ParticleState":
         return ParticleState(self.idx.copy(), self.h, self.weight, self.fenwick.copy(),
-                             self.alive.copy(), self.sum_idx)
+                             self.alive.copy(), self.sum_idx, self.bound_idx, self.lam)
 
     def apply_jump(self, i: int, j: int, l: int) -> None:
         """Apply the interior jump (i, j | l): slot i takes the output
@@ -179,24 +185,19 @@ class ParticleState:
         self.fenwick.set_pair(i, phi_out, j, phi_vl)
 
     def kill(self, slot: int) -> float:
-        """Remove the particle in ``slot``; returns its phi value."""
+        """Move the particle in ``slot`` into the overflow; returns its phi value."""
         phi = float(self.fenwick.leaf[slot])
         self.alive[slot] = False
         self.sum_idx -= int(self.idx[slot])
         self.fenwick.set(slot, 0.0)
+        self.lam += phi
         return phi
 
     def escape(self, i: int, j: int, l: int) -> float:
-        """Jump (i, j | l) whose output leaves the window: slot i takes the
-        catalyst copy, slot j dies; returns the output's phi value."""
-        vl = int(self.idx[l])
-        out = int(self.idx[i]) + int(self.idx[j]) - vl
-        self.idx[i] = vl
-        self.fenwick.set(i, float(self.weight(vl * self.h)))
-        self.alive[j] = False
-        self.sum_idx -= out
-        self.fenwick.set(j, 0.0)
-        return float(self.weight(out * self.h))
+        """Jump (i, j | l) whose output leaves the window: the jump (j, i | l)
+        puts the output in slot j, which is killed; returns its phi value."""
+        self.apply_jump(j, i, l)
+        return self.kill(j)
 
     def audit(self) -> None:
         """Verify the cached sums against recomputation."""
@@ -214,30 +215,29 @@ class ParticleState:
 
 class MomentRecorder:
     """Moment rows (and optional snapshots) of one :class:`ParticleState`
-    at fixed sample times, read from its live slots and prefix table; the
-    driver passes the scaled overflow n * Lambda (0 when untruncated, with
-    a nan Lambda column).  Sample times must be nondecreasing and lie in
-    [0, t_end]; ``None`` selects 17 evenly spaced times.
+    at fixed sample times, read from its live slots, prefix table and
+    overflow; the Lambda column is nan when the state has no window.
+    Sample times must be nondecreasing and lie in [0, t_end]; ``None``
+    selects 17 evenly spaced times.
     """
 
-    def __init__(self, state: ParticleState, sample_times, t_end: float,
-                 truncated: bool = False, snapshots: bool = False):
-        self.state, self.truncated = state, truncated
+    def __init__(self, state: ParticleState, sample_times, t_end: float, snapshots: bool = False):
+        self.state = state
         self.times = checked_sample_times(sample_times, t_end)
         self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)
         self._idx_rows = []  # exact integer energy
         self._snaps = [] if snapshots else None
 
-    def advance(self, t_next: float, lam_scaled: float = 0.0) -> None:
+    def advance(self, t_next: float) -> None:
         """Record every sample time strictly before ``t_next`` from the
         current (pre-event) state."""
         while len(self._rows) < len(self.times) and self.times[len(self._rows)] < t_next:
-            self._record(lam_scaled)
+            self._record()
 
-    def finish(self, lam_scaled: float = 0.0) -> None:
-        self.advance(np.inf, lam_scaled)
+    def finish(self) -> None:
+        self.advance(np.inf)
 
-    def _record(self, lam_scaled: float) -> None:
+    def _record(self) -> None:
         st = self.state
         n, h = st.n, st.h
         live = st.idx[st.alive]
@@ -245,8 +245,8 @@ class MomentRecorder:
         energy = int(live.sum())
         self._rows.append((len(live) / n, energy * h / n, st.phi_total / n,
                            float(np.sum(phis * phis)) / n,
-                           lam_scaled / n if self.truncated else np.nan,
-                           (st.phi_total + lam_scaled) / n))
+                           np.nan if st.bound_idx is None else st.lam / n,
+                           (st.phi_total + st.lam) / n))
         self._idx_rows.append(energy)
         if self._snaps is not None:
             self._snaps.append(
@@ -254,7 +254,7 @@ class MomentRecorder:
 
     def build(self, **kw) -> Trajectory:
         return Trajectory.from_rows(
-            self.times, self._rows, self.truncated,
+            self.times, self._rows, self.state.bound_idx is not None,
             energy_idx=np.asarray(self._idx_rows, dtype=np.int64),
             snapshots=self._snaps, n=self.state.n, h=self.state.h, **kw)
 
@@ -324,45 +324,42 @@ def _require_state_weight(state: ParticleState, weight: WeightFunction) -> None:
                          f"{state.weight.spec_string()} the particle state was built with")
 
 
-def _check_majorant(state: ParticleState, kernel, weight: WeightFunction) -> None:
+def _check_majorant(state: ParticleState, kernel) -> None:
     """Domination precheck on the reachable support envelope [0, E_tot]."""
     top = max(state.sum_idx * state.h, state.h)
     mesh = np.linspace(0.0, top, 12)
     grid = np.stack(np.meshgrid(mesh, mesh, mesh, indexing="ij"), axis=-1).reshape(-1, 3)
-    rep = check_submultiplicative(kernel, weight, grid[grid[:, 0] + grid[:, 1] >= grid[:, 2]])
+    rep = check_submultiplicative(kernel, state.weight, grid[grid[:, 0] + grid[:, 1] >= grid[:, 2]])
     if not rep.passed:
         raise ThinningError(
             f"kernel is not dominated by the interaction weight on the reachable "
             f"support: K/(phi*phi*phi) = {rep.worst_residual:.6g} at witness {rep.witness}")
 
 
-def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
-                rng: np.random.Generator, *, bound_idx: int | None = None,
-                lam_scaled: float = 0.0, sample_times=None, record_events: bool = False,
+def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Generator, *,
+                sample_times=None, record_events: bool = False,
                 record_snapshots: bool = False, max_events: int = 10_000_000) -> Trajectory:
-    n = state.n
-    h = state.h
-    # the overflow is tracked as n * Lambda: a running sum of exact phi
-    # values, so <phi, X> + Lambda has an exactly invariant numerator
-    truncated = bound_idx is not None
-    recorder = MomentRecorder(state, sample_times, t_end, truncated, record_snapshots)
+    n, h = state.n, state.h
+    recorder = MomentRecorder(state, sample_times, t_end, record_snapshots)
     events: list[tuple] | None = [] if record_events else None
     initial_idx = state.idx.copy() if record_events else None
 
     fw = state.fenwick
-    affine = weight.is_affine
+    affine = state.weight.is_affine
     inv2n2 = 1.0 / (2.0 * n * n)
 
     u = np.empty(_DRAWS + 6 * _CHUNK + 1)  # the draw buffer of the module docstring
     pos = len(u)
     t = 0.0
     n_events = 0
-    s1 = fw.total
-    r_pair = s1 * s1 * s1 * inv2n2
+    stale = True
     while t < t_end:
-        lam_f = lam_scaled / n
-        r_kill = s1 * (lam_f * lam_f + 2.0 * lam_f * s1 / n) if truncated else 0.0
-        r_total = r_pair + r_kill
+        if stale:
+            s1 = fw.total
+            lam_f = state.lam / n  # 0 without a window: no kill clock
+            r_pair = s1 * s1 * s1 * inv2n2
+            r_kill = s1 * (lam_f * lam_f + 2.0 * lam_f * s1 / n)
+            r_total, stale = r_pair + r_kill, False
         if r_total <= 0.0:
             break
         used = (6 if r_kill > 0.0 else 5) * _CHUNK
@@ -416,19 +413,19 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
         if t_ev >= t_end:
             t = t_end
             break
-        recorder.advance(t_ev, lam_scaled)
+        recorder.advance(t_ev)
         t = t_ev
         if c == kill:
             victim = fw.sample(float(u[pos] * s1))
             pos += 1
-            lam_scaled += state.kill(victim)
+            state.kill(victim)
             i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
             i, j, l = s[:, cw].tolist()
             o = int(out[cw])
-            if truncated and o > bound_idx:
+            if state.bound_idx is not None and o > state.bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
-                lam_scaled += state.escape(i, j, l)
+                state.escape(i, j, l)
                 w_new, branch = float(w[2, cw]), "escape"
             else:
                 state.apply_jump(i, j, l)
@@ -440,13 +437,12 @@ def _run_engine(state: ParticleState, kernel, weight: WeightFunction, t_end: flo
             events.append((t_ev, i, j, l, w_new, branch))
         if n_events % _AUDIT_EVERY == 0:
             state.audit()
-        if not affine or branch != "interior":
-            s1 = fw.total
-            r_pair = s1 * s1 * s1 * inv2n2
-    recorder.finish(lam_scaled)
+        # an affine interior jump keeps S, and only kills and escapes move Lambda
+        stale = not affine or branch != "interior"
+    recorder.finish()
     traj = recorder.build(initial_idx=initial_idx, events=None if events is None
                           else np.array(events, dtype=EVENT_DTYPE).view(np.recarray))
-    traj.meta = {"t_end": t_end, "weight": weight.spec_string(),
+    traj.meta = {"t_end": t_end, "weight": state.weight.spec_string(),
                  "kernel": kernel.spec if isinstance(kernel, Kernel) else "custom"}
     return traj
 
@@ -455,7 +451,7 @@ def simulate(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
              seed: int = 0, stream: int = 0, sample_times=None,
              record_events: bool = False, record_snapshots: bool = False,
              max_events: int = 10_000_000, precheck: bool = True) -> Trajectory:
-    """Run the untruncated process on a fresh copy of ``state``.
+    """Run the untruncated process on a copy of ``state`` without its window.
 
     Exact in law; (seed, stream) fully determines the trajectory.  Raises
     :class:`ThinningError` if the kernel is not dominated by the weight on
@@ -465,28 +461,31 @@ def simulate(state: ParticleState, kernel, weight: WeightFunction, t_end: float,
     """
     _require_state_weight(state, weight)
     if precheck:
-        _check_majorant(state, kernel, weight)
-    work = state.copy()
-    return _run_engine(work, kernel, weight, t_end, make_rng(seed, stream),
+        _check_majorant(state, kernel)
+    return _run_engine(_windowed(state, None), kernel, t_end, make_rng(seed, stream),
                        sample_times=sample_times, record_events=record_events,
                        record_snapshots=record_snapshots, max_events=max_events)
 
 
-def _windowed(state: ParticleState, bound: float) -> tuple[ParticleState, int, float]:
-    """A copy of ``state`` without the particles beyond the window, the
-    window's last grid index, and n * <phi 1_{B^c}, X> (the phi-mass
-    killed, summed exactly).  ValueError for a negative ``bound``."""
-    if not bound >= 0:
+def _windowed(state: ParticleState, bound: float | None) -> ParticleState:
+    """A copy of ``state`` on the window [0, bound], no window for None:
+    the particles beyond it killed, ``lam`` the exact sum of their phi
+    values (0 for None).  ValueError for a negative ``bound``."""
+    if bound is not None and not bound >= 0:
         raise ValueError(f"bound must be nonnegative, got {bound!r}")
     work = state.copy()
-    bound_idx = int(math.floor(bound / work.h + 1e-9))
-    outside = np.nonzero(work.alive & (work.idx > bound_idx))[0]
-    return work, bound_idx, math.fsum(work.kill(int(s)) for s in outside)
+    work.bound_idx, work.lam = None, 0.0
+    if bound is not None:
+        work.bound_idx = int(math.floor(bound / work.h + 1e-9))
+        outside = np.nonzero(work.alive & (work.idx > work.bound_idx))[0]
+        # each kill adds to lam in turn; the correctly rounded sum replaces that
+        work.lam = math.fsum([work.kill(int(s)) for s in outside])
+    return work
 
 
 def truncation_overflow_start(state: ParticleState, bound: float) -> float:
     """Canonical initial overflow: phi-mass of the particles beyond the window."""
-    return _windowed(state, bound)[2] / state.n
+    return _windowed(state, bound).lam / state.n
 
 
 def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, kernel,
@@ -496,31 +495,28 @@ def simulate_truncated(state: ParticleState, bound: float, lam0: float | None, k
                        precheck: bool = True) -> Trajectory:
     """Truncated process on the window [0, bound] with overflow lam0.
 
-    ``state`` is the full initial configuration; particles beyond the
-    window are dropped and must be covered by ``lam0``: the construction
-    requires lam0 >= <phi 1_{B^c}, X_0> (otherwise the residual clock rate
-    nu would be negative and the configuration is rejected).  ``lam0=None``
-    selects the canonical cover exactly.  The affine weight is required;
-    the overflow bookkeeping relies on phi-conservation.
+    ``state`` is the full initial configuration; its windowed copy kills
+    the particles beyond the window, whose phi-mass ``lam0`` must cover:
+    lam0 >= <phi 1_{B^c}, X_0>, or the residual clock rate nu would be
+    negative and a ValueError names both values.  ``lam0=None`` selects
+    the canonical cover exactly.  The affine weight is required; the
+    overflow bookkeeping relies on phi-conservation.
     """
     _require_state_weight(state, weight)
     if not weight.is_affine:
         raise ValueError("the truncated construction requires the affine weight")
-    work, bound_idx, canonical_scaled = _windowed(state, bound)
-    if lam0 is None:
-        lam_scaled = canonical_scaled
-    else:
+    work = _windowed(state, bound)
+    if lam0 is not None:
         if lam0 < 0:
             raise ValueError("lam0 must be nonnegative")
-        lam_scaled = lam0 * state.n
-        if lam_scaled < canonical_scaled * (1.0 - 1e-12) - 1e-12:
+        if lam0 * state.n < work.lam * (1.0 - 1e-12) - 1e-12:
             raise ValueError(
                 f"nu^B < 0: overflow start {lam0!r} does not cover the phi-mass "
-                f"{canonical_scaled / state.n!r} outside the window")
+                f"{work.lam / state.n!r} outside the window")
+        work.lam = lam0 * state.n
     if precheck:
-        _check_majorant(state, kernel, weight)
-    return _run_engine(work, kernel, weight, t_end, make_rng(seed, stream),
-                       bound_idx=bound_idx, lam_scaled=lam_scaled, sample_times=sample_times,
+        _check_majorant(state, kernel)
+    return _run_engine(work, kernel, t_end, make_rng(seed, stream), sample_times=sample_times,
                        record_events=record_events, record_snapshots=record_snapshots,
                        max_events=max_events)
 
@@ -635,16 +631,13 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         raise ValueError("the truncated construction requires the affine weight")
     if bound_lo > bound_hi:
         raise ValueError("bounds must be nested: bound_lo <= bound_hi")
-    _check_majorant(state, kernel, weight)
+    _check_majorant(state, kernel)
     rng = make_rng(seed, stream)
-    n = state.n
-    h = state.h
-    # overflows tracked as n * Lambda (exact dyadic sums, see _run_engine)
-    upper, hi_idx, lam_hi_s = _windowed(state, bound_hi)
-    lower, lo_idx, lam_lo_s = _windowed(state, bound_lo)
+    n, h = state.n, state.h
+    upper = _windowed(state, bound_hi)
+    lower = _windowed(state, bound_lo)
     fw, lo_phi = upper.fenwick, lower.fenwick
-    rec_lo = MomentRecorder(lower, sample_times, t_end, truncated=True, snapshots=True)
-    rec_hi = MomentRecorder(upper, sample_times, t_end, truncated=True, snapshots=True)
+    rec_lo, rec_hi = (MomentRecorder(s, sample_times, t_end, snapshots=True) for s in (lower, upper))
     inv_n2 = 1.0 / (n * n)
     # the residual clock kills lower particles with weight phi^2; the table
     # is rebuilt only after an event that changed the lower window
@@ -653,10 +646,9 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
     while t < t_end:
         lo_changed = False
         s1_hi = fw.total
-        s1_lo = lo_phi.total
-        delta = (s1_hi - s1_lo) / n
+        delta = (s1_hi - lo_phi.total) / n
         r_pair = s1_hi ** 3 * inv_n2 / 2.0
-        lam_hi = lam_hi_s / n
+        lam_hi = upper.lam / n
         r_kill_hi = s1_hi * (lam_hi * lam_hi + 2.0 * lam_hi * s1_hi / n)
         r_extra_lo = delta / n * float(lo_phi2[-1])
         r_total = r_pair + r_kill_hi + r_extra_lo
@@ -666,8 +658,8 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         if t_ev >= t_end:
             t = t_end
             break
-        rec_lo.advance(t_ev, lam_lo_s)
-        rec_hi.advance(t_ev, lam_hi_s)
+        rec_lo.advance(t_ev)
+        rec_hi.advance(t_ev)
         t = t_ev
         u_class = float(rng.random()) * r_total
         if u_class < r_pair:
@@ -689,41 +681,41 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
             if not all_in_lo:
                 for s in (i, j):
                     if lower.alive[s]:
-                        lam_lo_s += lower.kill(s)
+                        lower.kill(s)
                         lo_changed = True
             if float(rng.random()) < acc:
                 # interaction clock fires: slot i takes the output, window
                 # permitting, and slot j the catalyst copy; the lower level
                 # shares the jump when it holds the whole triple
-                if out <= hi_idx:
+                if out <= upper.bound_idx:
                     upper.apply_jump(i, j, l)
                 else:
-                    lam_hi_s += upper.escape(j, i, l)
+                    upper.escape(j, i, l)
                 if all_in_lo:
                     lo_changed = True
-                    if out <= lo_idx:
+                    if out <= lower.bound_idx:
                         lower.apply_jump(i, j, l)
                     else:
-                        lam_lo_s += lower.escape(j, i, l)
+                        lower.escape(j, i, l)
             elif all_in_lo:
                 continue  # a rejected candidate changed neither level
         elif u_class < r_pair + r_kill_hi:
             victim = fw.sample(float(rng.random()) * s1_hi)
-            lam_hi_s += upper.kill(victim)
+            upper.kill(victim)
             if lower.alive[victim]:
-                lam_lo_s += lower.kill(victim)
+                lower.kill(victim)
                 lo_changed = True
         else:
             victim = int(np.searchsorted(lo_phi2, float(rng.random()) * lo_phi2[-1], side="right"))
-            lam_lo_s += lower.kill(victim)
+            lower.kill(victim)
             lo_changed = True
         if np.any(lower.alive & (~upper.alive | (lower.idx != upper.idx))):
             raise AuditError("pathwise domination violated: a lower-window particle "
                              "is not alive, at its frequency, in the upper window")
         if lo_changed:
             lo_phi2 = np.cumsum(lo_phi.leaf * lo_phi.leaf)
-    rec_lo.finish(lam_lo_s)
-    rec_hi.finish(lam_hi_s)
+    rec_lo.finish()
+    rec_hi.finish()
     traj_lo, traj_hi = rec_lo.build(), rec_hi.build()
     for tr, b in ((traj_lo, bound_lo), (traj_hi, bound_hi)):
         tr.meta = {"t_end": t_end, "bound": b, "weight": weight.spec_string()}
@@ -745,7 +737,7 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     few ulp from a plain sum over the particles under a fractional one.
     """
     _require_state_weight(state, weight)
-    work = state.copy()
+    work = _windowed(state, None)
     n, h = work.n, work.h
     rng = make_rng(seed, stream)
     recorder = MomentRecorder(work, sample_times, t_end, snapshots=record_snapshots)

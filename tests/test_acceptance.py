@@ -10,11 +10,12 @@ import pytest
 
 from fourwave.analysis import (fit_loglog_slope, martingale_stats,
                                mean_field_convergence, powerlaw_fit)
-from fourwave.collision import q_pairing, q_counting, trilinear_pairing
-from fourwave.kernels import AFFINE, parse_kernel
+from fourwave.collision import (TruncatedState, counting_correction, l_b_pairing, q_pairing,
+                                q_counting, trilinear_pairing)
+from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, moment, quantize
-from fourwave.particle import (init, simulate, simulate_coupled,
-                               simulate_exact_clocks)
+from fourwave.particle import (ParticleState, init, make_rng, simulate, simulate_coupled,
+                               simulate_exact_clocks, simulate_truncated)
 from fourwave.solver import (SolverConfig, picard, phi2_bound, solve_limit,
                              solve_truncated, zeta)
 
@@ -258,6 +259,160 @@ def test_09_oracle_equivalence():
     assert elapsed < 120.0
     print(f"\nACCEPTANCE 9: PASS - KS statistic {stat:.4f} < {critical:.4f} "
           f"(1% level, 500+500 replicas), {elapsed:.1f}s < 120s")
+
+
+@pytest.mark.parametrize("kernel, weight", [
+    (parse_kernel("sum:lambda=1"), AFFINE),
+    (PROD1, parse_weight("fractional:gamma=0.6666666666666666")),
+], ids=["sum", "fractional"])
+def test_09_oracle_equivalence_other_cases(kernel, weight):
+    """test_09's check for the sum kernel, and for the fractional weight
+    gamma = 2/3, under which the majorant is re-read after every jump."""
+    t0 = time.monotonic()
+    h = 2.0 ** -4
+    mu0 = quantized_exponential(2000, h, seed=7)
+    st = init(40, mu0, h, seed=31, weight=weight)
+    f = lambda x: np.cos(np.asarray(x))
+    ta = np.array([0.0, 0.5])
+
+    def observable(traj):
+        snap = traj.snapshots[-1]
+        return float(np.dot(f(snap.positions), snap.weights))
+
+    thinned = [observable(simulate(st, kernel, weight, 0.5, seed=11, stream=r,
+                                   sample_times=ta, record_snapshots=True,
+                                   precheck=(r == 0)))
+               for r in range(500)]
+    exact = [observable(simulate_exact_clocks(st, kernel, weight, 0.5, seed=12,
+                                              stream=r, sample_times=ta,
+                                              record_snapshots=True))
+             for r in range(500)]
+    stat = ks_statistic(thinned, exact)
+    critical = 1.628 * math.sqrt((500 + 500) / (500 * 500))  # alpha = 1%
+    elapsed = time.monotonic() - t0
+    assert stat < critical
+    assert elapsed < 120.0
+    print(f"\nACCEPTANCE 9 ({kernel.spec}, {weight.spec_string()}): PASS - KS statistic "
+          f"{stat:.4f} < {critical:.4f} (1% level, 500+500 replicas), {elapsed:.1f}s < 120s")
+
+
+def truncated_clocks(idx, lam, h, kernel, n):
+    """Every clock of the truncated system at the alive grid indices
+    ``idx`` and the overflow n * Lambda = ``lam``.
+
+    Each unordered pair {a, b} of alive particles with each alive catalyst
+    c has a clock at rate K / n^2 (0 for a negative output): the pair
+    becomes (output, catalyst copy), or the catalyst copy alone when the
+    output lies beyond the window, whose phi-mass then moves into the
+    overflow.  Each alive particle has a kill clock at rate
+    phi (Lambda^2 + 2 Lambda <phi, X>) that moves its phi-mass into the
+    overflow.  Returns ((a, b, c, out, rate) over the pair clocks, the
+    kill clocks' rates).
+    """
+    m = len(idx)
+    a, b = np.triu_indices(m, k=1)
+    a, b, c = np.repeat(a, m), np.repeat(b, m), np.tile(np.arange(m), len(a))
+    out = idx[a] + idx[b] - idx[c]
+    w = idx * h
+    rate = np.where(out >= 0, kernel(w[a], w[b], w[c]), 0.0) / (n * n)
+    phi = w + 1.0
+    lam_f = lam / n
+    return (a, b, c, out, rate), phi * (lam_f * lam_f + 2.0 * lam_f * phi.sum() / n)
+
+
+def truncated_exact_clocks(idx, lam, bound_idx, h, kernel, n, t_end, rng):
+    """Gillespie run of the truncated system over ``truncated_clocks``
+    from the alive grid indices ``idx`` and n * Lambda = ``lam`` to
+    ``t_end``, on the window of last grid index ``bound_idx``: the final
+    alive indices and n * Lambda.  Affine phi values
+    on a dyadic grid are exact, so the overflow stays an exact sum."""
+    idx = np.array(idx, dtype=np.int64)
+    t = 0.0
+    while len(idx):
+        (a, b, c, out, rate), kills = truncated_clocks(idx, lam, h, kernel, n)
+        cum = np.cumsum(np.concatenate([rate, kills]))
+        if cum[-1] <= 0.0:
+            break
+        t -= math.log1p(-rng.random()) / cum[-1]
+        if t >= t_end:
+            break
+        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        if k >= len(rate):
+            lam += float(idx[k - len(rate)] * h + 1.0)
+            idx = np.delete(idx, k - len(rate))
+        elif out[k] > bound_idx:
+            lam += float(out[k] * h + 1.0)
+            idx = np.append(np.delete(idx, [a[k], b[k]]), idx[c[k]])
+        else:
+            idx[a[k]], idx[b[k]] = out[k], idx[c[k]]
+    return idx, lam
+
+
+def test_09_truncated_oracle_rate_identity():
+    """The truncated oracle's summed rate table, times each clock's jump in
+    <f, X> and in Lambda, is the generator's pairing ``l_b_pairing`` less
+    its diagonal (counting) term taken with the window indicator: out <= B
+    in the f part, out > B in Lambda-dot."""
+    n, h, bound, lam = 25, 2.0 ** -3, 2.0, 0.3
+    bound_idx = 16
+    idx = np.random.default_rng(3).integers(0, bound_idx + 1, n)
+    x = DiscreteMeasure.from_grid(idx, np.full(n, 1.0 / n), h).compact()
+    phi = lambda w: np.asarray(w, dtype=float) + 1.0
+    for kernel in (PROD1, parse_kernel("sum:lambda=1"), parse_kernel("mixed:p=1,q=0,r=0")):
+        for f in (np.cos, np.tanh, phi):
+            (a, b, c, out, rate), kills = truncated_clocks(idx, lam * n, h, kernel, n)
+            fo = np.asarray(f(np.maximum(out, 0) * h), dtype=float)
+            inside = out <= bound_idx
+            fx = np.asarray(f(idx * h), dtype=float)
+            fdot = (np.sum(rate * (np.where(inside, fo, 0.0) + fx[c] - fx[a] - fx[b]))
+                    - np.sum(kills * fx)) / n
+            lamdot = (np.sum(rate * np.where(inside, 0.0, phi(out * h)))
+                      + np.sum(kills * phi(idx * h))) / n
+            want_f, want_lam = l_b_pairing(TruncatedState(x, lam, bound), kernel, f)
+            want_f -= counting_correction(x, kernel, lambda w: f(w) * (w <= bound), n)
+            want_lam -= counting_correction(x, kernel, lambda w: phi(w) * (w > bound), n)
+            assert fdot == pytest.approx(want_f, rel=1e-12, abs=1e-14)
+            assert lamdot == pytest.approx(want_lam, rel=1e-12, abs=1e-14)
+    print("\nACCEPTANCE 9 (truncated rates): PASS - oracle rate table equals the "
+          "windowed generator pairing")
+
+
+def test_09_truncated_oracle_equivalence():
+    """Truncated thinning engine vs the truncated exact-clock oracle at
+    n = 30: two-sample KS statistics of <f, X_T> and of Lambda_T below the
+    1% critical value over 450 runs each, from a start where interior
+    jumps, escapes and kills all occur in quantity."""
+    t0 = time.monotonic()
+    n, h, bound, t_end, runs = 30, 2.0 ** -3, 3.0, 0.1, 450
+    kernel = parse_kernel("product:lambda=3")
+    # every particle starts in the window, w in [1, 3]: Lambda_0 = 0
+    st = ParticleState.build(np.random.default_rng(5).integers(8, 25, n), h)
+    f = lambda idx: float(np.sum(np.cos(np.sort(idx) * h))) / n
+
+    thinned, branches = [], []
+    for r in range(runs):
+        traj = simulate_truncated(st, bound, None, kernel, AFFINE, t_end, seed=11, stream=r,
+                                  sample_times=[0.0, t_end], record_events=True,
+                                  record_snapshots=True, precheck=(r == 0))
+        snap = traj.snapshots[-1]
+        thinned.append((f(np.repeat(snap.idx, np.rint(snap.weights * n).astype(int))),
+                        traj.overflow[-1]))
+        branches.extend(traj.events.branch.tolist())
+    exact = []
+    for r in range(runs):
+        idx, lam = truncated_exact_clocks(st.idx, 0.0, int(bound / h), h, kernel, n, t_end,
+                                          make_rng(12, r))
+        exact.append((f(idx), lam / n))
+    counts = {b: branches.count(b) for b in ("interior", "escape", "kill")}
+    assert min(counts.values()) >= 300, counts
+    critical = 1.628 * math.sqrt(2.0 / runs)  # alpha = 1%
+    stats = [ks_statistic(*(np.array(side)[:, k] for side in (thinned, exact))) for k in (0, 1)]
+    elapsed = time.monotonic() - t0
+    assert max(stats) < critical
+    assert elapsed < 120.0
+    print(f"\nACCEPTANCE 9 (truncated): PASS - KS statistics {stats[0]:.4f} (<f, X_T>) and "
+          f"{stats[1]:.4f} (Lambda_T) < {critical:.4f} (1% level, {runs}+{runs} runs, "
+          f"events {counts}), {elapsed:.1f}s < 120s")
 
 
 def test_10_kz_spectra_exploratory_only():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fourwave import cli
 from fourwave.cli import main
-from fourwave.measures import DiscreteMeasure, save_measure_csv
+from fourwave.measures import DiscreteMeasure, load_measure_csv, save_measure_csv
+from fourwave.particle import init, truncation_overflow_start
 
 
 def read(p: Path) -> bytes:
@@ -73,6 +75,18 @@ class TestSimulate:
         lines = (out / "moments_r000.csv").read_text().splitlines()
         assert lines[0] == "t,W,E,phi,phi2,Lambda"
         assert all(row.split(",")[5] != "" for row in lines[1:])
+
+    def test_lambda0_below_cover_refused(self, tmp_path, capsys):
+        # the overflow start must cover the phi-mass outside the window
+        # (nu^B >= 0): below it exits 2 naming both values; the cover runs
+        argv = ["simulate", "--kernel", "product:lambda=1", "--n", "40", "--t-end", "0.1",
+                "--seed", "3", "--h", "0.125", "--bound", "2"]
+        cover = truncation_overflow_start(init(40, None, 0.125, 3), 2.0)
+        below = cover / 2
+        assert cover > 0.0
+        err = _refused(argv + ["--lambda0", repr(below)], tmp_path / "below", capsys)
+        assert "nu^B < 0" in err and repr(below) in err and repr(cover) in err
+        assert main(argv + ["--lambda0", repr(cover), "--out", str(tmp_path / "cover")]) == 0
 
     def test_threads_agree_with_serial(self, tmp_path):
         base = ["simulate", "--kernel", "product:lambda=1", "--n", "40",
@@ -228,6 +242,48 @@ class TestCompare:
         for name, (ensembles, reference, named) in cases.items():
             argv = ["compare", ",".join(map(str, ensembles)), str(reference)]
             assert named in _refused(argv, tmp_path / "out", capsys), name
+
+    def test_refusal_names_the_manifest(self, tmp_path, capsys):
+        # with several runs on the command line, an unknown key, a mistyped
+        # value and a non-finite one each name the manifest at fault
+        h = str(2.0 ** -6)
+        ref, ens = tmp_path / "ref", tmp_path / "ens"
+        assert main(["solve", "--kernel", "const:c=0", "--t-end", "0.2", "--dt", "0.05",
+                     "--samples", "3", "--h", h, "--out", str(ref)]) == 0
+        assert main(["simulate", "--kernel", "const:c=0", "--n", "20", "--t-end", "0.2",
+                     "--seed", "1", "--h", h, "--samples", "3", "--snapshots",
+                     "--out", str(ens)]) == 0
+        edits = {"frob": ({"frobnicate": 3}, "unknown key 'frobnicate'"),
+                 "text": ({"samples": "17"}, "manifest key 'samples' must be an integer"),
+                 "nan": ({"t_end": math.nan}, "--t-end must be finite")}
+        capsys.readouterr()
+        for name, (edit, named) in edits.items():
+            run = tmp_path / name
+            shutil.copytree(ens, run)
+            manifest = json.loads((run / "manifest.json").read_text())
+            manifest["config"].update(edit)
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            err = _refused(["compare", f"{ens},{run}", str(ref)], tmp_path / "out", capsys)
+            assert f"{run / 'manifest.json'}: " in err and named in err, name
+
+    def test_simulate_reference_reads_one_replica(self, tmp_path, monkeypatch):
+        # a simulate reference contributes its first replica only, and the
+        # other replicas' snapshot files are not read
+        h = str(2.0 ** -6)
+        sim = ["simulate", "--kernel", "product:lambda=1", "--t-end", "0.2", "--seed", "5",
+               "--h", h, "--samples", "3", "--replicas", "4", "--snapshots"]
+        for n in ("20", "40"):
+            assert main(sim + ["--n", n, "--out", str(tmp_path / f"e{n}")]) == 0
+        reads = []
+        monkeypatch.setattr(cli, "load_measure_csv",
+                            lambda path: reads.append(Path(path)) or load_measure_csv(path))
+        out = tmp_path / "cmp"
+        assert main(["compare", str(tmp_path / "e20"), str(tmp_path / "e40"),
+                     "--out", str(out)]) == 0
+        assert len(reads) == 4 * 3 + 3
+        assert sorted(p.name for p in reads if p.parent.name == "e40") == [
+            f"snap_r000_t{k:03d}.csv" for k in range(3)]
+        assert json.loads((out / "convergence.json").read_text())["n"] == [20]
 
 
 class TestValidate:

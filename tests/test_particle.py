@@ -584,6 +584,37 @@ class TestTruncated:
         with pytest.raises(ValueError, match="nu\\^B"):
             simulate_truncated(st, 0.5, 0.0, PROD1, AFFINE, 0.1, seed=0)
 
+    def test_overflow_start_below_cover_refused(self):
+        # nu^B < 0 below the canonical cover: the refusal names the start
+        # and the cover; a start equal to the cover runs
+        st = init(48, exp_measure(), 2.0 ** -6, seed=4)
+        cover = truncation_overflow_start(st, 0.5)
+        below = cover * (1.0 - 1e-9)
+        with pytest.raises(ValueError, match="nu\\^B < 0") as refused:
+            simulate_truncated(st, 0.5, below, PROD1, AFFINE, 0.1, seed=0)
+        assert repr(below) in str(refused.value) and repr(cover) in str(refused.value)
+        traj = simulate_truncated(st, 0.5, cover, PROD1, AFFINE, 0.1, seed=0)
+        assert traj.overflow[0] == pytest.approx(cover, rel=1e-15)
+
+    def test_untruncated_drivers_ignore_a_killed_mass(self):
+        # a public kill moves phi-mass into the state's overflow, but the
+        # untruncated drivers run with no window and zero overflow: their
+        # rows are those of the same slots with the overflow cleared
+        st = ParticleState.build([3, 5, 2, 7, 1, 0], 0.25, AFFINE)
+        st.kill(0)
+        assert st.lam == 1.75
+        cleared = st.copy()
+        cleared.lam = 0.0
+        for run in (lambda s: simulate(s, PROD1, AFFINE, 1.0, seed=3, record_events=True),
+                    lambda s: simulate_exact_clocks(s, PROD1, AFFINE, 1.0, seed=3)):
+            traj, want = run(st), run(cleared)
+            assert traj.overflow is None and traj.conserved_phi[0] == 8.75 / 6
+            assert np.array_equal(traj.conserved_phi, traj.phi)
+            for key in ("W", "E", "phi", "phi2", "conserved_phi"):
+                assert np.array_equal(getattr(traj, key), getattr(want, key)), key
+            assert traj.events is None or traj.events.tobytes() == want.events.tobytes()
+            assert traj.W[-1] == 5 / 6
+
     def test_event_cap(self):
         st = init(96, exp_measure(), 2.0 ** -6, seed=4)
         with pytest.raises(MaxEventsError):
@@ -626,8 +657,8 @@ def reference_engine(state, kernel, t_end, seed, bound=None, lam0=None):
     if bound is None:
         work, bound_idx, lam = state.copy(), None, 0.0
     else:
-        work, bound_idx, lam = particle._windowed(state, bound)
-        lam = lam if lam0 is None else lam0 * state.n
+        work = particle._windowed(state, bound)
+        bound_idx, lam = work.bound_idx, work.lam if lam0 is None else lam0 * state.n
     n, h, weight = work.n, work.h, work.weight
     idx, alive, leaf = work.idx.tolist(), work.alive.tolist(), work.fenwick.leaf.copy()
     rng = make_rng(seed)
@@ -763,11 +794,11 @@ class TestCoupled:
         copies = []
 
         def swapped_upper(state, bound):
-            work, bound_idx, killed = windowed(state, bound)
+            work = windowed(state, bound)
             if not copies:
                 work.escape = lambda i, j, l: ParticleState.escape(work, j, i, l)
             copies.append(work)
-            return work, bound_idx, killed
+            return work
 
         monkeypatch.setattr(particle, "_windowed", swapped_upper)
         st = init(60, exp_measure(), 2.0 ** -6, seed=9)
