@@ -14,11 +14,13 @@ and ``np.cumsum`` rebuilds them on the first read after it.  At the
 particle counts used here either beats a tree walk in numpy.
 
 A batch of fresh unsorted targets is searched one binary search at a
-time, and the search is bound by branch mispredictions: on a 2-core Xeon
-at n = 100-1600, 384 targets cost 30-50 us per call and 96 targets 8-15
-us, two to four times what repeated timings of one target array show.  The
-thinning engine therefore samples one window of candidates per call, not a
-whole chunk.
+time, and the search is bound by branch mispredictions: on a 2-core host
+at n = 100-1600, 384 targets cost 15-23 us per call, 96 targets 4-6 us
+and 15 targets 0.9-1.3 us, two to four times what repeated timings of one
+target array show.  The thinning engine therefore samples one window of
+candidates per call, not a whole chunk: 32 candidates, or for a
+``product:lambda=1`` run 5 of those that pass its screen, about 1.07
+calls per accepted event at n = 100-1600.
 
 The module and class keep their Fenwick names because the benchmark traces
 ``fourwave.fenwick.FenwickTree.sample_batch`` by that path.

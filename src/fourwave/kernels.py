@@ -13,8 +13,8 @@ They are the rows of one table, ``_FAMILIES``: a family's fields in spec
 order, and its rank-one (separable) terms ``coef * w1**e1 * w2**e2 *
 w3**e3`` and degree as functions of the fields.  :func:`parse_kernel` is
 the only constructor and the only reader of the table; a :class:`Kernel`
-keeps its terms, degree and normalised spec, and only
-:mod:`fourwave.collision` reads its terms.  Fields must be finite and
+keeps its terms, degree and normalised spec; :mod:`fourwave.collision`
+and :func:`domination_constant` read its terms.  Fields must be finite and
 nonnegative, hence so are all coefficients and exponents: every kernel is
 nondecreasing in each argument, and continuous on the octant by
 construction (not machine-checked).
@@ -22,10 +22,13 @@ construction (not machine-checked).
 The structural hypotheses the rest of the package relies on (symmetry,
 homogeneity, sub-multiplicative domination by a weight function) each have
 a sampling-based checker returning a small report with the worst witness.
+:func:`domination_constant` bounds K / (phi phi phi) under the affine
+weight in closed form, from a kernel's terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,6 +45,7 @@ __all__ = [
     "check_symmetry",
     "check_homogeneity",
     "check_submultiplicative",
+    "domination_constant",
 ]
 
 # family: (fields in spec order, rank-one terms, degree), both from the
@@ -239,6 +243,28 @@ def check_submultiplicative(kernel, weight: WeightFunction,
     worst, k = _worst(ratio)
     witness = None if k is None else tuple(samples[k])
     return CheckReport("sub-multiplicative", worst <= 1.0 + 1e-12, worst, witness)
+
+
+def domination_constant(kernel, weight: WeightFunction) -> float:
+    """A constant C with K <= C * phi(w1) * phi(w2) * phi(w3) on the octant
+    under the affine weight phi(w) = 1 + w, from the kernel's terms: the
+    sum of each term's coef times, per factor w**e, sup_{w >= 0} w**e /
+    (1 + w), which is 1 for e in {0, 1} and e**e * (1 - e)**(1 - e) for
+    0 < e < 1.  ``product:lambda=1`` gives 4/27, ``sum:lambda=1`` and
+    ``const:c=1`` give 1.  It is ``math.inf`` for an exponent above 1 (the
+    term outgrows phi), for a non-affine weight and for a bare callable
+    kernel, whose terms are unknown."""
+    if not isinstance(kernel, Kernel) or not weight.is_affine:
+        return math.inf
+    total = 0.0
+    for coef, exps in kernel.terms:
+        for e in exps:
+            if e > 1.0:
+                return math.inf
+            if 0.0 < e < 1.0:
+                coef *= e ** e * (1.0 - e) ** (1.0 - e)
+        total += coef
+    return total
 
 
 def _parse_fields(text: str, spec: str) -> dict[str, float]:

@@ -288,7 +288,8 @@ def load_measure_csv(path) -> DiscreteMeasure:
     """Read the interchange format of :func:`save_measure_csv`.
 
     A body of two-number rows, as the writer makes, converts in one
-    ``np.array`` call; one with blank or ``#`` lines or a malformed row is
+    ``np.loadtxt`` call; one with blank or ``#`` lines or a malformed row
+    (``1_000`` included, which ``float`` takes and ``loadtxt`` does not) is
     read line by line, which names the offending line.  Raises ValueError
     on a missing or foreign ``omega,weight`` header, on a row that is not
     two finite numbers or an ``# h=`` that is not a positive finite number
@@ -320,12 +321,16 @@ def load_measure_csv(path) -> DiscreteMeasure:
             if line != "omega,weight":
                 raise ValueError(f"{path}:{lineno}: expected header 'omega,weight', got {line!r}")
             # a body of two-number rows converts in one call; one with
-            # blank or # lines, or a malformed row, goes on line by line
+            # blank or # lines, or a malformed row, goes on line by line.
+            # loadtxt would skip blank lines (and warn on a body of them),
+            # so they are kept from it, and the row count is checked
+            body = lines[lineno:]
             try:
-                table = np.array([r.split(",") for r in lines[lineno:]], dtype=float)
+                table = (np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+                         if body and "" not in body else None)
             except ValueError:
                 table = None
-            if table is not None and table.shape[1:] in ((), (2,)):  # () if empty
+            if table is not None and table.shape == (len(body), 2):
                 rows, linenos = table, range(lineno + 1, len(lines) + 1)
                 break
             rows = []

@@ -21,15 +21,21 @@ buffer, which ``rng.random`` refills in blocks, in the order of one call
 per use: per chunk 128 gaps, 128 kill draws when the kill clock runs, 384
 triple draws and 128 acceptance draws, then one victim draw after a kill.
 Philox output is contiguous across calls, so these are the numbers of
-those calls.  A chunk's first kill is found first; the triples before it
-are evaluated in windows of 32 up to the first hit, the last window cut at
-the kill, and the event is that kill if no triple hits.  The state is
-fixed until the event, so the path does not depend on the window size.  A
-candidate with acceptance probability above 1 raises
+those calls.  A chunk's first kill is found first, and the triples before
+it are evaluated in windows up to the first hit; the event is that kill if
+no triple hits.  A family kernel under the affine weight satisfies K <= C
+phi phi phi with C from its terms (``kernels.domination_constant``), so a
+candidate whose acceptance draw is at least C cannot hit.  For C < 1 the
+candidates before the kill are screened by their draws (nothing is when
+the kill comes first) and only the kept ones are evaluated, in windows of
+ceil(32 C); otherwise all of them are, in windows of 32.  The state is
+fixed until the event, so the path depends on neither the screen nor the
+window size.  A candidate with acceptance probability above 1 raises
 :class:`ThinningError` if it lies in an evaluated window, that is, up to
 the hit and in the rest of the hit's window, but never at or past the
 chunk's first kill; the discarded draws of later candidates are not
-checked.
+checked.  The screen leaves this rule as it is: it runs only for C < 1,
+where no candidate exceeds 1.
 
 The truncated variant is the pair (X, Lambda) on a window [0, B], held
 by the state with its window: a kill moves phi-mass into the overflow
@@ -54,7 +60,7 @@ import numpy as np
 
 from .collision import _stack_rows, grid_q_counting, q_counting
 from .fenwick import FenwickTree
-from .kernels import AFFINE, Kernel, WeightFunction, check_submultiplicative
+from .kernels import AFFINE, Kernel, WeightFunction, check_submultiplicative, domination_constant
 from .measures import DiscreteMeasure
 from .trajectory import EVENT_DTYPE, Trajectory, checked_sample_times
 
@@ -75,7 +81,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 128          # candidates drawn per batch between accepted events
-_WINDOW = 32          # candidates evaluated at a time, up to the first hit
+_WINDOW = 32          # candidates evaluated at a time up to the first hit; ceil(32 C) if C < 1
 _DRAWS = 64 * _CHUNK   # uniforms a run's draw buffer holds beyond a chunk and a victim
 _AUDIT_EVERY = 10_000  # cached-sum audit cadence, in accepted events
 _CDF_BLOCK = 1 << 16  # atoms per block of init's two-level prefix table
@@ -348,6 +354,11 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
     affine = state.weight.is_affine
     inv2n2 = 1.0 / (2.0 * n * n)
 
+    # K <= C phi phi phi: no candidate whose acceptance draw is at least
+    # cut can hit, and for cut < 1 none has acceptance probability above 1
+    cut = domination_constant(kernel, state.weight) * (1.0 + 1e-9)
+    window = _WINDOW if cut >= 1.0 else max(1, math.ceil(_WINDOW * cut))
+
     u = np.empty(_DRAWS + 6 * _CHUNK + 1)  # the draw buffer of the module docstring
     pos = len(u)
     t = 0.0
@@ -369,7 +380,8 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
             rng.random(out=u[rest:])
             pos = 0
         draws = u[pos:pos + used]
-        gaps, tri, acc = draws[:_CHUNK], draws[-4 * _CHUNK:-_CHUNK], draws[-_CHUNK:]
+        gaps, acc = draws[:_CHUNK], draws[-_CHUNK:]
+        tri = draws[-4 * _CHUNK:-_CHUNK].reshape(-1, 3)
         pos += used
         c = kill = _CHUNK
         if r_kill > 0.0:
@@ -377,15 +389,18 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
             first = int(kills.argmax())
             if kills[first]:
                 c = kill = first
-        # the state is fixed until the chunk's first hit, so the triples
-        # before its first kill are evaluated window by window up to the
-        # window that holds a hit, the last window cut at the kill; the
-        # event is that kill if no triple hits.  Later candidates are
-        # discarded draws, neither evaluated nor checked for acceptance
-        # above 1
-        for lo in range(0, kill, _WINDOW):
-            hi = min(lo + _WINDOW, kill)
-            s = fw.sample_batch(tri[3 * lo:3 * hi].reshape(-1, 3).T * s1)
+        # the state is fixed until the chunk's first hit, so the candidates
+        # before its first kill (those below cut, for cut < 1) are evaluated
+        # window by window up to the window that holds a hit; the event is
+        # that kill if no triple hits.  Later candidates are discarded
+        # draws, neither evaluated nor checked for acceptance above 1
+        kept, cand_tri, cand_acc, m = None, tri, acc, kill
+        if cut < 1.0 and kill:
+            kept = np.flatnonzero(acc[:kill] < cut)
+            cand_tri, cand_acc, m = tri[kept], acc[kept], len(kept)
+        for lo in range(0, m, window):
+            hi = min(lo + window, m)
+            s = fw.sample_batch(cand_tri[lo:hi].T * s1)
             v = state.idx[s]
             leaves = fw.leaf[s]
             out = v[0] + v[1] - v[2]
@@ -398,10 +413,10 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
                 cw = int(acc_p.argmax())
                 raise _acceptance_error(acc_p[cw], *w[:, cw])
             # acc_p is 0 off the valid candidates, where no u in [0, 1) hits
-            hit = acc[lo:hi] < acc_p
+            hit = cand_acc[lo:hi] < acc_p
             cw = int(hit.argmax())
             if hit[cw]:
-                c = lo + cw
+                c = lo + cw if kept is None else int(kept[lo + cw])
                 break
         # the time of the event, or of the chunk's last candidate: a
         # sequential cumsum of the gaps up to it, whose bits do not depend
@@ -732,7 +747,9 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     """Gillespie simulation with the full per-triple rate table.
 
     O(n^3) work per event; intended as the law-level oracle for the
-    thinning engine at small n.  Its phi column is the prefix table's
+    thinning engine at small n.  Only the live slots interact: the pairs
+    and catalysts are drawn among them, at rate K / n^2 with n the slot
+    count, as in the thinning engine.  Its phi column is the prefix table's
     total, as in every driver: exact under the affine weight, possibly a
     few ulp from a plain sum over the particles under a fractional one.
     """
@@ -741,12 +758,13 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
     n, h = work.n, work.h
     rng = make_rng(seed, stream)
     recorder = MomentRecorder(work, sample_times, t_end, snapshots=record_snapshots)
-    iu, ju = np.triu_indices(n, k=1)
+    live = np.flatnonzero(work.alive)  # no jump here kills: fixed for the run
+    iu, ju = (live[k] for k in np.triu_indices(len(live), k=1))
     t = 0.0
     while t < t_end:
         vi = work.idx[iu][:, None] * h
         vj = work.idx[ju][:, None] * h
-        vl = work.idx[None, :] * h
+        vl = work.idx[live][None, :] * h
         rates = kernel(vi, vj, vl) * ((vi + vj) >= vl) / (n * n)
         flat = rates.ravel()
         total = float(flat.sum())
@@ -758,8 +776,8 @@ def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
         recorder.advance(t_ev)
         t = t_ev
         pick = int(np.searchsorted(np.cumsum(flat), float(rng.random()) * total, side="right"))
-        pair, l = divmod(pick, n)
-        work.apply_jump(int(iu[pair]), int(ju[pair]), int(l))
+        pair, l = divmod(pick, len(live))
+        work.apply_jump(int(iu[pair]), int(ju[pair]), int(live[l]))
     recorder.finish()
     traj = recorder.build()
     traj.meta = {"t_end": t_end}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fourwave import kernels
 from fourwave.kernels import (
     AFFINE,
     Kernel,
@@ -11,6 +12,7 @@ from fourwave.kernels import (
     check_homogeneity,
     check_submultiplicative,
     check_symmetry,
+    domination_constant,
     parse_kernel,
     parse_weight,
 )
@@ -254,6 +256,38 @@ class TestCheckersAgainstLoop:
     def test_malformed_samples_rejected(self):
         with pytest.raises(ValueError, match="triples"):
             check_symmetry(parse_kernel("const:c=1"), [(1.0, 2.0)])
+
+
+class TestDominationConstant:
+    # 0 to 2 in steps of 1/16 (0.5 among them), then geometric up to 50
+    AXIS = np.unique(np.concatenate([np.linspace(0.0, 2.0, 33), np.geomspace(2.0, 50.0, 25)]))
+    MESH = np.stack(np.meshgrid(AXIS, AXIS, AXIS, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    # every family with all fields at 0, 0.4, 1 and 2.5, and uneven fields
+    SPECS = [f"{family}:" + ",".join(f"{name}={value}" for name in kernels._FAMILIES[family][0])
+             for family in sorted(kernels._FAMILIES) for value in (0.0, 0.4, 1.0, 2.5)] + [
+        "mixed:p=1,q=0,r=0", "mixed:p=0.2,q=0.7,r=0.9", "product:lambda=2.5", "const:c=0.02"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bounds_the_kernel_on_a_mesh(self, spec):
+        kernel = parse_kernel(spec)
+        worst = check_submultiplicative(kernel, AFFINE, self.MESH).worst_residual
+        assert worst <= domination_constant(kernel, AFFINE) * (1.0 + 1e-12)  # rounding of K and C
+
+    def test_product_lambda_one_is_attained_at_one_half(self):
+        kernel = parse_kernel("product:lambda=1")
+        rep = check_submultiplicative(kernel, AFFINE, self.MESH)
+        assert rep.witness == (0.5, 0.5, 0.5)
+        assert abs(rep.worst_residual - 4 / 27) <= 1e-12
+        assert abs(domination_constant(kernel, AFFINE) - 4 / 27) <= 1e-12
+
+    def test_unbounded_and_unit_cases(self):
+        assert domination_constant(parse_kernel("product:lambda=9"), AFFINE) == math.inf
+        assert domination_constant(parse_kernel("product:lambda=1"),
+                                   parse_weight("fractional:gamma=0.5")) == math.inf
+        assert domination_constant(lambda a, b, c: np.ones_like(a), AFFINE) == math.inf
+        assert domination_constant(parse_kernel("sum:lambda=1"), AFFINE) == 1.0
+        assert domination_constant(parse_kernel("const:c=1"), AFFINE) == 1.0
 
 
 class TestWeights:

@@ -344,6 +344,20 @@ class TestCsv:
             assert (x is None and y is None) or np.array_equal(x, y)
         assert np.array_equal(a.weights, mu.weights)
 
+    @pytest.mark.parametrize("body, rows", [
+        ("1_000,0.5\n2,0.25\n", [(2.0, 0.25), (1000.0, 0.5)]),
+        ("0.25,1\n\n\n", [(0.25, 1.0)]),
+        ("\n\n", []),
+        ("0.25,1\n\n0.5,2\n", [(0.25, 1.0), (0.5, 2.0)]),
+    ], ids=["underscore", "trailing-blank", "only-blank", "inner-blank"])
+    def test_rows_loadtxt_refuses_or_skips_take_the_line_loop(self, tmp_path, body, rows):
+        # float() takes 1_000 and loadtxt does not; loadtxt skips blank
+        # lines, and warns on a body of nothing else
+        path = tmp_path / "m.csv"
+        path.write_text("omega,weight\n" + body)
+        back = load_measure_csv(path)
+        assert list(zip(back.positions.tolist(), back.weights.tolist())) == rows
+
     @pytest.mark.parametrize("head", ["", "# h=0.25\n"])
     @pytest.mark.parametrize("note", ["", "\n# note\n"], ids=["one-pass", "line-loop"])
     def test_non_number_named_with_line(self, tmp_path, head, note):

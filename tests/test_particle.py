@@ -448,6 +448,41 @@ class TestKillEscape:
             st.audit()
 
 
+def path_runs():
+    """Runs whose paths must not depend on how the engine evaluates its
+    candidates: untruncated product and sum runs under the affine weight,
+    a fractional one (S re-read after every jump), a kill-dominated
+    truncated run, and one from a nonzero overflow start that jumps, kills
+    and escapes."""
+    frac = parse_weight("fractional:gamma=0.6666666666666666")
+    st = init(200, exp_measure(), 2.0 ** -6, seed=4)
+    low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
+    return [
+        lambda: simulate(st, PROD1, AFFINE, 1.0, seed=3, record_events=True,
+                         record_snapshots=True),
+        lambda: simulate(st, parse_kernel("sum:lambda=1"), AFFINE, 1.0, seed=3,
+                         record_events=True, record_snapshots=True),
+        lambda: simulate(init(200, exp_measure(), 2.0 ** -6, seed=4, weight=frac), PROD1,
+                         frac, 1.0, seed=3, record_events=True, record_snapshots=True),
+        lambda: simulate_truncated(init(300, None, 2.0 ** -6, seed=7), 2.0, None, PROD1,
+                                   AFFINE, 1.0, seed=7, record_events=True,
+                                   record_snapshots=True),
+        lambda: simulate_truncated(low, 2.0, 0.01, PROD1, AFFINE, 1.0, seed=13,
+                                   record_events=True, record_snapshots=True),
+    ]
+
+
+def assert_same_path(a, b):
+    """The same events (as bytes: kill records carry a NaN output
+    frequency), moment rows and snapshots."""
+    assert a.events.tobytes() == b.events.tobytes()
+    assert (a.overflow is None) == (b.overflow is None)
+    for name in ("W", "E", "phi", "phi2", "overflow", "conserved_phi", "energy_idx"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for x, y in zip(a.snapshots, b.snapshots, strict=True):
+        assert np.array_equal(x.idx, y.idx) and np.array_equal(x.weights, y.weights)
+
+
 class TestSimulate:
     def test_zero_kernel_constant(self):
         st = init(32, exp_measure(), 2.0 ** -6, seed=2)
@@ -523,39 +558,41 @@ class TestSimulate:
     def test_window_size_leaves_path_unchanged(self, monkeypatch):
         # a window of 1 evaluates candidate by candidate, a window of
         # _CHUNK the whole chunk at once: the draws, and so the paths, are
-        # the same; the fractional run re-reads S after every jump, the
-        # first truncated run is mostly kills, and the second (nonzero
-        # overflow start) jumps, kills and escapes
-        frac = parse_weight("fractional:gamma=0.6666666666666666")
-        st = init(200, exp_measure(), 2.0 ** -6, seed=4)
-        low = ParticleState.build(np.random.default_rng(1).integers(0, 16, 200), 2.0 ** -3)
-        runs = [
-            lambda: simulate(st, PROD1, AFFINE, 1.0, seed=3, record_events=True,
-                             record_snapshots=True),
-            lambda: simulate(st, parse_kernel("sum:lambda=1"), AFFINE, 1.0, seed=3,
-                             record_events=True, record_snapshots=True),
-            lambda: simulate(init(200, exp_measure(), 2.0 ** -6, seed=4, weight=frac), PROD1,
-                             frac, 1.0, seed=3, record_events=True, record_snapshots=True),
-            lambda: simulate_truncated(init(300, None, 2.0 ** -6, seed=7), 2.0, None, PROD1,
-                                       AFFINE, 1.0, seed=7, record_events=True,
-                                       record_snapshots=True),
-            lambda: simulate_truncated(low, 2.0, 0.01, PROD1, AFFINE, 1.0, seed=13,
-                                       record_events=True, record_snapshots=True),
-        ]
-        for run in runs:
+        # the same
+        for run in path_runs():
             default = run()
             assert len(default.events) > 50
             for size in (1, particle._CHUNK):
                 monkeypatch.setattr(particle, "_WINDOW", size)
                 other = run()
                 monkeypatch.undo()
-                # as bytes: kill records carry a NaN output frequency
-                assert default.events.tobytes() == other.events.tobytes()
-                assert np.array_equal(default.W, other.W)
-                assert np.array_equal(default.E, other.E)
-                for a, b in zip(default.snapshots, other.snapshots, strict=True):
-                    assert np.array_equal(a.idx, b.idx) and np.array_equal(a.weights, b.weights)
+                assert_same_path(default, other)
         assert {"interior", "kill", "escape"} <= set(default.events.branch)
+
+    def test_screen_leaves_path_unchanged(self, monkeypatch):
+        # C = inf screens nothing: every candidate before a chunk's first
+        # kill is evaluated, in windows of 32.  The paths are the same, and
+        # only the product runs under the affine weight (C = 4/27) search
+        # fewer slots with the screen
+        searched = []
+        sample_batch = FenwickTree.sample_batch
+
+        def counted(self, targets):
+            searched[-1] += targets.shape[1]
+            return sample_batch(self, targets)
+
+        monkeypatch.setattr(FenwickTree, "sample_batch", counted)
+        for run in path_runs():
+            searched.append(0)
+            default = run()
+            searched.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(particle, "domination_constant", lambda kernel, weight: math.inf)
+                other = run()
+            assert_same_path(default, other)
+        screened, unscreened = searched[0::2], searched[1::2]
+        assert [a < b for a, b in zip(screened, unscreened)] == [True, False, False, True, True]
+        assert screened[1:3] == unscreened[1:3]
 
 
 class TestTruncated:
@@ -1072,6 +1109,22 @@ class TestExactClockOracle:
             rng_counts.append(traj.phi[-1])  # phi is constant; use as smoke output
         traj = simulate_exact_clocks(st, parse_kernel(f"const:c={c}"), AFFINE, t, seed=1)
         assert np.all(traj.E == traj.E[0])
+
+    def test_dead_slots_do_not_interact(self):
+        # slot 0 is killed before the run: its particle takes part in no
+        # pair and is no catalyst, so W, the integer energy and phi stay
+        # those of the five live particles, row for row
+        st = ParticleState.build([3, 5, 2, 7, 1, 0], 0.25)
+        st.kill(0)
+        traj = simulate_exact_clocks(st, PROD1, AFFINE, 3.0, seed=3, record_snapshots=True)
+        assert np.all(traj.energy_idx == 15)
+        snap = traj.snapshots[-1]
+        live_phi = float(np.dot(np.rint(snap.weights * traj.n), snap.idx * 0.25 + 1.0))
+        assert live_phi == 8.75 and traj.phi[-1] == live_phi / traj.n
+        moved = simulate_exact_clocks(st, PROD1, AFFINE, 30.0, seed=2, record_snapshots=True)
+        assert len(set(moved.phi2.tolist())) > 1  # the state moved
+        assert np.all(moved.energy_idx == 15) and np.all(moved.W == 5 / 6)
+        TestRecorder.check_rows(moved, AFFINE)
 
 
 class TestZeroFrequencyAtoms:
