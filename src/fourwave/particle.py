@@ -25,17 +25,17 @@ those calls.  A chunk's first kill is found first, and the triples before
 it are evaluated in windows up to the first hit; the event is that kill if
 no triple hits.  A family kernel under the affine weight satisfies K <= C
 phi phi phi with C from its terms (``kernels.domination_constant``), so a
-candidate whose acceptance draw is at least C cannot hit.  For C < 1 the
-candidates before the kill are screened by their draws (nothing is when
-the kill comes first) and only the kept ones are evaluated, in windows of
-ceil(32 C); otherwise all of them are, in windows of 32.  The state is
-fixed until the event, so the path depends on neither the screen nor the
-window size.  A candidate with acceptance probability above 1 raises
-:class:`ThinningError` if it lies in an evaluated window, that is, up to
-the hit and in the rest of the hit's window, but never at or past the
-chunk's first kill; the discarded draws of later candidates are not
-checked.  The screen leaves this rule as it is: it runs only for C < 1,
-where no candidate exceeds 1.
+candidate whose acceptance draw is at least C cannot hit.  The candidates
+before the kill are screened by their draws (nothing is when the kill
+comes first) and only the kept ones are evaluated, in windows of
+ceil(32 min(C, 1)): for C >= 1 the screen keeps every candidate and the
+windows hold 32.  The state is fixed until the event, so the path depends
+on neither the screen nor the window size.  A candidate with acceptance
+probability above 1 raises :class:`ThinningError` if it lies in an
+evaluated window, that is, up to the hit and in the rest of the hit's
+window, but never at or past the chunk's first kill; the discarded draws
+of later candidates are not checked.  The screen leaves this rule as it
+is: it drops a candidate only for C < 1, where none exceeds 1.
 
 The truncated variant is the pair (X, Lambda) on a window [0, B], held
 by the state with its window: a kill moves phi-mass into the overflow
@@ -81,8 +81,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 128          # candidates drawn per batch between accepted events
-_WINDOW = 32          # candidates evaluated at a time up to the first hit; ceil(32 C) if C < 1
+_WINDOW = 32          # screened candidates evaluated at a time at C >= 1; ceil(32 C) below
 _DRAWS = 64 * _CHUNK   # uniforms a run's draw buffer holds beyond a chunk and a victim
+_NO_CANDIDATES = np.empty(0, dtype=np.intp)  # the screen's result when the kill comes first
 _AUDIT_EVERY = 10_000  # cached-sum audit cadence, in accepted events
 _CDF_BLOCK = 1 << 16  # atoms per block of init's two-level prefix table
 
@@ -357,7 +358,7 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
     # K <= C phi phi phi: no candidate whose acceptance draw is at least
     # cut can hit, and for cut < 1 none has acceptance probability above 1
     cut = domination_constant(kernel, state.weight) * (1.0 + 1e-9)
-    window = _WINDOW if cut >= 1.0 else max(1, math.ceil(_WINDOW * cut))
+    window = max(1, math.ceil(_WINDOW * min(cut, 1.0)))
 
     u = np.empty(_DRAWS + 6 * _CHUNK + 1)  # the draw buffer of the module docstring
     pos = len(u)
@@ -390,33 +391,30 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
             if kills[first]:
                 c = kill = first
         # the state is fixed until the chunk's first hit, so the candidates
-        # before its first kill (those below cut, for cut < 1) are evaluated
-        # window by window up to the window that holds a hit; the event is
-        # that kill if no triple hits.  Later candidates are discarded
-        # draws, neither evaluated nor checked for acceptance above 1
-        kept, cand_tri, cand_acc, m = None, tri, acc, kill
-        if cut < 1.0 and kill:
-            kept = np.flatnonzero(acc[:kill] < cut)
-            cand_tri, cand_acc, m = tri[kept], acc[kept], len(kept)
-        for lo in range(0, m, window):
-            hi = min(lo + window, m)
-            s = fw.sample_batch(cand_tri[lo:hi].T * s1)
+        # before its first kill whose draw is below cut are evaluated window
+        # by window up to the window that holds a hit; the event is that
+        # kill if no triple hits.  Other candidates are discarded draws,
+        # neither evaluated nor checked for acceptance above 1
+        kept = (acc[:kill] < cut).nonzero()[0] if kill else _NO_CANDIDATES
+        for lo in range(0, len(kept), window):
+            ks = kept[lo:lo + window]
+            s = fw.sample_batch(tri.take(ks, axis=0).T * s1)
             v = state.idx[s]
             leaves = fw.leaf[s]
             out = v[0] + v[1] - v[2]
             phis = leaves[0] * leaves[1] * leaves[2]
             valid = (s[0] != s[1]) & (out >= 0) & (phis > 0.0)
             w = v * h
-            acc_p = np.divide(kernel(w[0], w[1], w[2]), phis, out=np.zeros(hi - lo),
+            acc_p = np.divide(kernel(w[0], w[1], w[2]), phis, out=np.zeros(len(ks)),
                               where=valid)
             if (acc_p > 1.0 + 1e-12).any():
                 cw = int(acc_p.argmax())
                 raise _acceptance_error(acc_p[cw], *w[:, cw])
             # acc_p is 0 off the valid candidates, where no u in [0, 1) hits
-            hit = cand_acc[lo:hi] < acc_p
+            hit = acc[ks] < acc_p
             cw = int(hit.argmax())
             if hit[cw]:
-                c = lo + cw if kept is None else int(kept[lo + cw])
+                c = int(ks[cw])
                 break
         # the time of the event, or of the chunk's last candidate: a
         # sequential cumsum of the gaps up to it, whose bits do not depend

@@ -570,8 +570,8 @@ class TestSimulate:
         assert {"interior", "kill", "escape"} <= set(default.events.branch)
 
     def test_screen_leaves_path_unchanged(self, monkeypatch):
-        # C = inf screens nothing: every candidate before a chunk's first
-        # kill is evaluated, in windows of 32.  The paths are the same, and
+        # C = inf keeps every candidate before a chunk's first kill, in
+        # windows of 32.  The paths are the same, and
         # only the product runs under the affine weight (C = 4/27) search
         # fewer slots with the screen
         searched = []
