@@ -99,6 +99,23 @@ class Kernel:
                             if e != 0.0 or (t == 0 and k not in raised)))
                      for t, (coef, exps) in enumerate(self.terms))
 
+    @cached_property
+    def _exponents(self) -> tuple:
+        """The distinct exponents of the plan's factors."""
+        return tuple({e for _, factors in self._plan for _, e in factors})
+
+    def _walk(self, factor):
+        """K from ``factor(k, e)``, the power w_k**e: the sum over the plan's
+        terms of their coefficients times their factors, in plan order."""
+        out = None
+        for coef, factors in self._plan:
+            term = coef
+            for k, e in factors:
+                term = factor(k, e) if term is None else term * factor(k, e)
+            term = 1.0 if term is None else term
+            out = term if out is None else out + term
+        return out
+
     def eval(self, w1, w2, w3):
         """Evaluate K; accepts scalars or broadcastable numpy arrays.
 
@@ -106,16 +123,17 @@ class Kernel:
         1.0 (a coefficient 1, w**0) are skipped where that changes no bits.
         """
         args = (w1, w2, w3)
-        out = None
-        for coef, factors in self._plan:
-            term = coef
-            for k, e in factors:
-                term = _pow(args[k], e) if term is None else term * _pow(args[k], e)
-            term = 1.0 if term is None else term
-            out = term if out is None else out + term
-        return out
+        return self._walk(lambda k, e: _pow(args[k], e))
 
     __call__ = eval
+
+    def eval_stack(self, w: np.ndarray):
+        """K on a (3, k) float stack of frequencies, rows w1, w2, w3: each
+        distinct exponent's power taken once over the whole stack, then
+        the terms of :meth:`eval`, equal to ``eval(w[0], w[1], w[2])`` bit
+        for bit."""
+        powers = {e: _pow(w, e) for e in self._exponents}
+        return self._walk(lambda k, e: powers[e][k])
 
 
 @dataclass(frozen=True)
@@ -135,6 +153,15 @@ class WeightFunction:
         if self.variant == "affine":
             return np.asarray(w, dtype=float) + 1.0
         return _pow(w, 1.0 - self.gamma)
+
+    def pair(self, a: float, b: float) -> tuple[float, float]:
+        """phi(a) and phi(b) as Python floats, with the bits of the array
+        form; the affine weight takes them without numpy, where w + 1 has
+        the same bits."""
+        if self.variant == "affine":
+            return a + 1.0, b + 1.0
+        phi_a, phi_b = self(np.array([a, b])).tolist()
+        return phi_a, phi_b
 
     @property
     def is_affine(self) -> bool:

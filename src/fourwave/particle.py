@@ -27,15 +27,24 @@ no triple hits.  A family kernel under the affine weight satisfies K <= C
 phi phi phi with C from its terms (``kernels.domination_constant``), so a
 candidate whose acceptance draw is at least C cannot hit.  The candidates
 before the kill are screened by their draws (nothing is when the kill
-comes first) and only the kept ones are evaluated, in windows of
-ceil(32 min(C, 1)): for C >= 1 the screen keeps every candidate and the
-windows hold 32.  The state is fixed until the event, so the path depends
-on neither the screen nor the window size.  A candidate with acceptance
-probability above 1 raises :class:`ThinningError` if it lies in an
+comes first) and only the kept ones are evaluated, in windows of ceil(32
+min(C, 1)): for C >= 1 the screen keeps every candidate and the windows
+hold 32.  A window evaluates a family kernel on the (3, k) stack of its
+frequencies, each distinct exponent's power taken once over the stack
+(``Kernel.eval_stack``, the bits of ``Kernel.eval``); a bare callable gets
+the three rows.  One mask marks the valid candidates, two distinct slots
+for the pair and w_i + w_j >= w_l: the acceptance probability is K / (phi
+phi phi) on the valid candidates and 0 on the others, whatever K is on
+them.  phi phi phi is never 0, as the search never picks a zero-weight
+leaf.  A NaN K on a valid candidate neither hits nor refuses.  The state
+is fixed until the event, so the path depends on neither the screen nor
+the window size.  A candidate with acceptance probability above 1 raises
+:class:`ThinningError`, naming the window's largest one, if it lies in an
 evaluated window, that is, up to the hit and in the rest of the hit's
 window, but never at or past the chunk's first kill; the discarded draws
 of later candidates are not checked.  The screen leaves this rule as it
-is: it drops a candidate only for C < 1, where none exceeds 1.
+is: it drops a candidate only for C < 1, where none exceeds 1.  Moment
+rows are recorded only when an event passes the next sample time.
 
 The truncated variant is the pair (X, Lambda) on a window [0, B], held
 by the state with its window: a kill moves phi-mass into the overflow
@@ -188,7 +197,7 @@ class ParticleState:
             raise ValueError("inadmissible triple: w_i + w_j < w_l")
         self.idx[i] = out
         self.idx[j] = vl
-        phi_out, phi_vl = self.weight(np.array([out * self.h, vl * self.h])).tolist()
+        phi_out, phi_vl = self.weight.pair(out * self.h, vl * self.h)
         self.fenwick.set_pair(i, phi_out, j, phi_vl)
 
     def kill(self, slot: int) -> float:
@@ -234,12 +243,15 @@ class MomentRecorder:
         self._rows = []      # (W, E, phi, phi2, Lambda, <phi, X> + Lambda)
         self._idx_rows = []  # exact integer energy
         self._snaps = [] if snapshots else None
+        self.next_time = self.times[0] if len(self.times) else math.inf  # first unrecorded
 
     def advance(self, t_next: float) -> None:
         """Record every sample time strictly before ``t_next`` from the
-        current (pre-event) state."""
-        while len(self._rows) < len(self.times) and self.times[len(self._rows)] < t_next:
+        current (pre-event) state; a no-op unless ``next_time < t_next``."""
+        while self.next_time < t_next:
             self._record()
+            k = len(self._rows)
+            self.next_time = self.times[k] if k < len(self.times) else math.inf
 
     def finish(self) -> None:
         self.advance(np.inf)
@@ -248,12 +260,13 @@ class MomentRecorder:
         st = self.state
         n, h = st.n, st.h
         live = st.idx[st.alive]
-        phis = np.asarray(st.weight(live * h), dtype=float)
+        phis = st.weight(live * h)
         energy = int(live.sum())
-        self._rows.append((len(live) / n, energy * h / n, st.phi_total / n,
-                           float(np.sum(phis * phis)) / n,
+        total = st.phi_total
+        self._rows.append((len(live) / n, energy * h / n, total / n,
+                           float(np.add.reduce(phis * phis)) / n,
                            np.nan if st.bound_idx is None else st.lam / n,
-                           (st.phi_total + st.lam) / n))
+                           (total + st.lam) / n))
         self._idx_rows.append(energy)
         if self._snaps is not None:
             self._snaps.append(
@@ -359,6 +372,8 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
     # cut can hit, and for cut < 1 none has acceptance probability above 1
     cut = domination_constant(kernel, state.weight) * (1.0 + 1e-9)
     window = max(1, math.ceil(_WINDOW * min(cut, 1.0)))
+    evaluate = (kernel.eval_stack if isinstance(kernel, Kernel)
+                else lambda w: kernel(w[0], w[1], w[2]))
 
     u = np.empty(_DRAWS + 6 * _CHUNK + 1)  # the draw buffer of the module docstring
     pos = len(u)
@@ -401,16 +416,16 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
             s = fw.sample_batch(tri.take(ks, axis=0).T * s1)
             v = state.idx[s]
             leaves = fw.leaf[s]
-            out = v[0] + v[1] - v[2]
             phis = leaves[0] * leaves[1] * leaves[2]
-            valid = (s[0] != s[1]) & (out >= 0) & (phis > 0.0)
+            valid = (s[0] != s[1]) & (v[0] + v[1] >= v[2])
             w = v * h
-            acc_p = np.divide(kernel(w[0], w[1], w[2]), phis, out=np.zeros(len(ks)),
-                              where=valid)
-            if (acc_p > 1.0 + 1e-12).any():
-                cw = int(acc_p.argmax())
+            # 0 off the valid candidates, whatever K is there (a product
+            # with the mask would warn on an infinite K); NaN where K is NaN
+            # at a valid one, which no u in [0, 1) hits and fmax skips
+            acc_p = np.where(valid, evaluate(w) / phis, 0.0)
+            if np.fmax.reduce(acc_p) > 1.0 + 1e-12:
+                cw = int(np.nanargmax(acc_p))
                 raise _acceptance_error(acc_p[cw], *w[:, cw])
-            # acc_p is 0 off the valid candidates, where no u in [0, 1) hits
             hit = acc[ks] < acc_p
             cw = int(hit.argmax())
             if hit[cw]:
@@ -426,7 +441,8 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
         if t_ev >= t_end:
             t = t_end
             break
-        recorder.advance(t_ev)
+        if recorder.next_time < t_ev:
+            recorder.advance(t_ev)
         t = t_ev
         if c == kill:
             victim = fw.sample(float(u[pos] * s1))
@@ -435,7 +451,8 @@ def _run_engine(state: ParticleState, kernel, t_end: float, rng: np.random.Gener
             i, j, l, w_new, branch = victim, -1, -1, math.nan, "kill"
         else:
             i, j, l = s[:, cw].tolist()
-            o = int(out[cw])
+            vi, vj, vl = v[:, cw].tolist()
+            o = vi + vj - vl
             if state.bound_idx is not None and o > state.bound_idx:
                 # output escapes the window: its phi-mass feeds the overflow
                 state.escape(i, j, l)

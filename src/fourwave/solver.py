@@ -303,8 +303,8 @@ class PicardReport:
     """Norm curves of the Picard iterates on [0, T], T = 1/(4C).
 
     ``evaluated`` counts the iterations whose right-hand side was computed:
-    fewer than the rows of ``diffs`` once the iterates reach an exact
-    floating-point fixed point, after which every row is a copy."""
+    fewer than the rows of ``diffs`` once an iterate repeats an earlier one
+    bit for bit, after which the rows repeat with that period."""
 
     times: np.ndarray
     norms: np.ndarray            # f_n(t) = ||(mu^n_t, lam^n_t)||, shape (iters+1, nt)
@@ -323,6 +323,11 @@ class PicardReport:
         return self.diffs.max(axis=1)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits (so -0.0 differs from 0.0)."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
            iterations: int = 20, nsteps: int = 64) -> PicardReport:
     """Run the iterative scheme mu^{n+1} = mu0 + int_0^t L^B(mu^n, lam^n).
@@ -334,9 +339,13 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     uniform intervals over the contraction horizon T = 1/(4C).  Each
     iteration evaluates its nsteps + 1 time points in a few stacked calls
     of the grid core; the first evaluates iterate 0's one state once.
-    Once an iteration changes nothing (every difference exactly 0) the
-    iterates sit at a fixed point of the deterministic map, so the
-    remaining rows are filled in as copies without computing them.
+    Once an iterate repeats an earlier one bit for bit, the deterministic
+    map cycles from there, so the remaining rows are filled in by the
+    period without computing them.  An iteration that changes nothing
+    (every difference exactly 0) stops at once; a longer cycle is found by
+    Brent's method, which compares each iterate with one held earlier
+    iterate, so it may stop a few iterations after the first repeat.
+    Iterate 0, held as one row, takes no part in the comparison.
     Divergence (norms above the proof bound sqrt(2)) is reported, not
     raised.
     """
@@ -362,25 +371,37 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     cur_l = np.full(1, float(lam0))
     norms = [np.broadcast_to(np.abs(cur_w).sum(axis=1) + np.abs(cur_l), (nt,))]
     diffs = []
+    # Brent's cycle search: iterates 1, 2, ... against one checkpoint, moved
+    # to iterates 1, 3, 7, 15, ...
+    check, at, gap, period = None, 0, 1, 1
     for _ in range(iterations):
         blocks = -(-len(cur_w) // _stack_rows(m))  # fewest even blocks within the cap
         rhs = [system.rhs(wb, lb) for wb, lb in zip(np.array_split(cur_w, blocks),
                                                      np.array_split(cur_l, blocks))]
         rhs_w, rhs_l = (np.concatenate(part) for part in zip(*rhs))
         rhs_w, rhs_l = np.broadcast_to(rhs_w, (nt, m)), np.broadcast_to(rhs_l, (nt,))
-        int_w = np.vstack([np.zeros((1, m)),
-                           np.cumsum(0.5 * dtv[:, None] * (rhs_w[:-1] + rhs_w[1:]), axis=0)])
+        # w0 plus the trapezoidal integral, summed into the new iterate: no
+        # vstack copy, which leaves room for the iterate the cycle search holds
+        new_w = np.empty((nt, m))
+        new_w[0] = 0.0
+        np.cumsum(0.5 * dtv[:, None] * (rhs_w[:-1] + rhs_w[1:]), axis=0, out=new_w[1:])
+        new_w += w0
         int_l = np.concatenate([[0.0], np.cumsum(0.5 * dtv * (rhs_l[:-1] + rhs_l[1:]))])
-        new_w = w0[None, :] + int_w
         new_l = lam0 + int_l
         diffs.append(np.abs(new_w - cur_w).sum(axis=1) + np.abs(new_l - cur_l))
         cur_w, cur_l = new_w, new_l
         norms.append(np.abs(cur_w).sum(axis=1) + np.abs(cur_l))
         if not diffs[-1].any():
             break
+        if check is not None and _same_bits(cur_w, check[0]) and _same_bits(cur_l, check[1]):
+            period = len(diffs) - at
+            break
+        if len(diffs) - at == gap:
+            check, at, gap = (cur_w, cur_l), len(diffs), 2 * gap
     evaluated = len(diffs)
-    norms += [norms[-1]] * (iterations - evaluated)
-    diffs += [np.zeros(nt)] * (iterations - evaluated)
+    for _ in range(iterations - evaluated):
+        norms.append(norms[-period])
+        diffs.append(diffs[-period])
     report = PicardReport(times, np.asarray(norms), np.asarray(diffs), c, horizon,
                           evaluated=evaluated)
     report.bound_sqrt2 = bool(np.all(report.sup_norms <= math.sqrt(2.0) + 1e-9))

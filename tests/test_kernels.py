@@ -290,6 +290,23 @@ class TestDominationConstant:
         assert domination_constant(parse_kernel("const:c=1"), AFFINE) == 1.0
 
 
+class TestEvalStack:
+    @pytest.mark.parametrize("spec", TestDominationConstant.SPECS)
+    def test_equals_eval_bit_for_bit(self, spec):
+        # grid frequencies with zeros in every row and an all-zero column,
+        # as a C-ordered stack and as the transposed (3, k) view a window's
+        # gathered draws give
+        k = parse_kernel(spec)
+        rng = np.random.default_rng(25)
+        w = rng.integers(0, 160, size=(3, 41)) * 2.0 ** -4
+        w[:, 0] = 0.0
+        w[rng.random((3, 41)) < 0.2] = 0.0
+        for stack in (w, np.ascontiguousarray(w.T).T, w[:, :1]):
+            want, got = k.eval(stack[0], stack[1], stack[2]), k.eval_stack(stack)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestWeights:
     def test_affine_floor_and_conservation(self):
         assert AFFINE(0.0) == 1.0
@@ -305,6 +322,14 @@ class TestWeights:
         assert np.all(np.diff(vals) >= 0)           # nondecreasing
         mid = w((xs[:-2] + xs[2:]) / 2.0)
         assert np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - 1e-12)  # concave
+
+    def test_pair_has_the_bits_of_the_array_form(self):
+        vals = (np.random.default_rng(25).integers(0, 4000, size=64) * 2.0 ** -7).tolist()
+        for weight in (AFFINE, parse_weight("fractional:gamma=0.6666666666666666")):
+            for a, b in zip(vals[::2], vals[1::2]):
+                got = weight.pair(a, b)
+                assert np.array(got).tobytes() == weight(np.array([a, b])).tobytes()
+                assert all(type(phi) is float for phi in got)
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -926,6 +927,60 @@ class TestInLoopRefusal:
         assert run(0).events.branch.tolist() == ["kill"] * 8
         with pytest.raises(ThinningError, match="acceptance probability 186589 > 1"):
             run(2)
+
+
+class TestWindowMask:
+    """The engine masks a window's candidates with the same slot for the
+    pair or an inadmissible triple (w1 + w2 < w3) whatever K is there, and
+    refuses by the largest acceptance probability that is not NaN."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_inadmissible_values_neither_hit_nor_raise(self, bad):
+        # a bare callable has no domination constant, so each window holds
+        # 32 candidates, all evaluated; the path is that of the plain kernel
+        seen = []
+
+        def poisoned(w1, w2, w3):
+            off = w1 + w2 < w3
+            seen.append(int(np.count_nonzero(off)))
+            return np.where(off, bad, PROD1(w1, w2, w3))
+
+        st = init(300, None, 2.0 ** -6, seed=7)
+        got = simulate(st, poisoned, AFFINE, 1.0, seed=3, record_events=True,
+                       record_snapshots=True, precheck=False)
+        want = simulate(st, lambda a, b, c: PROD1(a, b, c), AFFINE, 1.0, seed=3,
+                        record_events=True, record_snapshots=True, precheck=False)
+        assert len(got.events) > 50 and sum(seen) > 500
+        assert_same_path(got, want)
+
+    def test_refusal_names_the_admissible_triple_in_its_window(self):
+        # four particles at 0.75 and four at 0.25: K spikes on the pairs at
+        # 0.75, and is NaN on the pairs at 0.25 (inadmissible when the
+        # catalyst sits at 0.75) and on the mixed pairs (always admissible)
+        st = ParticleState.build(np.array([12] * 4 + [4] * 4), 2.0 ** -4, AFFINE)
+        calls = []
+
+        def spiked(nan_value):
+            def kernel(w1, w2, w3):
+                same = w1 == w2
+                spike = same & (w1 == 0.75)
+                nans = ~same | (w1 == 0.25)
+                calls.append((bool(spike.any()), bool((nans & (w1 + w2 >= w3)).any())))
+                return np.where(spike, 1e6, np.where(nans, nan_value, 0.0))
+            return kernel
+
+        messages = []
+        for nan_value in (math.nan, 0.0):
+            calls.clear()
+            with pytest.raises(ThinningError) as err:
+                simulate(st, spiked(nan_value), AFFINE, 10.0, seed=0, precheck=False)
+            messages.append(str(err.value))
+            # the refusing window is the first that holds a spike
+            assert calls[-1][0] and not any(spike for spike, _ in calls[:-1])
+        # with NaN at admissible triples of that window too
+        assert calls[-1][1]
+        assert messages[0] == messages[1]
+        assert re.search(r"> 1 at triple \(0\.75, 0\.75, 0\.(75|25)\)", messages[0])
 
 
 class TestMartingale:

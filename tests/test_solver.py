@@ -5,7 +5,7 @@ import pytest
 
 from fourwave.collision import _STACK_VALUES, TruncatedState, l_b_pairing
 from fourwave.kernels import AFFINE, parse_kernel
-from fourwave.measures import DiscreteMeasure, moment, tv_norm
+from fourwave.measures import DiscreteMeasure, moment, quantize, tv_norm
 from fourwave.solver import (
     PicardReport,
     SolverConfig,
@@ -389,6 +389,28 @@ class TestPicardFixedPoint:
         assert longer.evaluated == e
         assert np.array_equal(longer.norms[:21], rep.norms)
         assert np.array_equal(longer.diffs[:20], rep.diffs)
+
+    def test_stop_at_cycle(self):
+        # a 64-atom Exp(1) start on [0, 4] (stratified draws at seed 8191,
+        # after two 4000-draw starts, the phi-mass beyond 4 in the overflow)
+        # whose sum:lambda=2 iterates end in a last-bit cycle: sup
+        # differences near 3e-24 that never reach 0
+        rng = np.random.default_rng(8191)
+        rng.random(4000)
+        rng.random(4000)
+        vals = -np.log1p(-(np.arange(64) + rng.random(64)) / 64)
+        raw = quantize(DiscreteMeasure.from_points(vals, np.full(64, 1 / 64)), H).compact()
+        inner, outer = raw.restricted(4.0)
+        lam0 = moment(outer, AFFINE)
+        scale = 1.0 / (moment(inner, AFFINE) + lam0)
+        mu0, lam0 = inner.scaled(scale), lam0 * scale
+        kernel = parse_kernel("sum:lambda=2")
+        norms, diffs, evaluated = self.tiled_first_iteration(mu0, lam0, kernel, 4.0)
+        assert evaluated == 20 and diffs[-1].any()
+        rep = picard(mu0, lam0, kernel, 4.0, iterations=20)
+        assert rep.evaluated < 20
+        assert np.array_equal(rep.norms, norms)
+        assert np.array_equal(rep.diffs, diffs)
 
     @pytest.mark.parametrize("bad", [{"iterations": 0}, {"iterations": -3},
                                      {"nsteps": 0}, {"nsteps": -1}])
