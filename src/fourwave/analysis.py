@@ -17,7 +17,7 @@ import numpy as np
 
 from .collision import _row_dot
 from .kernels import Kernel, WeightFunction
-from .measures import DiscreteMeasure, phi_transform, weak_distance
+from .measures import DiscreteMeasure, _prime_weak_pairings, phi_transform, weak_distance
 from .particle import extract_martingale, make_rng
 from .trajectory import Trajectory
 
@@ -59,21 +59,23 @@ def _bootstrap_slopes(per_n_errors: dict[int, np.ndarray], resamples: int) -> np
     """Log-log slopes of median error against n, one per bootstrap resample
     of each n's replica errors.
 
-    The resampled indices are drawn one ``rng.integers`` call per
-    (resample, n), resample-major, so the stream is that of a per-resample
-    loop; the medians are then taken once per n and the slopes with
-    ``_row_dot``, which gives every resample the bits of
+    The resampled indices are drawn in one ``rng.integers`` call whose
+    bound ``high`` holds, per column, the replica count k of that column's
+    n: a row is one resample, its columns the k draws of each n in turn.
+    An array bound takes one draw per element in C order, as k scalar
+    calls do (none where k = 1), so the stream is that of a per-resample
+    loop of one call per n.  The medians are then taken once per n and
+    the slopes with ``_row_dot``, which gives every resample the bits of
     :func:`fit_loglog_slope` on its own medians (a matrix product would
     round some rows differently).
     """
     rng = make_rng(_BOOTSTRAP_SEED)
     ns = sorted(per_n_errors)
-    picks = {n: np.empty((resamples, len(per_n_errors[n])), dtype=np.int64) for n in ns}
-    for r in range(resamples):
-        for n in ns:
-            k = picks[n].shape[1]
-            picks[n][r] = rng.integers(0, k, size=k)
-    meds = np.stack([np.median(per_n_errors[n][picks[n]], axis=1) for n in ns], axis=1)
+    counts = [len(per_n_errors[n]) for n in ns]
+    picks = rng.integers(0, np.repeat(counts, counts), size=(resamples, sum(counts)))
+    starts = np.cumsum([0, *counts])
+    meds = np.stack([np.median(per_n_errors[n][picks[:, a:b]], axis=1)
+                     for n, a, b in zip(ns, starts, starts[1:])], axis=1)
     lx = np.log(np.asarray(ns, dtype=float))
     vx = lx - lx.mean()
     return _row_dot(np.log(meds), vx) / np.dot(vx, vx)
@@ -133,21 +135,23 @@ def mean_field_convergence(ensembles: dict[int, list[Trajectory]], reference: Tr
     """
     if reference.snapshots is None:
         raise ValueError("reference trajectory carries no snapshots")
-    # each reference caches its pairings: computed once, not once per replica
-    ref_phi = [phi_transform(s, weight) for s in reference.snapshots]
-    per_n: dict[int, np.ndarray] = {}
-    for n, trajs in sorted(ensembles.items()):
-        errs = []
-        for traj in trajs:
-            if traj.snapshots is None:
-                raise ValueError("ensemble trajectory carries no snapshots")
-            if (len(traj.sample_times) != len(reference.sample_times)
-                    or np.max(np.abs(traj.sample_times - reference.sample_times)) > 1e-12):
-                raise ValueError("sample-time grids do not match the reference")
-            err = max(weak_distance(phi_transform(s, weight), r)
-                      for s, r in zip(traj.snapshots, ref_phi))
-            errs.append(err)
-        per_n[n] = np.asarray(errs)
+    runs = [(n, traj) for n, trajs in sorted(ensembles.items()) for traj in trajs]
+    for _, traj in runs:
+        if traj.snapshots is None:
+            raise ValueError("ensemble trajectory carries no snapshots")
+        if (len(traj.sample_times) != len(reference.sample_times)
+                or np.max(np.abs(traj.sample_times - reference.sample_times)) > 1e-12):
+            raise ValueError("sample-time grids do not match the reference")
+    dists = [[] for _ in runs]
+    # one trig table per sample time: its snapshots share most of their sites
+    for ref_snap, *snaps in zip(reference.snapshots, *(traj.snapshots for _, traj in runs)):
+        ref = phi_transform(ref_snap, weight)
+        phis = [phi_transform(s, weight) for s in snaps]
+        _prime_weak_pairings([ref, *phis])
+        for d, phi in zip(dists, phis):
+            d.append(weak_distance(phi, ref))
+    per_n = {n: np.asarray([max(d) for (m, _), d in zip(runs, dists) if m == n])
+             for n in sorted(ensembles)}
     ns = sorted(per_n)
     medians = [float(np.median(per_n[n])) for n in ns]
     quarts = [(float(np.quantile(per_n[n], 0.25)), float(np.quantile(per_n[n], 0.75)))

@@ -188,13 +188,40 @@ class DiscreteMeasure:
     def _weak_pairings(self) -> np.ndarray:
         """<g_k, self> over the weak-metric test family, computed once per
         measure (one compared many times pays for it once); read-only."""
-        phases = self.positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
-        table = np.empty_like(phases)
-        table[:, 0::2] = np.cos(phases[:, 0::2])
-        table[:, 1::2] = np.sin(phases[:, 1::2])
-        pairings = self.weights @ table  # zeros for no atoms
-        pairings.setflags(write=False)
-        return pairings
+        return _pairings(self.weights, _trig_table(self.positions))
+
+
+def _trig_table(positions: np.ndarray) -> np.ndarray:
+    """g_k(w) for each position w (rows) and test function k (columns),
+    computed in place over the phases a_k * w."""
+    table = positions[:, None] * WEAK_METRIC_FREQUENCIES[None, :]
+    np.cos(table[:, 0::2], out=table[:, 0::2])
+    np.sin(table[:, 1::2], out=table[:, 1::2])
+    return table
+
+
+def _pairings(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    pairings = weights @ table  # zeros for no atoms
+    pairings.setflags(write=False)
+    return pairings
+
+
+def _prime_weak_pairings(measures) -> None:
+    """Cache the weak-metric pairings of measures that have none, from one
+    trig table over their distinct positions (distinct by bits: -0.0 gets
+    a row apart from 0.0).  A measure's rows, gathered in its atom order,
+    hold the values of the table it would build alone, in the same layout,
+    so each pairing has the bits of ``_weak_pairings`` computed alone."""
+    # cached_property keeps its value in the instance __dict__
+    measures = [m for m in measures if "_weak_pairings" not in vars(m)]
+    if not measures:
+        return
+    positions = [m.positions for m in measures]
+    keys, rows = np.unique(np.concatenate(positions).view(np.int64), return_inverse=True)
+    table = _trig_table(keys.view(np.float64))
+    ends = np.cumsum([len(p) for p in positions])
+    for m, r in zip(measures, np.split(rows, ends[:-1])):
+        vars(m)["_weak_pairings"] = _pairings(m.weights, table[r])
 
 
 def moment(mu: DiscreteMeasure, f) -> float:
@@ -279,7 +306,11 @@ def save_measure_csv(mu: DiscreteMeasure, path) -> None:
     one atom per row, 17 significant digits; grid mode adds ``# h=...``."""
     lines = [f"# h={mu.h:.17g}"] if mu.is_grid else []
     lines.append("omega,weight")
-    lines.extend(map("{:.17g},{:.17g}".format, mu.positions.tolist(), mu.weights.tolist()))
+    # each distinct weight is formatted once: distinct by bits, as -0.0
+    # prints apart from 0.0
+    bits, which = np.unique(mu.weights.view(np.int64), return_inverse=True)
+    text = np.array([f"{w:.17g}" for w in bits.view(np.float64).tolist()], dtype=object)
+    lines.extend(map("{:.17g},{}".format, mu.positions.tolist(), text[which].tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -150,6 +150,24 @@ class TestBatchedBootstrap:
             assert np.array_equal(analysis._bootstrap_slopes(per_n, 1000), slopes)
             assert analysis._bootstrap_slope_ci(per_n) == ci
 
+    def test_one_draw_call_is_the_per_resample_loop(self):
+        # unequal replica counts and single-replica n's (k = 1 takes no draw):
+        # one integers call with a per-column bound draws the stream of one
+        # call per (resample, n) and leaves the generator where that loop does
+        counts = {100: 5, 200: 1, 400: 3, 800: 1, 1600: 9}
+        loop, batch = make_rng(analysis._BOOTSTRAP_SEED), make_rng(analysis._BOOTSTRAP_SEED)
+        want = [np.concatenate([loop.integers(0, k, size=k) for k in counts.values()])
+                for _ in range(300)]
+        got = batch.integers(0, np.repeat(list(counts.values()), list(counts.values())),
+                             size=(300, sum(counts.values())))
+        assert np.array_equal(got, want)
+        assert repr(batch.bit_generator.state) == repr(loop.bit_generator.state)
+        rng = np.random.default_rng(26)
+        per_n = {n: rng.uniform(0.01, 0.1, size=k) for n, k in counts.items()}
+        slopes, ci = loop_bootstrap(per_n)
+        assert np.array_equal(analysis._bootstrap_slopes(per_n, 1000), slopes)
+        assert analysis._bootstrap_slope_ci(per_n) == ci
+
 
 class TestMartingaleStats:
     def ensembles(self, f_reps=25, ns=(24, 96)):

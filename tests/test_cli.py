@@ -61,6 +61,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "witness" in err or "acceptance probability" in err
 
+    def test_undominated_at_the_smallest_frequency_exit3(self, tmp_path, capsys):
+        # K/(phi phi phi) = (w1 w2 w3)^(-1/6) is largest at the grid's h
+        out = tmp_path / "x"
+        code = main(["simulate", "--kernel", "product:lambda=0.5", "--weight",
+                     "fractional:gamma=0.6666666666666666", "--h", "0.125", "--n", "60",
+                     "--seed", "7", "--out", str(out)])
+        assert code == 3
+        assert "= 2.82843 at witness (0.125, 0.125, 0.125)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_too_small_exit2(self, tmp_path, capsys):
         code = main(["simulate", "--kernel", "product:lambda=1", "--n", "1",
                      "--out", str(tmp_path / "x")])
@@ -823,3 +833,52 @@ class TestManifestTypes:
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
             assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+
+def _same_tree(a: Path, b: Path) -> None:
+    """``diff -r``: the same file names, each with the same bytes."""
+    names = sorted(p.relative_to(a) for p in a.rglob("*"))
+    assert names and names == sorted(p.relative_to(b) for p in b.rglob("*"))
+    for name in names:
+        if (a / name).is_file():
+            assert read(a / name) == read(b / name), name
+
+
+class TestConsoleChecks:
+    """Rows of the CI console-script step, run in-process: each row runs
+    its set-up commands, then its checked command twice, once as given and
+    once as a replay from the first run's manifest (or as given again, for
+    ``compare``), and the two output directories must match byte for byte.
+    ``{d}`` in an argument is the test's directory."""
+
+    SIM = ["simulate", "--kernel", "product:lambda=1", "--seed", "7"]
+    SHORT = ["--h", "0.015625", "--bound", "4", "--t-end", "0.25", "--samples", "5"]
+    ROWS = {
+        # a run whose grid comes from its --initial file, with snapshots
+        "initial-replay": ([], SIM + ["--initial", "{d}/mu0.csv", "--n", "200",
+                                      "--replicas", "2", "--snapshots"]),
+        # --bound 4 ensembles against the --bound 4 solve: convergence.json,
+        # bootstrap interval included, must not change
+        "compare-rerun": ([("solve", ["solve", "--kernel", "product:lambda=1", *SHORT]),
+                           ("ens200", SIM + SHORT + ["--n", "200", "--replicas", "3",
+                                                     "--snapshots"]),
+                           ("ens400", SIM + SHORT + ["--n", "400", "--replicas", "3",
+                                                     "--snapshots"])],
+                          ["compare", "{d}/ens200,{d}/ens400", "{d}/solve"]),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_twice_byte_for_byte(self, tmp_path, row):
+        setup, argv = self.ROWS[row]
+        (tmp_path / "mu0.csv").write_text("# h=0.015625\nomega,weight\n0.25,0.5\n1,0.5\n")
+
+        def run(args, out):
+            assert main([a.format(d=tmp_path) for a in args] + ["--out", str(out)]) == 0
+
+        for name, args in setup:
+            run(args, tmp_path / name)
+        first, second = tmp_path / "first", tmp_path / "second"
+        run(argv, first)
+        run(argv if argv[0] == "compare" else [argv[0], "--manifest", str(first / "manifest.json")],
+            second)
+        _same_tree(first, second)

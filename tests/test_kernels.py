@@ -266,7 +266,7 @@ class TestDominationConstant:
     # every family with all fields at 0, 0.4, 1 and 2.5, and uneven fields
     SPECS = [f"{family}:" + ",".join(f"{name}={value}" for name in kernels._FAMILIES[family][0])
              for family in sorted(kernels._FAMILIES) for value in (0.0, 0.4, 1.0, 2.5)] + [
-        "mixed:p=1,q=0,r=0", "mixed:p=0.2,q=0.7,r=0.9", "product:lambda=2.5", "const:c=0.02"]
+        "mixed:p=1,q=0,r=0", "mixed:p=0.2,q=0.7,r=0.9", "const:c=0.02"]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_bounds_the_kernel_on_a_mesh(self, spec):

@@ -130,6 +130,56 @@ class TestWeakDistance:
         assert weak_distance(mu, nu) <= tv_norm(mu - nu) + 1e-12
 
 
+class TestPrimedPairings:
+    """One trig table over the distinct positions of several measures gives
+    each measure the pairings it computes on its own, bit for bit."""
+
+    @staticmethod
+    def own_pairings(mu):
+        phases = mu.positions[:, None] * measures.WEAK_METRIC_FREQUENCIES[None, :]
+        table = np.empty_like(phases)
+        table[:, 0::2] = np.cos(phases[:, 0::2])
+        table[:, 1::2] = np.sin(phases[:, 1::2])
+        return mu.weights @ table
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(26)
+        out = []
+        for m in (1, 7, 64, 251):  # grid sites shared across the measures
+            out.append(DiscreteMeasure.from_grid(rng.integers(0, 300, m),
+                                                 rng.uniform(-1.0, 1.0, m), 2.0 ** -6))
+            out.append(DiscreteMeasure.from_points(rng.uniform(0.0, 20.0, m),
+                                                   rng.uniform(-1.0, 1.0, m)))
+        return out + [
+            DiscreteMeasure.from_grid([3, 3, 70], [0.5, 0.25, 1.0], 0.1),  # inexact idx * h
+            DiscreteMeasure.from_points([0.0, -0.0, 1.5, 1.5], [1.0, 2.0, 0.5, 0.5]),
+            DiscreteMeasure.from_points([-0.0], [1.0]),  # a row apart from 0.0's
+            DiscreteMeasure.zero(2.0 ** -6),
+            DiscreteMeasure.zero(),
+        ]
+
+    def test_bits_of_each_measure_alone(self):
+        ms = self.batch()
+        measures._prime_weak_pairings(ms)
+        for mu in ms:
+            alone = DiscreteMeasure(mu.weights, mu.h, mu.idx, mu._positions)
+            assert mu._weak_pairings.tobytes() == self.own_pairings(mu).tobytes()
+            assert mu._weak_pairings.tobytes() == alone._weak_pairings.tobytes()
+            assert not mu._weak_pairings.flags.writeable
+        nu = ms[1]
+        for mu in ms:
+            fresh = [DiscreteMeasure(m.weights, m.h, m.idx, m._positions) for m in (mu, nu)]
+            assert weak_distance(mu, nu) == weak_distance(*fresh)
+
+    def test_carried_pairings_kept(self):
+        mu, nu = random_measure(), random_measure()
+        carried = mu._weak_pairings
+        measures._prime_weak_pairings([mu, nu, mu])
+        assert mu._weak_pairings is carried
+        assert nu._weak_pairings.tobytes() == self.own_pairings(nu).tobytes()
+
+
 class TestQuantize:
     def test_nearest_multiple(self):
         q = quantize(DiscreteMeasure.delta(1.26), 0.5)
@@ -373,6 +423,20 @@ class TestCsv:
         path.write_text("# note\n# h=1/4\nomega,weight\n0.25,1\n")
         with pytest.raises(ValueError, match=r"m\.csv:2: expected numbers, got '# h=1/4'"):
             load_measure_csv(path)
+
+    def test_each_distinct_weight_formatted_once(self, tmp_path):
+        # repeated weights, and -0.0 beside 0.0, which are equal as dict
+        # keys but print apart: the bytes of the row-by-row writer
+        path = tmp_path / "m.csv"
+        for mu in (DiscreteMeasure.from_points([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+                                               [0.0, -0.0, 0.25, -0.0, 0.25, 0.0, 1.0 / 3.0]),
+                   DiscreteMeasure.from_grid(range(7), [1.0 / 3.0, -0.0, 1.0 / 3.0, 0.0,
+                                                        -2.5e-300, 1.0 / 3.0, -0.0], 2.0 ** -6),
+                   DiscreteMeasure.from_grid([5], [-0.0], 0.5)):
+            save_measure_csv(mu, path)
+            text = path.read_text()
+            assert text == self.csv_reference(mu)
+            assert ",-0\n" in text
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -890,6 +890,41 @@ class TestRecorder:
             self.check_rows(traj, weight)
 
 
+    @pytest.mark.parametrize("n, sites, killed", [(7, 40, 0), (300, 40, 41), (1000, 3, 0),
+                                                  (5, 4, 5)])
+    def test_snapshot_has_the_bits_of_compact(self, n, sites, killed):
+        # one sort and sequential sums of 1/n give the bits of merging a
+        # unit-weight measure with compact(); at n = 1000 on 3 sites the
+        # sums differ from count / n
+        rng = np.random.default_rng(n)
+        st = ParticleState.build(rng.integers(0, sites, n), 2.0 ** -6)
+        for slot in rng.choice(n, killed, replace=False):
+            st.kill(int(slot))
+        rec = particle.MomentRecorder(st, [0.0], 1.0, snapshots=True)
+        rec.finish()
+        got = rec.build().snapshots[0]
+        live = st.idx[st.alive]
+        want = DiscreteMeasure.from_grid(live, np.full(len(live), 1.0 / n), st.h).compact()
+        assert got.h == want.h and got._positions is None
+        assert got.idx.dtype == want.idx.dtype and got.weights.dtype == want.weights.dtype
+        assert got.idx.tobytes() == want.idx.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+class TestMajorantPrecheck:
+    """The precheck's mesh holds the grid's smallest frequency h, where
+    K/(phi phi phi) = (w1 w2 w3)^(-1/6) of product:lambda=0.5 under the
+    fractional 2/3 weight is largest; the refusal names plain floats."""
+
+    @pytest.mark.parametrize("n, h, ratio", [(60, 2.0 ** -3, "2.82843"), (300, 2.0 ** -6, "8")])
+    def test_refused_up_front(self, n, h, ratio):
+        frac = parse_weight("fractional:gamma=0.6666666666666666")
+        st = init(n, None, h, seed=7, weight=frac)
+        with pytest.raises(ThinningError, match=re.escape(
+                f"K/(phi*phi*phi) = {ratio} at witness ({h!r}, {h!r}, {h!r})")):
+            simulate(st, parse_kernel("product:lambda=0.5"), frac, 0.5, seed=1)
+
+
 class TestInLoopRefusal:
     """A kernel that spikes between the precheck's mesh points passes the
     precheck; each driver then refuses the first candidate it cannot
