@@ -40,7 +40,8 @@ from . import __version__
 from .analysis import conservation_report, mean_field_convergence
 from .kernels import parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
-from .measures import DiscreteMeasure, load_measure_csv, moment, save_measure_csv, tv_norm
+from .measures import (DiscreteMeasure, load_measure_csv, moment, save_measure_csv,
+                       site_table, tv_norm)
 from .particle import (EXP_START_CUTOFF, EXP_START_MEAN, AuditError,
                        MaxEventsError, ThinningError, init, simulate,
                        simulate_truncated)
@@ -208,8 +209,9 @@ def cmd_simulate(args) -> int:
         if cfg["events"]:
             save_events_jsonl(traj, outdir / f"events_r{stream:03d}.jsonl")
         if cfg["snapshots"]:
+            sites = site_table(traj.snapshots)
             for k, snap in enumerate(traj.snapshots):
-                save_measure_csv(snap, outdir / f"snap_r{stream:03d}_t{k:03d}.csv")
+                save_measure_csv(snap, outdir / f"snap_r{stream:03d}_t{k:03d}.csv", sites)
     _write_manifest(outdir, "simulate", cfg)
     print(f"wrote {cfg['replicas']} replica(s) to {outdir}")
     return 0
@@ -258,10 +260,11 @@ def cmd_solve(args) -> int:
                     "overflow": {f"{b:g}": lam.tolist() for b, lam in diags.items()}},
                    outdir / "overflow_schedule.json")
     save_moments_csv(traj, outdir / "moments.csv")
-    save_measure_csv(traj.snapshots[0], outdir / "initial.csv")
-    save_measure_csv(traj.snapshots[-1], outdir / "final.csv")
+    sites = site_table(traj.snapshots)
+    save_measure_csv(traj.snapshots[0], outdir / "initial.csv", sites)
+    save_measure_csv(traj.snapshots[-1], outdir / "final.csv", sites)
     for k, snap in enumerate(traj.snapshots):
-        save_measure_csv(snap, outdir / f"snap_t{k:03d}.csv")
+        save_measure_csv(snap, outdir / f"snap_t{k:03d}.csv", sites)
     rep = conservation_report(traj)
     (outdir / "conservation.json").write_text(rep.to_json() + "\n")
     (outdir / "conservation.txt").write_text(rep.to_text() + "\n")

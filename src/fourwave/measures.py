@@ -35,6 +35,7 @@ __all__ = [
     "phi_transform",
     "moment_set",
     "save_measure_csv",
+    "site_table",
     "load_measure_csv",
     "WEAK_METRIC_FREQUENCIES",
 ]
@@ -82,8 +83,11 @@ class DiscreteMeasure:
             raise ValueError("idx and weights must have equal length")
         if idx.size and idx.min() < 0:
             raise ValueError("grid indices must be nonnegative")
-        order = np.argsort(idx, kind="stable")
-        return DiscreteMeasure(weights[order], h, idx[order], None)
+        if (idx[1:] < idx[:-1]).any():
+            order = np.argsort(idx, kind="stable")
+            return DiscreteMeasure(weights[order], h, idx[order], None)
+        # already in order, as a stable sort would leave it: fresh copies
+        return DiscreteMeasure(weights.copy(), h, idx.copy(), None)
 
     @staticmethod
     def from_dense(w, h: float) -> "DiscreteMeasure":
@@ -301,16 +305,42 @@ def moment_set(mu: DiscreteMeasure, weight: WeightFunction) -> MomentSet:
     )
 
 
-def save_measure_csv(mu: DiscreteMeasure, path) -> None:
+def site_table(measures) -> tuple[np.ndarray, np.ndarray]:
+    """The sites of one or more measures, as :func:`save_measure_csv`
+    takes them: the distinct positions' float64 bits as sorted int64 keys
+    (so -0.0 is a site apart from 0.0), and each one's ``.17g`` text."""
+    keys = np.unique(np.concatenate([m.positions for m in measures]).view(np.int64))
+    return keys, _text(keys)
+
+
+def _text(bits: np.ndarray) -> np.ndarray:
+    """``.17g`` text of the float64 values with these int64 bits."""
+    return np.array([f"{x:.17g}" for x in bits.view(np.float64).tolist()], dtype=object)
+
+
+def save_measure_csv(mu: DiscreteMeasure, path, sites=None) -> None:
     """Interchange format: header ``omega,weight``, ascending positions,
-    one atom per row, 17 significant digits; grid mode adds ``# h=...``."""
+    one atom per row, 17 significant digits; grid mode adds ``# h=...``.
+
+    ``sites`` is a :func:`site_table` that holds every position of ``mu``
+    (ValueError naming the first one it lacks), and may hold more.  Files
+    that share their sites, such as a run's snapshots, then format each
+    site once; by default the table is built from ``mu`` alone.  The
+    bytes do not depend on the table.  Each distinct weight is formatted
+    once per file, keyed by bits as the sites are.
+    """
+    keys, text = site_table([mu]) if sites is None else sites
+    bits = mu.positions.view(np.int64)
+    rows = np.searchsorted(keys, bits)
+    if len(rows) and (rows.max() == len(keys) or not np.array_equal(keys[rows], bits)):
+        known = rows < len(keys)
+        known[known] = keys[rows[known]] == bits[known]
+        raise ValueError(f"{path}: position {float(mu.positions[~known][0])!r} "
+                         f"is not in the site table")
+    weights, which = np.unique(mu.weights.view(np.int64), return_inverse=True)
     lines = [f"# h={mu.h:.17g}"] if mu.is_grid else []
     lines.append("omega,weight")
-    # each distinct weight is formatted once: distinct by bits, as -0.0
-    # prints apart from 0.0
-    bits, which = np.unique(mu.weights.view(np.int64), return_inverse=True)
-    text = np.array([f"{w:.17g}" for w in bits.view(np.float64).tolist()], dtype=object)
-    lines.extend(map("{:.17g},{}".format, mu.positions.tolist(), text[which].tolist()))
+    lines.extend(map(",".join, zip(text[rows].tolist(), _text(weights)[which].tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

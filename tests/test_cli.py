@@ -853,6 +853,9 @@ class TestConsoleChecks:
 
     SIM = ["simulate", "--kernel", "product:lambda=1", "--seed", "7"]
     SHORT = ["--h", "0.015625", "--bound", "4", "--t-end", "0.25", "--samples", "5"]
+    # the solve replays take solve's default --bound, 4
+    SOLVE = ["solve", "--kernel", "product:lambda=1", "--h", "0.015625", "--t-end", "0.25",
+             "--samples", "5"]
     ROWS = {
         # a run whose grid comes from its --initial file, with snapshots
         "initial-replay": ([], SIM + ["--initial", "{d}/mu0.csv", "--n", "200",
@@ -865,6 +868,13 @@ class TestConsoleChecks:
                            ("ens400", SIM + SHORT + ["--n", "400", "--replicas", "3",
                                                      "--snapshots"])],
                           ["compare", "{d}/ens200,{d}/ens400", "{d}/solve"]),
+        # solve replays, one per stepper and solve mode; no benchmark
+        # workload runs the last four
+        "solve-replay": ([], ["solve", "--kernel", "product:lambda=1", *SHORT]),
+        "solve-if_euler-replay": ([], SOLVE + ["--method", "if_euler"]),
+        "solve-euler-replay": ([], SOLVE + ["--method", "euler"]),
+        "solve-schedule-replay": ([], SOLVE + ["--bound-schedule", "1,2,4"]),
+        "solve-richardson-replay": ([], SOLVE + ["--richardson"]),
     }
 
     @pytest.mark.parametrize("row", ROWS)
@@ -882,3 +892,30 @@ class TestConsoleChecks:
         run(argv if argv[0] == "compare" else [argv[0], "--manifest", str(first / "manifest.json")],
             second)
         _same_tree(first, second)
+
+
+class TestMeasureFilesWrittenOnce:
+    """simulate --snapshots and solve call save_measure_csv once per measure
+    file, with the file's path as its second argument (a traced run counts
+    the calls and reads that path)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        inner = cli.save_measure_csv
+        monkeypatch.setattr(cli, "save_measure_csv",
+                            lambda *a, **k: calls.append(Path(a[1])) or inner(*a, **k))
+        return calls
+
+    def test_simulate_snapshots(self, tmp_path, calls):
+        out = tmp_path / "run"
+        assert main([*TestConsoleChecks.SIM, *TestConsoleChecks.SHORT, "--n", "100",
+                     "--replicas", "2", "--snapshots", "--out", str(out)]) == 0
+        assert sorted(calls) == sorted(out.glob("snap_*.csv")) and len(calls) == 2 * 5
+
+    def test_solve(self, tmp_path, calls):
+        out = tmp_path / "solve"
+        assert main([*TestConsoleChecks.SOLVE, "--out", str(out)]) == 0
+        names = ["initial.csv", "final.csv"] + [f"snap_t{k:03d}.csv" for k in range(5)]
+        assert calls == [out / name for name in names]
+        assert sorted(out.glob("*.csv")) == sorted([out / "moments.csv", *calls])

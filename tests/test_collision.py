@@ -578,6 +578,71 @@ class TestLossCorrelation:
                 assert np.all(lr[1] == 0.0)  # the all-zero row
 
 
+def zeros_and_accumulate_parts(w, h, k, bound_idx):
+    """The np.convolve route as zero buffers that each term adds into, with
+    the escape as a one-row matmul: the reference form of the vector branch."""
+    m, smax = len(w), 2 * len(w) - 1
+    gain, loss_rate = np.zeros(smax), np.zeros(m)
+    terms, powers, phi_out = collision._grid_constants(m, h, k)
+    slots = {e: x * w for e, x in powers.items()}
+    for coef, (e1, e2, e3) in terms:
+        half = 0.5 * coef
+        a, b, d = slots[e1], slots[e2], slots[e3]
+        cab = np.convolve(a, b)
+        dcap = collision._cap(d, smax)
+        gain[:m] += half * d * np.cumsum(cab[::-1])[::-1][:m]
+        gain += half * np.convolve(cab, d[::-1])[m - 1:m - 1 + smax]
+        lr1 = powers[e1] * np.correlate(dcap, b, "valid")
+        lr2 = lr1 if e1 == e2 else powers[e2] * np.correlate(dcap, a, "valid")
+        loss_rate += half * (lr1 + lr2)
+    if bound_idx is None:
+        return gain, loss_rate, 0.0
+    return gain[:m], loss_rate, np.matmul(gain[None, m:], phi_out[:, None])[0, 0]
+
+
+class TestConvolveBranch:
+    """The vector branch of grid_interaction_parts has the bits of the
+    zeros-and-accumulate loop, the signs of zeros included."""
+
+    # one spec per family row, plus a folded term with e1 == e2 != e3 and a
+    # zero coefficient
+    SPECS = ("product:lambda=1", "sum:lambda=2", "mixed:p=1,q=0.5,r=0.25", "const:c=1",
+             "mixed:p=1,q=1,r=0", "const:c=0")
+    # under mixed:p=1,q=1,r=0 the loss rate at site 0 is 0 * (a negative
+    # correlation): -0.0 in the product, 0.0 from the zero buffer
+    SIGNED = np.array([0.5, -0.125, 0.0, 0.25])
+
+    @staticmethod
+    def weights(rng, m, signed):
+        w = rng.uniform(0.0, 1.0, size=m) * (rng.uniform(size=m) < 0.7) / m
+        if signed:  # negative weights, exact zeros of both signs
+            w *= rng.choice([-1.0, 1.0], size=m)
+            w[rng.uniform(size=m) < 0.2] = -0.0
+        return w
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bits_of_the_reference_loop(self, spec):
+        k = parse_kernel(spec)
+        rng = np.random.default_rng(sum(map(ord, spec)))
+        for m in (1, 2, 4, 5, 257, 639):
+            for signed in (False, True):
+                for bound_idx in (m - 1, None):
+                    w = self.SIGNED if signed and m == 4 else self.weights(rng, m, signed)
+                    got = grid_interaction_parts(w, 2.0 ** -6, k, bound_idx)
+                    want = zeros_and_accumulate_parts(w, 2.0 ** -6, k, bound_idx)
+                    for a, b in zip((got.gain, got.loss_rate, got.escape_rate), want):
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_row_dot_of_two_vectors_is_np_dot(self):
+        rng = np.random.default_rng(11)
+        for m in (*range(1, 70), 257, 513, 639, 2049):
+            x, y = rng.standard_normal(m), rng.standard_normal(m)
+            got = collision._row_dot(x, y)
+            assert got.tobytes() == np.dot(x, y).tobytes()
+            # the one-row matmul, which stacks take, rounds the same way
+            assert got.tobytes() == np.matmul(x[None, :], y[:, None])[0, 0].tobytes()
+
+
 class TestGridConstantCache:
     """The grid core's folded terms, grid powers and escape weights are
     computed once per (M, h, kernel) and shared read-only."""

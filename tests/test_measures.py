@@ -13,6 +13,7 @@ from fourwave.measures import (
     phi_transform,
     quantize,
     save_measure_csv,
+    site_table,
     tv_norm,
     weak_distance,
 )
@@ -444,6 +445,96 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "# h=0.5"
         assert lines[1] == "omega,weight"
+
+
+class TestSiteTable:
+    """save_measure_csv with a shared site table writes the bytes of the
+    row-by-row writer (TestCsv.csv_reference), whatever table it gets."""
+
+    GRID = [DiscreteMeasure.from_grid([0, 3, 17, 2 ** 40], [0.1, 1.0 / 3.0, -2.5e-300, 7.0],
+                                      2.0 ** -20),
+            DiscreteMeasure.from_grid([0], [0.5], 2.0 ** -6),  # one atom at 0
+            DiscreteMeasure.from_grid([], [], 2.0 ** -6),
+            DiscreteMeasure.from_grid([5, 5, 9, 1], [0.25, -0.0, 1.0 / 3.0, 0.25], 2.0 ** -6)]
+    CONTINUOUS = [DiscreteMeasure.from_points([0.0, 1.0 / 7.0, 2.5, 1e22],
+                                              [1e-5, 0.3, -1.0 / 3.0, 4.0]),
+                  DiscreteMeasure.from_points([-0.0, 0.0, 0.5, -0.0], [1.0, 2.0, 3.0, 4.0]),
+                  DiscreteMeasure.from_points([], [])]
+
+    @pytest.mark.parametrize("family", ["GRID", "CONTINUOUS"])
+    def test_same_bytes_with_and_without_a_table(self, tmp_path, family):
+        measures = getattr(self, family)
+        path = tmp_path / "m.csv"
+        for table in (None, site_table(measures),  # a superset of every measure's sites
+                      site_table(measures + [random_measure(40)])):
+            for mu in measures:
+                save_measure_csv(mu, path, table)
+                assert path.read_text() == TestCsv.csv_reference(mu)
+            for mu in measures:
+                save_measure_csv(mu, path, site_table([mu]))
+                assert path.read_text() == TestCsv.csv_reference(mu)
+
+    def test_negative_zero_is_its_own_site(self, tmp_path):
+        mu = DiscreteMeasure.from_points([-0.0, 0.0, 1.0], [0.5, 0.25, 0.25])
+        keys, text = site_table([mu])
+        assert list(text) == ["-0", "0", "1"]  # sorted as int64 bits: -0.0 is the least
+        path = tmp_path / "m.csv"
+        save_measure_csv(mu, path, (keys, text))
+        assert path.read_text().splitlines()[1:] == ["-0,0.5", "0,0.25", "1,0.25"]
+        # a table that holds 0.0 but not -0.0 lacks a site
+        with pytest.raises(ValueError, match=r"m\.csv: position -0\.0 is not in the site table"):
+            save_measure_csv(mu, path, site_table([DiscreteMeasure.from_points([0.0, 1.0],
+                                                                               [1.0, 1.0])]))
+
+    def test_missing_site_raises(self, tmp_path):
+        a = DiscreteMeasure.from_grid([1, 4, 9], [0.25, 0.5, 0.25], 0.5)
+        path = tmp_path / "m.csv"
+        for table in (site_table([DiscreteMeasure.from_grid([1, 9], [1.0, 1.0], 0.5)]),
+                      site_table([DiscreteMeasure.from_grid([1, 4], [1.0, 1.0], 0.5)]),
+                      site_table([DiscreteMeasure.zero(0.5)])):
+            with pytest.raises(ValueError, match="is not in the site table"):
+                save_measure_csv(a, path, table)
+        # the same indices on another grid are other positions
+        with pytest.raises(ValueError, match=r"position 2\.0 is not"):
+            save_measure_csv(a, path, site_table([DiscreteMeasure.from_grid([2, 4, 9], [1.0] * 3,
+                                                                            0.25)]))
+        # an empty measure needs no site
+        save_measure_csv(DiscreteMeasure.zero(0.5), path, site_table([a]))
+        assert path.read_text() == "# h=0.5\nomega,weight\n"
+
+
+class TestFromGridOrder:
+    """from_grid skips its stable sort when the indices are already in
+    order, with the stable sort's bits and arrays of its own."""
+
+    @pytest.mark.parametrize("idx", [[0, 1, 2, 7], [3, 3, 5, 5, 5, 9], [4, 1, 4, 0, 1],
+                                     [2, 2, 1], [5], []])
+    def test_bits_of_the_stable_sort(self, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        w = np.arange(1.0, len(idx) + 1) / 3.0
+        mu = DiscreteMeasure.from_grid(idx, w, 0.25)
+        order = np.argsort(idx, kind="stable")
+        assert mu.idx.tobytes() == idx[order].tobytes()
+        assert mu.weights.tobytes() == w[order].tobytes()
+        assert mu.idx.dtype == np.int64 and mu.weights.dtype == np.float64
+
+    def test_inputs_not_aliased(self):
+        idx, w = np.array([0, 2, 2, 5], dtype=np.int64), np.array([0.5, 0.25, 0.125, 0.125])
+        mu = DiscreteMeasure.from_grid(idx, w, 0.5)
+        assert not np.shares_memory(mu.idx, idx) and not np.shares_memory(mu.weights, w)
+        idx[0], w[0] = 7, 9.0
+        assert mu.idx[0] == 0 and mu.weights[0] == 0.5
+
+    def test_loaded_and_dense_measures_keep_their_bits(self, tmp_path):
+        mu = DiscreteMeasure.from_grid([9, 1, 4, 1], [0.25, -0.0, 1.0 / 3.0, 0.5], 2.0 ** -6)
+        path = tmp_path / "m.csv"
+        save_measure_csv(mu, path)
+        back = load_measure_csv(path)
+        assert back.idx.tobytes() == mu.idx.tobytes()
+        assert back.weights.tobytes() == mu.weights.tobytes()
+        dense = DiscreteMeasure.from_dense(mu.dense(12), mu.h)
+        assert dense.idx.tolist() == [1, 4, 9]
+        assert dense.weights.tobytes() == np.array([0.5, 1.0 / 3.0, 0.25]).tobytes()
 
 
 class TestNonFiniteRows:

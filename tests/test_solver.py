@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from test_collision import zeros_and_accumulate_parts
 
-from fourwave.collision import _STACK_VALUES, TruncatedState, l_b_pairing
+from fourwave import solver
+from fourwave.collision import _STACK_VALUES, GridInteractionParts, TruncatedState, l_b_pairing
 from fourwave.kernels import AFFINE, parse_kernel
 from fourwave.measures import DiscreteMeasure, moment, quantize, tv_norm
 from fourwave.solver import (
@@ -171,6 +173,49 @@ class TestDirectOracle:
             for got_dw, got_dlam in ((dw, dlam), (stacked[0][r], stacked[1][r])):
                 assert abs(float(np.dot(f(grid), got_dw)) - fpart) <= 1e-13 * abs(fpart)
                 assert abs(float(got_dlam) - lamdot) <= 1e-13 * abs(lamdot)
+
+
+class TestRightHandSideCalls:
+    """solve_truncated against a run of the zeros-and-accumulate right-hand
+    side, and its grid_interaction_parts calls per step, counted through
+    fourwave.solver's binding (a traced run counts steps from them)."""
+
+    @staticmethod
+    def start():
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 65, size=40)
+        return DiscreteMeasure.from_grid(idx, rng.uniform(0.0, 1.0, size=40) / 40, 2.0 ** -5)
+
+    @staticmethod
+    def outputs(traj):
+        snaps = [(s.idx.tobytes(), s.weights.tobytes()) for s in traj.snapshots]
+        rows = [x.tobytes() for x in (traj.W, traj.E, traj.phi, traj.phi2, traj.overflow)]
+        return snaps, rows, repr(traj.meta)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "if_euler"])
+    @pytest.mark.parametrize("spec", ["product:lambda=1", "sum:lambda=1",
+                                      "mixed:p=1,q=0.5,r=0.25", "const:c=1"])
+    def test_bits_of_the_old_right_hand_side(self, monkeypatch, method, spec):
+        kernel = parse_kernel(spec)
+        cfg = SolverConfig(method=method, t_end=0.25, bound=2.0, h=2.0 ** -5,
+                           sample_times=np.linspace(0.0, 0.25, 5))
+        new = self.outputs(solve_truncated(self.start(), 0.125, kernel, cfg))
+        monkeypatch.setattr(solver, "grid_interaction_parts", lambda w, h, k, bound_idx:
+                            GridInteractionParts(*zeros_and_accumulate_parts(w, h, k, bound_idx)))
+        monkeypatch.setattr(solver, "_row_dot", lambda x, y: np.matmul(x[None, :], y[:, None])[0, 0])
+        assert new == self.outputs(solve_truncated(self.start(), 0.125, kernel, cfg))
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1), ("if_euler", 2)])
+    def test_calls_per_step(self, monkeypatch, method, per_step):
+        calls = []
+        inner = solver.grid_interaction_parts
+        monkeypatch.setattr(solver, "grid_interaction_parts",
+                            lambda *a, **k: calls.append(a[0].shape) or inner(*a, **k))
+        # dt = 1/16 reaches the sample times 0, 1/4 and 1/2 in 8 exact steps
+        cfg = SolverConfig(method=method, dt=0.0625, t_end=0.5, bound=2.0, h=2.0 ** -5,
+                           sample_times=np.array([0.0, 0.25, 0.5]))
+        solve_truncated(self.start(), 0.125, PROD1, cfg)
+        assert calls == [(65,)] * (8 * per_step)
 
 
 class TestSolveLimit:
