@@ -513,41 +513,26 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
     if bound_idx is not None and bound_idx != m - 1:
         raise ValueError("dense window must end at the truncation bound")
     smax = 2 * m - 1
+    gain = np.zeros(w.shape[:-1] + (smax,))
+    loss_rate = np.zeros(w.shape)
     terms, powers, phi_out = _grid_constants(m, h, kernel)
     slots = {e: x * w for e, x in powers.items()}
     if w.ndim == 1 and m < _FFT_CROSSOVER:
-        # the first term's arrays start the sums, which then add in the
-        # order of zero buffers accumulating term by term; x += 0.0 gives
-        # them the zero buffers' 0.0 + x, which turns -0.0 into 0.0
-        gain = loss_rate = None
         for coef, (e1, e2, e3) in terms:
             half = 0.5 * coef
             a, b, d = slots[e1], slots[e2], slots[e3]
             cab = np.convolve(a, b)
-            # _cap(d, smax) in its bits: prefix sums of d, then the total
-            # plus the padding's zeros (np.add.accumulate is np.cumsum's
-            # loop without its wrapper)
-            dcap = np.empty(smax)
-            np.add.accumulate(d, out=dcap[:m])
-            dcap[m:] = dcap[m - 1] + 0.0
-            # output gain over y = (i+j) - l
-            out = half * np.convolve(cab, d[::-1])[m - 1:m - 1 + smax]
+            dcap = _cap(d, smax)
             # slot-3 gain: catalyst at l collects every pair with i+j >= l
-            slot3 = half * d * np.add.accumulate(cab[::-1])[::-1][:m]
+            # (np.add.accumulate is np.cumsum's loop without its wrapper)
+            gain[:m] += half * d * np.add.accumulate(cab[::-1])[::-1][:m]
+            # output gain over y = (i+j) - l
+            gain += half * np.convolve(cab, d[::-1])[m - 1:m - 1 + smax]
             # per-unit-weight loss rates in slots 1 and 2; coef * lr1 is
             # half * (lr1 + lr1) bit for bit
             lr1 = powers[e1] * np.correlate(dcap, b, "valid")
-            lr = (coef * lr1 if e1 == e2
-                  else half * (lr1 + powers[e2] * np.correlate(dcap, a, "valid")))
-            if gain is None:
-                out += 0.0
-                lr += 0.0
-                gain, loss_rate = out, lr
-                gain[:m] += slot3
-            else:
-                gain[:m] += slot3
-                gain += out
-                loss_rate += lr
+            loss_rate += (coef * lr1 if e1 == e2
+                          else half * (lr1 + powers[e2] * np.correlate(dcap, a, "valid")))
     elif len(nz := np.flatnonzero(w.reshape(-1, m).any(axis=0))):
         # slot vectors live on the rows' union hull [lo, hi): one spectrum
         # each, long enough that no correlation wraps onto a kept output
@@ -556,8 +541,6 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
         nfft = _fft_len(3 * u - 2)
         spec = {e: np.fft.rfft(s[..., lo:hi], nfft) for e, s in slots.items()}
         tot = {e: s.sum(axis=-1) for e, s in slots.items()}
-        gain = np.zeros(w.shape[:-1] + (smax,))
-        loss_rate = np.zeros(w.shape)
         outs = np.arange(max(1 - u, -lo), min(2 * u - 1, smax - lo))  # kept y - lo
         first = np.maximum(np.arange(u) - lo, 0)  # first pair sum 2lo + k a catalyst collects
         for coef, (e1, e2, e3) in terms:
@@ -573,8 +556,6 @@ def grid_interaction_parts(w: np.ndarray, h: float, kernel: Kernel,
             lr2 = lr1 if e1 == e2 else powers[e2] * _loss_corr(
                 spec[e3] * spec[e1].conj(), tot[e3] * tot[e1], nfft, u, m)
             loss_rate += half * (lr1 + lr2)
-    else:  # a stack with no atom in any row
-        gain, loss_rate = np.zeros(w.shape[:-1] + (smax,)), np.zeros(w.shape)
     if bound_idx is None:
         return GridInteractionParts(gain, loss_rate, no_escape)
     return GridInteractionParts(gain[..., :m], loss_rate, _row_dot(gain[..., m:], phi_out))

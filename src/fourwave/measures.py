@@ -83,11 +83,8 @@ class DiscreteMeasure:
             raise ValueError("idx and weights must have equal length")
         if idx.size and idx.min() < 0:
             raise ValueError("grid indices must be nonnegative")
-        if (idx[1:] < idx[:-1]).any():
-            order = np.argsort(idx, kind="stable")
-            return DiscreteMeasure(weights[order], h, idx[order], None)
-        # already in order, as a stable sort would leave it: fresh copies
-        return DiscreteMeasure(weights.copy(), h, idx.copy(), None)
+        order = np.argsort(idx, kind="stable")
+        return DiscreteMeasure(weights[order], h, idx[order], None)
 
     @staticmethod
     def from_dense(w, h: float) -> "DiscreteMeasure":
