@@ -35,6 +35,11 @@ __all__ = [
 _BOOTSTRAP_SEED = 0x40D0  # fixed: reports must be reproducible functions
 
 
+def _json(report: dict) -> str:
+    """Indented JSON text of ``report``, with null for NaN and infinities (not JSON)."""
+    return json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None), indent=2)
+
+
 def fit_loglog_slope(x, y) -> tuple[float, float]:
     """OLS slope and standard error of log(y) against log(x)."""
     lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
@@ -106,13 +111,13 @@ class ConvergenceReport:
     errors: dict[int, list[float]] = field(repr=False, default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json({
             "schema": 1, "report": "mean_field_convergence",
             "n": self.ns, "median_err": self.medians,
             "quartiles": self.quartiles, "slope": self.slope,
             "slope_stderr": self.slope_stderr, "slope_ci": list(self.slope_ci),
             "errors": {str(k): v for k, v in self.errors.items()},
-        }, indent=2)
+        })
 
     def to_text(self) -> str:
         lines = [f"{'n':>8} {'median err':>14} {'q25':>12} {'q75':>12}"]
@@ -181,13 +186,13 @@ class MartingaleReport:
         return all(e <= b for e, b in zip(self.estimates, self.bounds))
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json({
             "schema": 1, "report": "martingale_stats",
             "n": self.ns, "estimate": self.estimates, "stderr": self.stderrs,
             "bound": self.bounds, "slope": self.slope,
             "slope_stderr": self.slope_stderr, "replicas": self.replicas,
             "kernel_sup": self.lam_bound, "f_sup": self.f_sup,
-        }, indent=2)
+        })
 
     def to_text(self) -> str:
         lines = [f"{'n':>8} {'E sup|M|^2':>14} {'stderr':>12} {'bound':>14}"]
@@ -243,12 +248,12 @@ class ConservationReport:
     exact_E: bool
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json({
             "schema": 1, "report": "conservation",
             "drift_W": self.drift_W, "drift_E": self.drift_E,
             "drift_phi_plus_lambda": self.drift_conserved_phi,
             "exact_W": self.exact_W, "exact_E": self.exact_E,
-        }, indent=2)
+        })
 
     def to_text(self) -> str:
         lam = ("n/a" if self.drift_conserved_phi is None

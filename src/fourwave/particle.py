@@ -57,7 +57,9 @@ windowed :class:`ParticleState`, changed only by ``apply_jump``,
 from the phi^2 table of the lower window's leaves.
 
 Every driver records moments with a :class:`MomentRecorder` bound to its
-state, so this module alone knows the state's layout.
+state, so this module alone knows the state's layout.  The per-triple-clock
+oracle that judges the thinning engine in law at small n is test code,
+``tests/clock_oracle.py``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ __all__ = [
     "simulate",
     "simulate_truncated",
     "simulate_coupled",
-    "simulate_exact_clocks",
     "extract_martingale",
 ]
 
@@ -642,10 +643,6 @@ def extract_martingale(traj: Trajectory, f, kernel) -> tuple[np.ndarray, np.ndar
     return np.repeat(t, 2)[1:-1], mvals
 
 
-# --------------------------------------------------------------------------
-# coupled nested-window driver
-# --------------------------------------------------------------------------
-
 def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, kernel,
                      weight: WeightFunction, t_end: float, *, seed: int = 0,
                      stream: int = 0, sample_times=None) -> tuple[Trajectory, Trajectory]:
@@ -758,49 +755,3 @@ def simulate_coupled(state: ParticleState, bound_lo: float, bound_hi: float, ker
         tr.meta = {"t_end": t_end, "bound": b, "weight": weight.spec_string()}
     return traj_lo, traj_hi
 
-
-# --------------------------------------------------------------------------
-# exact per-triple-clock reference (law-level oracle, small n only)
-# --------------------------------------------------------------------------
-
-def simulate_exact_clocks(state: ParticleState, kernel, weight: WeightFunction,
-                          t_end: float, *, seed: int = 0, stream: int = 0,
-                          sample_times=None, record_snapshots: bool = False) -> Trajectory:
-    """Gillespie simulation with the full per-triple rate table.
-
-    O(n^3) work per event; intended as the law-level oracle for the
-    thinning engine at small n.  Only the live slots interact: the pairs
-    and catalysts are drawn among them, at rate K / n^2 with n the slot
-    count, as in the thinning engine.  Its phi column is the prefix table's
-    total, as in every driver: exact under the affine weight, possibly a
-    few ulp from a plain sum over the particles under a fractional one.
-    """
-    _require_state_weight(state, weight)
-    work = _windowed(state, None)
-    n, h = work.n, work.h
-    rng = make_rng(seed, stream)
-    recorder = MomentRecorder(work, sample_times, t_end, snapshots=record_snapshots)
-    live = np.flatnonzero(work.alive)  # no jump here kills: fixed for the run
-    iu, ju = (live[k] for k in np.triu_indices(len(live), k=1))
-    t = 0.0
-    while t < t_end:
-        vi = work.idx[iu][:, None] * h
-        vj = work.idx[ju][:, None] * h
-        vl = work.idx[live][None, :] * h
-        rates = kernel(vi, vj, vl) * ((vi + vj) >= vl) / (n * n)
-        flat = rates.ravel()
-        total = float(flat.sum())
-        if total <= 0.0:
-            break
-        t_ev = t - math.log1p(-float(rng.random())) / total
-        if t_ev >= t_end:
-            break
-        recorder.advance(t_ev)
-        t = t_ev
-        pick = int(np.searchsorted(np.cumsum(flat), float(rng.random()) * total, side="right"))
-        pair, l = divmod(pick, len(live))
-        work.apply_jump(int(iu[pair]), int(ju[pair]), int(live[l]))
-    recorder.finish()
-    traj = recorder.build()
-    traj.meta = {"t_end": t_end}
-    return traj

@@ -226,6 +226,8 @@ def solve_limit(mu0: DiscreteMeasure, kernel: Kernel, cfg: SolverConfig,
     per-window overflow curves as truncation diagnostics.
     """
     bounds = sorted(bound_schedule)
+    if not bounds:
+        raise ValueError("the bound schedule is empty: solve_limit needs at least one window")
     if moment(mu0, AFFINE) == math.inf:
         raise ValueError("initial phi-moment must be finite")
     m = _window_points(bounds[-1], cfg.h)

@@ -15,9 +15,11 @@ from fourwave.collision import (TruncatedState, counting_correction, l_b_pairing
 from fourwave.kernels import AFFINE, parse_kernel, parse_weight
 from fourwave.measures import DiscreteMeasure, moment, quantize
 from fourwave.particle import (ParticleState, init, make_rng, simulate, simulate_coupled,
-                               simulate_exact_clocks, simulate_truncated)
+                               simulate_truncated)
 from fourwave.solver import (SolverConfig, picard, phi2_bound, solve_limit,
                              solve_truncated, zeta)
+
+from clock_oracle import clock_table, exact_clocks
 
 PROD1 = parse_kernel("product:lambda=1")
 
@@ -248,9 +250,8 @@ def test_09_oracle_equivalence():
                                    sample_times=ta, record_snapshots=True,
                                    precheck=(r == 0)))
                for r in range(500)]
-    exact = [observable(simulate_exact_clocks(st, PROD1, AFFINE, 0.5, seed=12,
-                                              stream=r, sample_times=ta,
-                                              record_snapshots=True))
+    exact = [observable(exact_clocks(st, PROD1, 0.5, make_rng(12, r), sample_times=ta,
+                                     record_snapshots=True))
              for r in range(500)]
     stat = ks_statistic(thinned, exact)
     critical = 1.628 * math.sqrt((500 + 500) / (500 * 500))  # alpha = 1%
@@ -283,9 +284,8 @@ def test_09_oracle_equivalence_other_cases(kernel, weight):
                                    sample_times=ta, record_snapshots=True,
                                    precheck=(r == 0)))
                for r in range(500)]
-    exact = [observable(simulate_exact_clocks(st, kernel, weight, 0.5, seed=12,
-                                              stream=r, sample_times=ta,
-                                              record_snapshots=True))
+    exact = [observable(exact_clocks(st, kernel, 0.5, make_rng(12, r), sample_times=ta,
+                                     record_snapshots=True))
              for r in range(500)]
     stat = ks_statistic(thinned, exact)
     critical = 1.628 * math.sqrt((500 + 500) / (500 * 500))  # alpha = 1%
@@ -294,58 +294,6 @@ def test_09_oracle_equivalence_other_cases(kernel, weight):
     assert elapsed < 120.0
     print(f"\nACCEPTANCE 9 ({kernel.spec}, {weight.spec_string()}): PASS - KS statistic "
           f"{stat:.4f} < {critical:.4f} (1% level, 500+500 replicas), {elapsed:.1f}s < 120s")
-
-
-def truncated_clocks(idx, lam, h, kernel, n):
-    """Every clock of the truncated system at the alive grid indices
-    ``idx`` and the overflow n * Lambda = ``lam``.
-
-    Each unordered pair {a, b} of alive particles with each alive catalyst
-    c has a clock at rate K / n^2 (0 for a negative output): the pair
-    becomes (output, catalyst copy), or the catalyst copy alone when the
-    output lies beyond the window, whose phi-mass then moves into the
-    overflow.  Each alive particle has a kill clock at rate
-    phi (Lambda^2 + 2 Lambda <phi, X>) that moves its phi-mass into the
-    overflow.  Returns ((a, b, c, out, rate) over the pair clocks, the
-    kill clocks' rates).
-    """
-    m = len(idx)
-    a, b = np.triu_indices(m, k=1)
-    a, b, c = np.repeat(a, m), np.repeat(b, m), np.tile(np.arange(m), len(a))
-    out = idx[a] + idx[b] - idx[c]
-    w = idx * h
-    rate = np.where(out >= 0, kernel(w[a], w[b], w[c]), 0.0) / (n * n)
-    phi = w + 1.0
-    lam_f = lam / n
-    return (a, b, c, out, rate), phi * (lam_f * lam_f + 2.0 * lam_f * phi.sum() / n)
-
-
-def truncated_exact_clocks(idx, lam, bound_idx, h, kernel, n, t_end, rng):
-    """Gillespie run of the truncated system over ``truncated_clocks``
-    from the alive grid indices ``idx`` and n * Lambda = ``lam`` to
-    ``t_end``, on the window of last grid index ``bound_idx``: the final
-    alive indices and n * Lambda.  Affine phi values
-    on a dyadic grid are exact, so the overflow stays an exact sum."""
-    idx = np.array(idx, dtype=np.int64)
-    t = 0.0
-    while len(idx):
-        (a, b, c, out, rate), kills = truncated_clocks(idx, lam, h, kernel, n)
-        cum = np.cumsum(np.concatenate([rate, kills]))
-        if cum[-1] <= 0.0:
-            break
-        t -= math.log1p(-rng.random()) / cum[-1]
-        if t >= t_end:
-            break
-        k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        if k >= len(rate):
-            lam += float(idx[k - len(rate)] * h + 1.0)
-            idx = np.delete(idx, k - len(rate))
-        elif out[k] > bound_idx:
-            lam += float(out[k] * h + 1.0)
-            idx = np.append(np.delete(idx, [a[k], b[k]]), idx[c[k]])
-        else:
-            idx[a[k]], idx[b[k]] = out[k], idx[c[k]]
-    return idx, lam
 
 
 def test_09_truncated_oracle_rate_identity():
@@ -360,11 +308,12 @@ def test_09_truncated_oracle_rate_identity():
     phi = lambda w: np.asarray(w, dtype=float) + 1.0
     for kernel in (PROD1, parse_kernel("sum:lambda=1"), parse_kernel("mixed:p=1,q=0,r=0")):
         for f in (np.cos, np.tanh, phi):
-            (a, b, c, out, rate), kills = truncated_clocks(idx, lam * n, h, kernel, n)
+            (a, b, rate), kills = clock_table(idx, lam * n, h, kernel, AFFINE, n)
+            out = idx[a, None] + idx[b, None] - idx
             fo = np.asarray(f(np.maximum(out, 0) * h), dtype=float)
             inside = out <= bound_idx
             fx = np.asarray(f(idx * h), dtype=float)
-            fdot = (np.sum(rate * (np.where(inside, fo, 0.0) + fx[c] - fx[a] - fx[b]))
+            fdot = (np.sum(rate * (np.where(inside, fo, 0.0) + fx - fx[a, None] - fx[b, None]))
                     - np.sum(kills * fx)) / n
             lamdot = (np.sum(rate * np.where(inside, 0.0, phi(out * h)))
                       + np.sum(kills * phi(idx * h))) / n
@@ -389,20 +338,20 @@ def test_09_truncated_oracle_equivalence():
     st = ParticleState.build(np.random.default_rng(5).integers(8, 25, n), h)
     f = lambda idx: float(np.sum(np.cos(np.sort(idx) * h))) / n
 
+    def final(traj):
+        snap = traj.snapshots[-1]
+        return f(np.repeat(snap.idx, np.rint(snap.weights * n).astype(int))), traj.overflow[-1]
+
     thinned, branches = [], []
     for r in range(runs):
         traj = simulate_truncated(st, bound, None, kernel, AFFINE, t_end, seed=11, stream=r,
                                   sample_times=[0.0, t_end], record_events=True,
                                   record_snapshots=True, precheck=(r == 0))
-        snap = traj.snapshots[-1]
-        thinned.append((f(np.repeat(snap.idx, np.rint(snap.weights * n).astype(int))),
-                        traj.overflow[-1]))
+        thinned.append(final(traj))
         branches.extend(traj.events.branch.tolist())
-    exact = []
-    for r in range(runs):
-        idx, lam = truncated_exact_clocks(st.idx, 0.0, int(bound / h), h, kernel, n, t_end,
-                                          make_rng(12, r))
-        exact.append((f(idx), lam / n))
+    exact = [final(exact_clocks(st, kernel, t_end, make_rng(12, r), bound=bound,
+                                sample_times=[0.0, t_end], record_snapshots=True))
+             for r in range(runs)]
     counts = {b: branches.count(b) for b in ("interior", "escape", "kill")}
     assert min(counts.values()) >= 300, counts
     critical = 1.628 * math.sqrt(2.0 / runs)  # alpha = 1%

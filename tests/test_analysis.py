@@ -215,6 +215,42 @@ class TestMartingaleStats:
         assert lines[-1].endswith(f"within bound: {rep.within_bound}")
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Reports write null for a non-finite number, and a finite report has
+    the bytes of json.dumps(..., indent=2)."""
+
+    def test_one_n_has_null_slope(self):
+        _, ref = TestMeanFieldConvergence().reference()
+        conv = mean_field_convergence({1: [ref]}, ref, AFFINE)
+        data = strict_json(conv.to_json())
+        assert data["slope"] is None and data["slope_stderr"] is None
+        assert data["slope_ci"] == [None, None] and data["median_err"] == [0.0]
+        mart = martingale_stats(TestMartingaleStats().ensembles(3, ns=(24,)),
+                                lambda x: np.cos(np.asarray(x)), PROD1)
+        data = strict_json(mart.to_json())
+        assert data["slope"] is None and data["slope_stderr"] is None
+        assert data["estimate"] == mart.estimates
+        inf = strict_json(replace(conv, medians=[-np.inf], slope=np.inf).to_json())
+        assert inf["median_err"] == [None] and inf["slope"] is None
+
+    def test_finite_report_bytes(self):
+        _, ref = TestMeanFieldConvergence().reference()
+        rep = replace(mean_field_convergence({1: [ref]}, ref, AFFINE), slope=-0.5,
+                      slope_stderr=0.125, slope_ci=(-0.75, -0.25))
+        want = json.dumps({"schema": 1, "report": "mean_field_convergence", "n": [1],
+                           "median_err": [0.0], "quartiles": [(0.0, 0.0)], "slope": -0.5,
+                           "slope_stderr": 0.125, "slope_ci": [-0.75, -0.25],
+                           "errors": {"1": [0.0]}}, indent=2)
+        assert rep.to_json() == want
+
+
 class TestConservationReport:
     def test_particle_run_exact(self):
         st = init(64, exp_measure(), 2.0 ** -20, seed=6)

@@ -10,6 +10,7 @@ from fourwave import cli
 from fourwave.cli import main
 from fourwave.measures import DiscreteMeasure, load_measure_csv, save_measure_csv
 from fourwave.particle import init, truncation_overflow_start
+from test_analysis import strict_json
 
 
 def read(p: Path) -> bytes:
@@ -54,12 +55,14 @@ class TestSimulate:
             assert read(out1 / name) == read(out2 / name)
 
     def test_submultiplicativity_violation_exit3(self, tmp_path, capsys):
+        out = tmp_path / "x"
         code = main(["simulate", "--kernel", "product:lambda=9", "--n", "32",
                      "--t-end", "0.1", "--seed", "1", "--h", str(2.0 ** -10),
-                     "--out", str(tmp_path / "x")])
+                     "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert "witness" in err or "acceptance probability" in err
+        assert not out.exists()
 
     def test_undominated_at_the_smallest_frequency_exit3(self, tmp_path, capsys):
         # K/(phi phi phi) = (w1 w2 w3)^(-1/6) is largest at the grid's h
@@ -211,6 +214,21 @@ class TestCompare:
         report = json.loads((out / "convergence.json").read_text())
         assert report["n"] == [100]
         assert all(e > 0 for e in report["errors"]["100"])
+
+    def test_one_ensemble_writes_strict_json(self, tmp_path):
+        # one n fits no slope: convergence.json holds null there, not NaN
+        h = str(2.0 ** -6)
+        ref, ens, out = tmp_path / "ref", tmp_path / "ens", tmp_path / "cmp"
+        assert main(["solve", "--kernel", "const:c=0", "--t-end", "0.2", "--dt", "0.05",
+                     "--bound", "4.0", "--samples", "3", "--h", h, "--out", str(ref)]) == 0
+        assert main(["simulate", "--kernel", "const:c=0", "--n", "20", "--t-end", "0.2",
+                     "--seed", "1", "--h", h, "--samples", "3", "--replicas", "2",
+                     "--snapshots", "--out", str(ens)]) == 0
+        assert main(["compare", str(ens), str(ref), "--out", str(out)]) == 0
+        report = strict_json((out / "convergence.json").read_text())
+        assert report["n"] == [20] and len(report["errors"]["20"]) == 2
+        assert report["slope"] is None and report["slope_stderr"] is None
+        assert report["slope_ci"] == [None, None]
 
     def test_unreadable_run_refused(self, tmp_path, capsys):
         # each run directory is read through its manifest: one that is no
@@ -856,6 +874,10 @@ class TestConsoleChecks:
     # the solve replays take solve's default --bound, 4
     SOLVE = ["solve", "--kernel", "product:lambda=1", "--h", "0.015625", "--t-end", "0.25",
              "--samples", "5"]
+    RUN = ["--h", "0.015625", "--n", "300", "--replicas", "2", "--events"]
+    TRUNC = SIM + RUN + ["--bound", "2"]
+    # the canonical cover of TRUNC: the phi-mass of its start beyond the window
+    COVER = repr(truncation_overflow_start(init(300, None, 0.015625, 7), 2.0))
     ROWS = {
         # a run whose grid comes from its --initial file, with snapshots
         "initial-replay": ([], SIM + ["--initial", "{d}/mu0.csv", "--n", "200",
@@ -875,6 +897,14 @@ class TestConsoleChecks:
         "solve-euler-replay": ([], SOLVE + ["--method", "euler"]),
         "solve-schedule-replay": ([], SOLVE + ["--bound-schedule", "1,2,4"]),
         "solve-richardson-replay": ([], SOLVE + ["--richardson"]),
+        # simulate replays: a truncated run whose events are mostly kills, the
+        # same window from its canonical cover with snapshots, a sum kernel
+        # (its screen keeps every candidate) and a fractional weight
+        "truncated-replay": ([], TRUNC),
+        "cover-replay": ([], TRUNC + ["--lambda0", COVER, "--snapshots"]),
+        "sum-replay": ([], ["simulate", "--kernel", "sum:lambda=1", "--seed", "7", *RUN]),
+        "fractional-replay": ([], SIM + RUN + ["--weight",
+                                               "fractional:gamma=0.6666666666666666"]),
     }
 
     @pytest.mark.parametrize("row", ROWS)

@@ -22,10 +22,11 @@ from fourwave.particle import (
     make_rng,
     simulate,
     simulate_coupled,
-    simulate_exact_clocks,
     simulate_truncated,
     truncation_overflow_start,
 )
+
+from clock_oracle import clock_table, exact_clocks
 
 PROD1 = parse_kernel("product:lambda=1")
 CONST = parse_kernel("const:c=0.02")
@@ -272,11 +273,6 @@ class TestWeightMismatch:
         with pytest.raises(ValueError, match="particle state was built with"):
             simulate_coupled(st, 1.0, 2.0, PROD1, AFFINE, 0.1, seed=0)
 
-    def test_simulate_exact_clocks(self):
-        st = init(8, exp_measure(), 2.0 ** -6, seed=1)
-        with pytest.raises(ValueError, match="particle state was built with"):
-            simulate_exact_clocks(st, CONST, self.FRAC, 0.1, seed=0)
-
 
 class TestSampleTimes:
     def test_every_driver_rejects_bad_sample_times(self):
@@ -288,8 +284,6 @@ class TestSampleTimes:
             simulate_truncated(st, 2.0, None, ZERO, AFFINE, 1.0, sample_times=[0.5, 0.2])
         with pytest.raises(ValueError, match="sample times"):
             simulate_coupled(st, 1.0, 2.0, ZERO, AFFINE, 1.0, sample_times=[0.5, 0.2])
-        with pytest.raises(ValueError, match="sample times"):
-            simulate_exact_clocks(st, ZERO, AFFINE, 1.0, sample_times=[0.0, 1.5])
         traj = simulate(st, ZERO, AFFINE, 1.0, sample_times=[0.0, 0.5, 0.5, 1.0])
         assert traj.sample_times.tolist() == [0.0, 0.5, 0.5, 1.0]
 
@@ -644,7 +638,7 @@ class TestTruncated:
         cleared = st.copy()
         cleared.lam = 0.0
         for run in (lambda s: simulate(s, PROD1, AFFINE, 1.0, seed=3, record_events=True),
-                    lambda s: simulate_exact_clocks(s, PROD1, AFFINE, 1.0, seed=3)):
+                    lambda s: exact_clocks(s, PROD1, 1.0, make_rng(3))):
             traj, want = run(st), run(cleared)
             assert traj.overflow is None and traj.conserved_phi[0] == 8.75 / 6
             assert np.array_equal(traj.conserved_phi, traj.phi)
@@ -880,10 +874,9 @@ class TestRecorder:
             (trunc, AFFINE),
             *((tr, AFFINE) for tr in simulate_coupled(st, 1.0, 3.0, PROD1, AFFINE, 0.6,
                                                       seed=7)),
-            (simulate_exact_clocks(small, PROD1, AFFINE, 1.0, seed=5,
-                                   record_snapshots=True), AFFINE),
-            (simulate_exact_clocks(ParticleState.build(small.idx, small.h, frac), PROD1, frac,
-                                   1.0, seed=5, record_snapshots=True), frac),
+            (exact_clocks(small, PROD1, 1.0, make_rng(5), record_snapshots=True), AFFINE),
+            (exact_clocks(ParticleState.build(small.idx, small.h, frac), PROD1, 1.0,
+                          make_rng(5), record_snapshots=True), frac),
         ]
         for traj, weight in runs:
             assert traj.phi2[-1] != traj.phi2[0]  # the state moved
@@ -1189,16 +1182,43 @@ class TestMartingale:
 
 class TestExactClockOracle:
     def test_constant_state_rate(self):
+        # every jump of const on equal frequencies leaves the state as it
+        # is, so the event count is Poisson with mean rate * t = 1.1
         n, c, t = 12, 0.05, 4.0
         st = ParticleState.build(np.full(n, 8), 0.25, AFFINE)
         rate = c / n ** 2 * (n * (n - 1) // 2) * n
-        rng_counts = []
+        counts = []
         for rep in range(150):
-            traj = simulate_exact_clocks(st, parse_kernel(f"const:c={c}"), AFFINE, t,
-                                         seed=1, stream=rep)
-            rng_counts.append(traj.phi[-1])  # phi is constant; use as smoke output
-        traj = simulate_exact_clocks(st, parse_kernel(f"const:c={c}"), AFFINE, t, seed=1)
-        assert np.all(traj.E == traj.E[0])
+            traj = exact_clocks(st, parse_kernel(f"const:c={c}"), t, make_rng(1, rep))
+            assert np.all(traj.E == traj.E[0])
+            counts.append(traj.meta["events"])
+        assert abs(np.mean(counts) - rate * t) <= 4.0 * math.sqrt(rate * t / len(counts))
+
+    def test_top_draw_picks_a_positive_rate(self, monkeypatch):
+        # the zero-frequency particle sits at the end of the table, so the
+        # product kernel gives every clock with it rate 0; a pick draw of
+        # 1 - 2^-53 must land on the last clock with a positive rate, the
+        # pair (1, 2) with catalyst 2.  Here numpy's pairwise sum of the
+        # rates exceeds their sequential cumulative sum, so a total taken
+        # from it would pick past the last positive rate
+        st = ParticleState.build([1, 2, 3, 0], 0.25, AFFINE)
+        (a, b, rate), _ = clock_table(st.idx, 0.0, st.h, PROD1, AFFINE, st.n)
+        assert rate[-3, 2] > 0.0 and rate[-3, 3] == 0.0 and np.all(rate[-2:] == 0.0)
+        assert (a[-3], b[-3]) == (1, 2)
+
+        class Draws:
+            values = iter([0.5, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+
+            def random(self):
+                return next(self.values)
+
+        jumps = []
+        apply_jump = ParticleState.apply_jump
+        monkeypatch.setattr(ParticleState, "apply_jump",
+                            lambda s, *ijl: jumps.append(ijl) or apply_jump(s, *ijl))
+        total = float(np.cumsum(rate)[-1])
+        traj = exact_clocks(st, PROD1, 2.0 / total, Draws())
+        assert jumps == [(1, 2, 2)] and traj.meta["events"] == 1
 
     def test_dead_slots_do_not_interact(self):
         # slot 0 is killed before the run: its particle takes part in no
@@ -1206,12 +1226,12 @@ class TestExactClockOracle:
         # those of the five live particles, row for row
         st = ParticleState.build([3, 5, 2, 7, 1, 0], 0.25)
         st.kill(0)
-        traj = simulate_exact_clocks(st, PROD1, AFFINE, 3.0, seed=3, record_snapshots=True)
+        traj = exact_clocks(st, PROD1, 3.0, make_rng(3), record_snapshots=True)
         assert np.all(traj.energy_idx == 15)
         snap = traj.snapshots[-1]
         live_phi = float(np.dot(np.rint(snap.weights * traj.n), snap.idx * 0.25 + 1.0))
         assert live_phi == 8.75 and traj.phi[-1] == live_phi / traj.n
-        moved = simulate_exact_clocks(st, PROD1, AFFINE, 30.0, seed=2, record_snapshots=True)
+        moved = exact_clocks(st, PROD1, 30.0, make_rng(2), record_snapshots=True)
         assert len(set(moved.phi2.tolist())) > 1  # the state moved
         assert np.all(moved.energy_idx == 15) and np.all(moved.W == 5 / 6)
         TestRecorder.check_rows(moved, AFFINE)

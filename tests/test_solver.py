@@ -241,6 +241,11 @@ class TestSolveLimit:
         traj, diags = solve_limit(mu0, PROD1, cfg, [1.0, 2.0, 4.0])
         assert diags[1.0][0] > diags[4.0][0]  # more phi-mass starts outside smaller windows
 
+    def test_empty_schedule_refused(self):
+        for schedule in ([], ()):
+            with pytest.raises(ValueError, match="the bound schedule is empty"):
+                solve_limit(two_atoms(), PROD1, SolverConfig(h=H), schedule)
+
 
 class TestNegativeBound:
     def test_refused_naming_the_bound(self):
