@@ -35,9 +35,11 @@ __all__ = [
 _BOOTSTRAP_SEED = 0x40D0  # fixed: reports must be reproducible functions
 
 
-def _json(report: dict) -> str:
-    """Indented JSON text of ``report``, with null for NaN and infinities (not JSON)."""
-    return json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None), indent=2)
+def _json(obj, sort_keys: bool = False) -> str:
+    """Indented JSON text of ``obj`` for every JSON file the package writes,
+    with null for NaN and infinities (not JSON)."""
+    return json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None), indent=2,
+                      sort_keys=sort_keys)
 
 
 def fit_loglog_slope(x, y) -> tuple[float, float]:
@@ -86,11 +88,9 @@ def _bootstrap_slopes(per_n_errors: dict[int, np.ndarray], resamples: int) -> np
     return _row_dot(np.log(meds), vx) / np.dot(vx, vx)
 
 
-def _bootstrap_slope_ci(per_n_errors: dict[int, np.ndarray], resamples: int = 1000,
-                        quantiles=(0.025, 0.975)) -> tuple[float, float]:
-    """The ``quantiles`` of the :func:`_bootstrap_slopes`: a 95% percentile
-    interval of the slope by default."""
-    lo, hi = np.quantile(_bootstrap_slopes(per_n_errors, resamples), quantiles)
+def _bootstrap_slope_ci(per_n_errors: dict[int, np.ndarray]) -> tuple[float, float]:
+    """95% percentile interval of 1000 :func:`_bootstrap_slopes`."""
+    lo, hi = np.quantile(_bootstrap_slopes(per_n_errors, 1000), (0.025, 0.975))
     return float(lo), float(hi)
 
 
@@ -226,7 +226,8 @@ def martingale_stats(ensembles: dict[int, list[Trajectory]], f,
             t_end = float(traj.meta["t_end"])
         sups = np.asarray(sups)
         estimates.append(float(sups.mean()))
-        stderrs.append(float(sups.std(ddof=1) / math.sqrt(len(sups))))
+        stderrs.append(float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1
+                       else math.nan)
     mesh = np.linspace(0.0, max(traj.n * traj.E[0] for trs in ensembles.values()
                                 for traj in trs), 4097)
     f_sup = float(np.max(np.abs(np.asarray(f(mesh), dtype=float))))

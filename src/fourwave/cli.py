@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import conservation_report, mean_field_convergence
+from .analysis import _json, conservation_report, mean_field_convergence
 from .kernels import parse_kernel, parse_weight
 from .kernels import check_homogeneity, check_submultiplicative, check_symmetry
 from .measures import (DiscreteMeasure, load_measure_csv, moment, save_measure_csv,
@@ -62,7 +62,7 @@ def _output_root() -> Path:
 
 
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(obj, sort_keys=True) + "\n")
 
 
 def _write_manifest(outdir: Path, command: str, config: dict) -> None:
@@ -226,10 +226,12 @@ def cmd_solve(args) -> int:
                 "lambda0": 0.0, "richardson": False}
     cfg = _merge_config(args, "solve", defaults)
     _require_counts(cfg, ["samples"])
-    if cfg["bound_schedule"]:
+    if cfg["bound_schedule"] is not None:
         if cfg["richardson"] or cfg["lambda0"]:
             raise CliConfigError("--bound-schedule starts every window from its canonical "
                                  "overflow: it takes neither --richardson nor --lambda0")
+        if not cfg["bound_schedule"]:
+            raise CliConfigError("--bound-schedule is empty: give one window or more")
         # the schedule writes the largest window's trace: that is the bound run
         schedule = [float(b) for b in cfg["bound_schedule"].split(",")]
         if not all(map(math.isfinite, schedule)):

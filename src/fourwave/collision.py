@@ -12,10 +12,10 @@ equivalent to unordered-pair summation, and the tests assert as much.
 
 Two evaluation routes exist:
 
-* a direct ordered-triple sum (``method="direct"``), the reference
-  implementation, vectorised in blocks and costing O(m^3);
-* a grid route (``method="grid"``) for measures on a common dyadic grid and
-  a :class:`Kernel`, whose terms are rank-one: every slot reduces to
+* a direct ordered-triple sum, the reference implementation, vectorised
+  in blocks and costing O(m^3);
+* a grid route for measures on a common dyadic grid and a
+  :class:`Kernel`, whose terms are rank-one: every slot reduces to
   discrete convolutions and prefix sums over grid extent M, with each
   slot-swapped pair of kernel terms folded into one.  Vectors shorter
   than ``_FFT_CROSSOVER`` (640) run through the exact O(M^2)
@@ -29,8 +29,9 @@ Two evaluation routes exist:
   value does not depend on the other rows.  The grid extent has no
   upper limit.  Both routes compute the same sum; the grid route is what
   makes the large-n workloads tractable and it is cross-checked against
-  the direct route in the test-suite.  ``method="auto"`` takes it for a
-  grid measure and a :class:`Kernel` whenever it is the cheaper one.
+  the direct route in the test-suite.  ``q_pairing``, ``q_counting`` and
+  ``q_measure`` take it for a grid measure and a :class:`Kernel`
+  whenever it is the cheaper one, and the direct route otherwise.
 
 The bracket vanishes identically for affine f: mass and energy are
 conserved, and the grid closure under w1 + w2 - w3 makes that exact.  The
@@ -121,9 +122,9 @@ def trilinear_pairing(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: DiscreteMea
     return 0.5 * total
 
 
-def q_pairing(mu: DiscreteMeasure, kernel, f, method: str = "auto") -> float:
+def q_pairing(mu: DiscreteMeasure, kernel, f) -> float:
     """<f, Q(mu, mu, mu)> for a finite atomic (possibly signed) measure."""
-    top = _grid_top(mu, kernel, method)
+    top = _grid_top(mu, kernel)
     if top is None:
         return trilinear_pairing(mu, mu, mu, kernel, f)
     return _grid_pairing(mu, top, kernel, f, None)
@@ -148,7 +149,7 @@ def counting_correction(x: DiscreteMeasure, kernel, f, n: int) -> float:
     return 0.5 / n * float(np.sum(contrib))
 
 
-def q_counting(x: DiscreteMeasure, kernel, f, n: int, method: str = "auto") -> float:
+def q_counting(x: DiscreteMeasure, kernel, f, n: int) -> float:
     """<f, Q^(n)(X)> for an empirical measure of n unit-1/n particles.
 
     The counting measure keeps slot 3 free but forbids the same particle in
@@ -163,13 +164,13 @@ def q_counting(x: DiscreteMeasure, kernel, f, n: int, method: str = "auto") -> f
     whole = np.abs(counts - np.rint(counts)) <= 1e-9 * np.maximum(counts, 1.0)
     if not whole.all() or round(float(counts.sum())) != n:
         raise ValueError(f"weights are not multiplicities of 1/{n} particles")
-    top = _grid_top(x, kernel, method)
+    top = _grid_top(x, kernel)
     if top is None:
         return trilinear_pairing(x, x, x, kernel, f) - counting_correction(x, kernel, f, n)
     return _grid_pairing(x, top, kernel, f, n)
 
 
-def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeasure:
+def q_measure(mu: DiscreteMeasure, kernel) -> DiscreteMeasure:
     """Materialise Q(mu, mu, mu) as a signed grid measure.
 
     Scatters +-(1/2) K m1 m2 m3 onto the four target atoms of every ordered
@@ -182,14 +183,17 @@ def q_measure(mu: DiscreteMeasure, kernel, method: str = "auto") -> DiscreteMeas
     mu = mu.compact()
     if len(mu) == 0:
         return DiscreteMeasure.zero(mu.h)
-    top = _grid_top(mu, kernel, method, _MEASURE_TRIPLE_COST)
-    if top is not None:
-        w = mu.dense(top + 1)
-        parts = grid_interaction_parts(w, mu.h, kernel, bound_idx=None)
-        dw = parts.gain
-        dw[: len(w)] -= parts.loss_rate * w
-        return DiscreteMeasure.from_dense(dw, mu.h)
-    return _q_measure_direct(mu, kernel)
+    top = _grid_top(mu, kernel, _MEASURE_TRIPLE_COST)
+    return _q_measure_direct(mu, kernel) if top is None else _q_measure_grid(mu, top, kernel)
+
+
+def _q_measure_grid(mu: DiscreteMeasure, top: int, kernel: Kernel) -> DiscreteMeasure:
+    """q_measure's grid route on a compacted mu whose top grid index is ``top``."""
+    w = mu.dense(top + 1)
+    parts = grid_interaction_parts(w, mu.h, kernel, bound_idx=None)
+    dw = parts.gain
+    dw[: len(w)] -= parts.loss_rate * w
+    return DiscreteMeasure.from_dense(dw, mu.h)
 
 
 def _q_measure_direct(mu: DiscreteMeasure, kernel) -> DiscreteMeasure:
@@ -298,35 +302,25 @@ def q_pairing_powermoment(mu: DiscreteMeasure, kernel: Kernel, p: int) -> float:
 _FFT_CROSSOVER = 640
 
 
-# The grid route costs about _GRID_COST * M log2 M against the direct
-# route's m^3 (m atoms, grid extent M), in units of one ordered triple of
-# q_pairing.  On a 2-core x86-64 host (numpy 2.4) the break-even read
+# The grid route costs about M log2 M against the direct route's m^3 (m
+# atoms, grid extent M), in units of one ordered triple of q_pairing.  On
+# a 2-core x86-64 host (numpy 2.4) the break-even factor on M log2 M read
 # 0.5-1.2 (product) and 1-3.5 (sum, mixed) for m = 50-120, M = 257-131073;
 # for q_pairing and q_counting at m = 8-48, M = 8-4097 it read about 1
 # (product, mixed) and 1.3-4.5 (sum), and below m = 8 both routes cost
 # 20-50 us, mostly call overhead.  Over those m = 2-48 cases 1.0 came
 # within 1.5% of the faster route's summed time, 1.5 within 9%.
 # q_measure's direct route costs _MEASURE_TRIPLE_COST times more per triple.
-_GRID_COST, _MEASURE_TRIPLE_COST = 1.0, 10.0
+_MEASURE_TRIPLE_COST = 10.0
 
 
-def _grid_top(mu: DiscreteMeasure, kernel, method: str, triple_cost: float = 1.0) -> int | None:
-    """mu's top grid index if ``method`` sends mu to the grid route, else
-    None: "grid" always (a continuous-mode mu or a bare callable kernel
-    raises ValueError), "direct" never, "auto" for a nonempty grid measure
-    and a Kernel by the cost rule above; any other method raises ValueError."""
-    if method not in ("auto", "grid", "direct"):
-        raise ValueError(f"method must be 'auto', 'grid' or 'direct', got {method!r}")
-    if method == "grid":
-        if not mu.is_grid:
-            raise ValueError("the grid route needs a grid-mode measure (grid closure)")
-        if not isinstance(kernel, Kernel):
-            raise ValueError("the grid route needs a Kernel, not a bare callable")
-        return int(mu.idx.max(initial=0))
-    if method == "direct" or not (mu.is_grid and isinstance(kernel, Kernel) and len(mu)):
+def _grid_top(mu: DiscreteMeasure, kernel, triple_cost: float = 1.0) -> int | None:
+    """mu's top grid index if the cost rule above sends a nonempty grid
+    measure and a Kernel to the grid route, else None."""
+    if not (mu.is_grid and isinstance(kernel, Kernel) and len(mu)):
         return None
     top = int(mu.idx.max())
-    return top if _GRID_COST * (top + 1) * math.log2(top + 1) < triple_cost * len(mu) ** 3 else None
+    return top if (top + 1) * math.log2(top + 1) < triple_cost * len(mu) ** 3 else None
 
 
 def _grid_pairing(mu: DiscreteMeasure, top: int, kernel: Kernel, f, n: int | None) -> float:

@@ -27,13 +27,11 @@ from .kernels import WeightFunction
 
 __all__ = [
     "DiscreteMeasure",
-    "MomentSet",
     "moment",
     "tv_norm",
     "weak_distance",
     "quantize",
     "phi_transform",
-    "moment_set",
     "save_measure_csv",
     "site_table",
     "load_measure_csv",
@@ -281,25 +279,6 @@ def phi_transform(mu: DiscreteMeasure, weight: WeightFunction) -> DiscreteMeasur
     factors = np.asarray(weight(mu.positions), dtype=float)
     keep = factors != 0.0
     return mu._like(mu._keys[keep], mu.weights[keep] * factors[keep])
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Waveaction W, energy E and the first two phi-moments of a measure."""
-
-    W: float
-    E: float
-    phi: float
-    phi2: float
-
-
-def moment_set(mu: DiscreteMeasure, weight: WeightFunction) -> MomentSet:
-    return MomentSet(
-        W=moment(mu, lambda w: np.ones_like(w)),
-        E=moment(mu, lambda w: w),
-        phi=moment(mu, weight),
-        phi2=moment(mu, lambda w: np.asarray(weight(w)) ** 2),
-    )
 
 
 def site_table(measures) -> tuple[np.ndarray, np.ndarray]:

@@ -331,15 +331,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
-           iterations: int = 20, nsteps: int = 64) -> PicardReport:
+           iterations: int = 20) -> PicardReport:
     """Run the iterative scheme mu^{n+1} = mu0 + int_0^t L^B(mu^n, lam^n).
 
     Requires the proof's normalisation <phi, mu0> + lam0 <= 1, and a
     ``bound`` on mu0's grid (ValueError otherwise), so that C is the
     constant of the window the iterates live on.  Iterate 0
-    is constant in time; the quadrature is trapezoidal on ``nsteps``
+    is constant in time; the quadrature is trapezoidal on 64
     uniform intervals over the contraction horizon T = 1/(4C).  Each
-    iteration evaluates its nsteps + 1 time points in a few stacked calls
+    iteration evaluates its 65 time points in a few stacked calls
     of the grid core; the first evaluates iterate 0's one state once.
     Once an iterate repeats an earlier one bit for bit, the deterministic
     map cycles from there, so the remaining rows are filled in by the
@@ -353,8 +353,6 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if nsteps < 1:
-        raise ValueError(f"nsteps must be at least 1, got {nsteps}")
     if moment(mu0, AFFINE) + lam0 > 1.0 + 1e-12:
         raise ValueError("picard requires the rescaled normalisation <phi,mu0> + lam0 <= 1")
     h = mu0.h
@@ -363,7 +361,7 @@ def picard(mu0: DiscreteMeasure, lam0: float, kernel: Kernel, bound: float,
     w0 = _dense_initial(mu0, bound, h)
     c = picard_constant(kernel, bound)
     horizon = 1.0 / (4.0 * c)
-    times = np.linspace(0.0, horizon, nsteps + 1)
+    times = np.linspace(0.0, horizon, 65)
     system = _TruncatedSystem(kernel, h, len(w0))
     nt, m = len(times), len(w0)
     dtv = np.diff(times)

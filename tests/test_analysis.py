@@ -200,6 +200,14 @@ class TestMartingaleStats:
         b = martingale_stats(ens, f, PROD1)
         assert a.estimates == b.estimates and a.slope == b.slope
 
+    def test_one_replica_has_null_stderr(self):
+        # one replica has no spread: NaN, without numpy's degrees-of-freedom
+        # warning (which the suite raises), written as null
+        rep = martingale_stats(self.ensembles(1, ns=(24,)),
+                               lambda x: np.cos(np.asarray(x)), PROD1)
+        assert len(rep.stderrs) == 1 and np.isnan(rep.stderrs[0])
+        assert strict_json(rep.to_json())["stderr"] == [None]
+
     def test_report_json_and_text(self):
         rep = martingale_stats(self.ensembles(4), lambda x: np.cos(np.asarray(x)), PROD1)
         data = json.loads(rep.to_json())

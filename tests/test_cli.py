@@ -135,6 +135,16 @@ class TestSolve:
         assert table["expected_ratio"] == 16.0
         assert 10.0 <= table["ratio"] <= 24.0
 
+    def test_richardson_without_error_writes_null_ratio(self, tmp_path):
+        # a zero kernel leaves every step size's final measure the same, so
+        # both errors are 0 and the ratio is infinite: strict JSON writes null
+        out = tmp_path / "r"
+        assert main(["solve", "--kernel", "const:c=0", "--h", "0.25", "--bound", "41",
+                     "--t-end", "0.1", "--samples", "2", "--richardson",
+                     "--out", str(out)]) == 0
+        table = strict_json((out / "richardson.json").read_text())
+        assert table["err_half_vs_quarter"] == 0.0 and table["ratio"] is None
+
     def test_conservation_artifacts(self, tmp_path):
         out = tmp_path / "c"
         assert main(["solve", "--kernel", "product:lambda=1", "--dt", "0.02",
@@ -483,6 +493,22 @@ class TestBoundSchedule:
         assert "--bound-schedule" in capsys.readouterr().err
         assert not out.exists()
         assert main(argv + ["--bound", "2", "--out", str(tmp_path / "same")]) == 0
+
+    def test_empty_schedule_refused(self, tmp_path, capsys):
+        # from the flag or from a manifest that holds it, before any output
+        out = tmp_path / "empty"
+        assert main(["solve", "--kernel", "product:lambda=1", "--dt", "0.02", "--t-end", "0.1",
+                     "--bound-schedule", "", "--out", str(out)]) == 2
+        assert "--bound-schedule is empty" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema": 1, "tool": "fourwave", "version": "0.1.0",
+                                        "command": "solve",
+                                        "config": {"kernel": "product:lambda=1",
+                                                   "bound_schedule": ""}}))
+        assert main(["solve", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "--bound-schedule is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_records_largest_window_and_replays(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -922,6 +948,9 @@ class TestConsoleChecks:
         run(argv if argv[0] == "compare" else [argv[0], "--manifest", str(first / "manifest.json")],
             second)
         _same_tree(first, second)
+        # every JSON file the row wrote is strict JSON
+        for path in tmp_path.rglob("*.json"):
+            strict_json(path.read_text())
 
 
 class TestMeasureFilesWrittenOnce:

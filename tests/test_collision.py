@@ -27,6 +27,24 @@ CONST1 = parse_kernel("const:c=1")
 PROD1 = parse_kernel("product:lambda=1")
 
 
+def grid_route(mu, kernel, f, n=None):
+    """The grid route of q_pairing (n None) or of q_counting, whichever
+    route their cost rule picks for mu."""
+    return collision._grid_pairing(mu, int(mu.idx.max()), kernel, f, n)
+
+
+def direct_counting(x, kernel, f, n):
+    """The direct route of q_counting: the triple sum less the diagonal."""
+    return trilinear_pairing(x, x, x, kernel, f) - counting_correction(x, kernel, f, n)
+
+
+def q_measure_routes(mu, kernel):
+    """q_measure's (direct, grid) routes, whichever its cost rule picks."""
+    c = mu.compact()
+    return collision._q_measure_direct(c, kernel), collision._q_measure_grid(
+        c, int(c.idx.max()), kernel)
+
+
 def brute_pairing(positions, weights, kernel, f):
     """Independent scalar-loop oracle for the ordered-triple sum."""
     total = 0.0
@@ -249,8 +267,8 @@ class TestGridRoute:
         for k in [CONST1, PROD1, parse_kernel("sum:lambda=2"), parse_kernel("mixed:p=1,q=0,r=0")]:
             mu = random_measure(40, grid_h=0.125)
             f = lambda x: np.cos(0.7 * np.asarray(x))
-            direct = q_pairing(mu, k, f, method="direct")
-            fast = q_pairing(mu, k, f, method="grid")
+            direct = trilinear_pairing(mu, mu, mu, k, f)
+            fast = grid_route(mu, k, f)
             assert fast == pytest.approx(direct, rel=1e-11, abs=1e-12)
 
     def test_auto_route_judges_cost_by_extent(self):
@@ -260,12 +278,13 @@ class TestGridRoute:
         f = lambda x: np.cos(0.7 * np.asarray(x))
         idx = np.append(np.sort(rng.choice(np.arange(1, 65536), size=59, replace=False)), 65536)
         sparse = DiscreteMeasure.from_grid(idx, rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
-        assert q_pairing(sparse, PROD1, f) == q_pairing(sparse, PROD1, f, method="direct")
+        assert q_pairing(sparse, PROD1, f) == trilinear_pairing(sparse, sparse, sparse, PROD1, f)
         # q_measure's direct route costs ~10x more per triple: grid there
-        auto, grid = q_measure(sparse, PROD1), q_measure(sparse, PROD1, method="grid")
+        auto = q_measure(sparse, PROD1)
+        grid = collision._q_measure_grid(sparse.compact(), 65536, PROD1)
         assert np.array_equal(auto.idx, grid.idx) and np.array_equal(auto.weights, grid.weights)
         dense = DiscreteMeasure.from_grid(np.arange(60), rng.uniform(0.1, 1.0, 60), 2.0 ** -6)
-        assert q_pairing(dense, PROD1, f) == q_pairing(dense, PROD1, f, method="grid")
+        assert q_pairing(dense, PROD1, f) == grid_route(dense, PROD1, f)
 
     def test_bare_callable_kernel_keeps_direct_route(self):
         # the grid route needs a Kernel's rank-one terms: a plain function
@@ -276,42 +295,19 @@ class TestGridRoute:
         bare = lambda a, b, c: PROD1(a, b, c)
         assert len(mu) > collision._DIRECT_BLOCK
         assert q_pairing(mu, bare, f) == trilinear_pairing(mu, mu, mu, bare, f)
-        assert q_pairing(mu, PROD1, f) == q_pairing(mu, PROD1, f, method="grid")
-
-    def test_grid_route_refuses_continuous_mode(self):
-        mu = DiscreteMeasure.from_points([0.5, 1.5], [0.5, 0.5])
-        f = lambda x: np.cos(np.asarray(x))
-        with pytest.raises(ValueError, match="grid-mode"):
-            q_pairing(mu, PROD1, f, method="grid")
-        with pytest.raises(ValueError, match="grid-mode"):
-            q_counting(mu, PROD1, f, 2, method="grid")
-
-    def test_unroutable_call_refused(self):
-        # the grid route needs a Kernel's rank-one terms, and an unknown
-        # method is refused rather than taken as the direct route
-        mu = DiscreteMeasure.from_grid([1, 2, 5], [0.25, 0.25, 0.5], 0.25)
-        f = lambda x: np.cos(np.asarray(x))
-        bare = lambda a, b, c: PROD1(a, b, c)
-        calls = (lambda k, method: q_pairing(mu, k, f, method=method),
-                 lambda k, method: q_counting(mu, k, f, 4, method=method),
-                 lambda k, method: q_measure(mu, k, method=method))
-        for call in calls:
-            with pytest.raises(ValueError, match="grid route needs a Kernel"):
-                call(bare, "grid")
-            with pytest.raises(ValueError, match="method must be 'auto', 'grid' or 'direct', "
-                                                 "got 'fft'"):
-                call(PROD1, "fft")
+        assert q_pairing(mu, PROD1, f) == grid_route(mu, PROD1, f)
+        direct = collision._q_measure_direct(mu.compact(), bare)
+        got = q_measure(mu, bare)
+        assert np.array_equal(got.idx, direct.idx) and np.array_equal(got.weights, direct.weights)
 
     def test_grid_route_reads_uncompacted_atoms(self):
         # repeated sites sum, and a top site whose atoms cancel leaves the
         # extent of the compacted measure, so the bits are compact()'s
         f = lambda x: np.cos(0.7 * np.asarray(x))
         mu = DiscreteMeasure.from_grid([1, 3, 3, 9, 9], [0.5, 0.3, 0.4, 0.2, -0.2], 0.25)
-        assert q_pairing(mu, PROD1, f, method="grid") == q_pairing(mu.compact(), PROD1, f,
-                                                                    method="grid")
+        assert grid_route(mu, PROD1, f) == grid_route(mu.compact(), PROD1, f)
         x = DiscreteMeasure.from_grid([2, 5, 5, 11], [0.25, 0.25, 0.5, 0.0], 0.25)
-        assert q_counting(x, PROD1, f, 4, method="grid") == q_counting(x.compact(), PROD1, f, 4,
-                                                                        method="grid")
+        assert grid_route(x, PROD1, f, 4) == grid_route(x.compact(), PROD1, f, 4)
 
     @pytest.mark.parametrize("m, extent", [(2, 3), (3, 8), (5, 16), (8, 40), (16, 130),
                                            (32, 130), (48, 257)])
@@ -324,16 +320,15 @@ class TestGridRoute:
         x = DiscreteMeasure.from_grid(sites, counts / n, 2.0 ** -3)
         for spec in ("product:lambda=1", "sum:lambda=1", "mixed:p=1,q=0.5,r=0.25"):
             k = parse_kernel(spec)
-            assert collision._grid_top(x, k, "auto") == extent - 1
+            assert collision._grid_top(x, k) == extent - 1
             for f in (lambda v: np.cos(np.asarray(v)),
                       lambda v: np.tanh(np.asarray(v, dtype=float) - 1.0)):
-                ref = q_counting(x, k, f, n, method="direct")
+                ref = direct_counting(x, k, f, n)
                 assert abs(q_counting(x, k, f, n) - ref) <= 1e-12 * abs(ref), spec
 
     def test_q_measure_grid_matches_direct(self):
         mu = random_measure(30, grid_h=0.25)
-        a = q_measure(mu, PROD1, method="direct")
-        b = q_measure(mu, PROD1, method="grid")
+        a, b = q_measure_routes(mu, PROD1)
         assert tv_norm(a - b) <= 1e-11 * max(1.0, tv_norm(a))
 
     def test_counting_grid_matches_direct(self):
@@ -341,8 +336,8 @@ class TestGridRoute:
         idx = RNG.integers(0, 40, size=n)
         x = DiscreteMeasure.from_grid(idx, np.full(n, 1.0 / n), 0.25).compact()
         f = lambda v: np.cos(np.asarray(v))
-        assert q_counting(x, PROD1, f, n, method="grid") == pytest.approx(
-            q_counting(x, PROD1, f, n, method="direct"), rel=1e-11, abs=1e-13)
+        assert grid_route(x, PROD1, f, n) == pytest.approx(
+            direct_counting(x, PROD1, f, n), rel=1e-11, abs=1e-13)
 
 
 class TestPowerMomentCrossCheck:
@@ -530,8 +525,8 @@ class TestFoldedCore:
     def test_parts_and_counting_match_direct(self, spec):
         k = parse_kernel(spec)
         mu = random_measure(30, grid_h=0.25)
-        a = q_measure(mu, k, method="direct")
-        assert tv_norm(q_measure(mu, k, method="grid") - a) <= 1e-11 * max(1.0, tv_norm(a))
+        a, grid = q_measure_routes(mu, k)
+        assert tv_norm(grid - a) <= 1e-11 * max(1.0, tv_norm(a))
         # the same scatter from a stack, which takes the rfft path
         c = mu.compact()
         w, h = c.dense(int(c.idx.max()) + 1), c.h
@@ -546,8 +541,8 @@ class TestFoldedCore:
         n = 64
         x = DiscreteMeasure.from_grid(RNG.integers(0, 40, size=n), np.full(n, 1.0 / n), 0.25).compact()
         f = lambda v: np.cos(np.asarray(v))
-        assert q_counting(x, k, f, n, method="grid") == pytest.approx(
-            q_counting(x, k, f, n, method="direct"), rel=1e-11, abs=1e-13)
+        assert grid_route(x, k, f, n) == pytest.approx(
+            direct_counting(x, k, f, n), rel=1e-11, abs=1e-13)
 
 
 class TestLossCorrelation:
